@@ -70,18 +70,42 @@ def mat_eq(a, b):
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
+def lift_columns(gb, matrix, columns, field, error):
+    """Apply a matrix over R to each column and lift the images through
+    the ModuleGB gb; the lifts are the columns of the returned matrix.
+
+    gb None stands for the zero module, which only zero images reach.
+    Raises error when an image lies outside the span.
+    """
+    images = mat_mul(matrix, mat_transpose(columns), field) if columns else []
+    lifts = []
+    for j in range(len(columns)):
+        img = [row[j] for row in images]
+        lifted = gb.lift(img) if gb is not None else (
+            None if any(img) else [])
+        if lifted is None:
+            raise error("image of column %d lies outside the target span" % j)
+        lifts.append(lifted)
+    nrows = gb.ncols if gb is not None else 0
+    return [[col[i] for col in lifts] for i in range(nrows)]
+
+
 # ---------------------------------------------------------------------------
 # bimodules
 
 
 class Bimodule:
-    """Free right R-module with commuting left-action matrices."""
+    """Free right R-module with commuting left-action matrices.
 
-    __slots__ = ("real", "rank", "degrees", "left", "word", "shift",
+    word tags a Bott-Samelson bimodule BS(word), kl an indecomposable
+    B_kl; either is None when absent.
+    """
+
+    __slots__ = ("real", "rank", "degrees", "left", "word", "shift", "kl",
                  "_pow_cache")
 
     def __init__(self, real, degrees, left_s, left_t, word=None, shift=0,
-                 check=True):
+                 kl=None, check=True):
         self.real = real
         self.degrees = tuple(degrees)
         self.rank = len(self.degrees)
@@ -89,6 +113,7 @@ class Bimodule:
                      "t": tuple(tuple(row) for row in left_t)}
         self.word = tuple(word) if word is not None else None
         self.shift = shift
+        self.kl = tuple(kl) if kl is not None else None
         self._pow_cache = {}
         if check:
             self._validate()
@@ -136,16 +161,15 @@ class Bimodule:
                 self._pow_cache[key] = mat_identity(self.field, self.rank)
             else:
                 self._pow_cache[key] = mat_mul(
-                    self._power(x, k - 1),
-                    [list(r) for r in self.left[x]], self.field)
+                    self._power(x, k - 1), self.left[x], self.field)
         return self._pow_cache[key]
 
     def shifted(self, k):
         """M(k): internal grading shifted down by k."""
         return Bimodule(self.real, [d - k for d in self.degrees],
                         self.left["s"], self.left["t"],
-                        word=self.word,
-                        shift=self.shift + k, check=False)
+                        word=self.word, shift=self.shift + k, kl=self.kl,
+                        check=False)
 
     def graded_rank(self):
         """Sum of Q^degree over the right basis."""
@@ -168,6 +192,11 @@ class Bimodule:
         return hash((self.m, self.degrees, self.left))
 
     def __repr__(self):
+        if self.kl is not None:
+            tag = "B_%s" % ("".join(self.kl) or "e")
+            if self.shift:
+                tag += "(%d)" % self.shift
+            return tag
         if self.word is not None:
             tag = "BS(%s)" % "".join(self.word) if self.word else "R"
             if self.shift:
@@ -176,7 +205,7 @@ class Bimodule:
         return "Bimodule(rank=%d, degrees=%s)" % (self.rank, list(self.degrees))
 
     def to_json(self):
-        return {
+        out = {
             "m": self.m,
             "degrees": list(self.degrees),
             "left_s": _mat_to_json(self.left["s"]),
@@ -184,6 +213,9 @@ class Bimodule:
             "word": list(self.word) if self.word is not None else None,
             "shift": self.shift,
         }
+        if self.kl is not None:
+            out["kl"] = list(self.kl)
+        return out
 
     @classmethod
     def from_json(cls, data):
@@ -192,7 +224,7 @@ class Bimodule:
                    _mat_from_json(data["left_s"], real.field),
                    _mat_from_json(data["left_t"], real.field),
                    word=data.get("word"), shift=data.get("shift", 0),
-                   check=False)
+                   kl=data.get("kl"), check=False)
 
 
 def poly_to_json(f):
@@ -282,20 +314,6 @@ def dualize_D(mod):
                     word=None, shift=-mod.shift, check=False)
 
 
-def flip_omega(mod):
-    """omega on a word-tagged atom: reverse the word, keep the shift."""
-    if mod.word is None:
-        raise ValueError("flip_omega requires a word-tagged atom")
-    return bott_samelson(mod.m, tuple(reversed(mod.word)), mod.shift)
-
-
-def dual_vee(mod):
-    """vee = omega after D on a word-tagged atom: reverse word, negate shift."""
-    if mod.word is None:
-        raise ValueError("dual_vee requires a word-tagged atom")
-    return bott_samelson(mod.m, tuple(reversed(mod.word)), -mod.shift)
-
-
 # ---------------------------------------------------------------------------
 # morphisms
 
@@ -323,10 +341,9 @@ class BimoduleMorphism:
                         "entry (%d,%d) not homogeneous of degree %d"
                         % (i, j, want))
         field = self.dom.field
-        mat = [list(r) for r in self.matrix]
         for x in LETTERS:
-            lhs = mat_mul([list(r) for r in self.cod.left[x]], mat, field)
-            rhs = mat_mul(mat, [list(r) for r in self.dom.left[x]], field)
+            lhs = mat_mul(self.cod.left[x], self.matrix, field)
+            rhs = mat_mul(self.matrix, self.dom.left[x], field)
             if not mat_eq(lhs, rhs):
                 raise ValueError("morphism does not intertwine left_%s" % x)
 
@@ -343,28 +360,25 @@ class BimoduleMorphism:
         """self after other."""
         if other.cod is not self.dom and other.cod != self.dom:
             raise ValueError("composition mismatch")
-        mat = mat_mul([list(r) for r in self.matrix],
-                      [list(r) for r in other.matrix], self.dom.field)
+        mat = mat_mul(self.matrix, other.matrix, self.dom.field)
         return BimoduleMorphism(other.dom, self.cod, mat,
                                 self.degree + other.degree, check=False)
 
     def __add__(self, other):
-        return BimoduleMorphism(
-            self.dom, self.cod,
-            mat_add([list(r) for r in self.matrix],
-                    [list(r) for r in other.matrix]),
-            self.degree, check=False)
+        return BimoduleMorphism(self.dom, self.cod,
+                                mat_add(self.matrix, other.matrix),
+                                self.degree, check=False)
 
     def __neg__(self):
         return BimoduleMorphism(self.dom, self.cod,
-                                mat_neg([list(r) for r in self.matrix]),
+                                mat_neg(self.matrix),
                                 self.degree, check=False)
 
     def scale(self, c):
         field = self.dom.field
         f = RingElement.constant(field, 0) + c if not isinstance(c, RingElement) else c
         return BimoduleMorphism(self.dom, self.cod,
-                                mat_scale([list(r) for r in self.matrix], f),
+                                mat_scale(self.matrix, f),
                                 self.degree, check=False)
 
     def __repr__(self):
@@ -397,7 +411,7 @@ def tensor_morphism(f, g):
                 continue
             act = g.cod.left_action_of(p)
             # left-move p across the tensor, then apply g
-            block = mat_mul(act, [list(r) for r in g.matrix], field)
+            block = mat_mul(act, g.matrix, field)
             for l in range(rb_cod):
                 for j in range(rb_dom):
                     if block[l][j]:
@@ -480,7 +494,7 @@ class HomSpace:
             if not unknowns:
                 continue
             col_of = {u: k for k, u in enumerate(unknowns)}
-            span = []  # echelon rows, {col: scalar}, leading entry 1
+            span = linalg.Echelon()
             for e, mat in gens:
                 if (d - e) < 0 or (d - e) % 2:
                     continue
@@ -493,14 +507,14 @@ class HomSpace:
                             c = mat[i][j].terms.get((a - p, b - q))
                             if c:
                                 vec[k] = c
-                    _echelon_insert(span, vec)
+                    span.insert(vec)
             for phi in hom_degree_basis(dom, cod, d):
                 vec = {}
                 for (i, j, a, b), k in col_of.items():
                     c = phi.matrix[i][j].terms.get((a, b))
                     if c:
                         vec[k] = c
-                if _echelon_insert(span, vec):
+                if span.insert(vec):
                     if d > hi:
                         return None  # generator beyond the bound: bail out
                     gens.append((d, phi.matrix))
@@ -555,31 +569,6 @@ class HomSpace:
 
     def degree_basis(self, degree=0):
         return [f for f in self.basis() if f.degree == degree]
-
-
-def _echelon_insert(span, row):
-    """Reduce a sparse {col: scalar} row against the echelon span; extend
-    the span and return True when a new pivot appears."""
-    row = {c: v for c, v in row.items() if v}
-    lead = {min(p): p for p in span if p}
-    while row:
-        c = min(row)
-        prow = lead.get(c)
-        if prow is None:
-            inv = row[c].inverse()
-            span.append({cc: v * inv for cc, v in row.items()})
-            return True
-        f = row.pop(c)
-        for cc, v in prow.items():
-            if cc == c:
-                continue
-            nv = row.get(cc)
-            nv = -(f * v) if nv is None else nv - f * v
-            if nv:
-                row[cc] = nv
-            else:
-                row.pop(cc, None)
-    return False
 
 
 def hom_space(dom, cod):
@@ -659,13 +648,8 @@ def hom_degree_basis(dom, cod, degree=0):
                 f = dom.left[x][j][c]
                 for (p, q), cf in f.terms.items():
                     bump((x, i, c, (p + a, q + b)), col, -cf)
-    if rows:
-        vecs = linalg.sparse_kernel_basis(
-            (rows[key] for key in sorted(rows)), len(unknowns), field)
-    else:
-        vecs = [[field.one() if k == i else field.zero()
-                 for k in range(len(unknowns))]
-                for i in range(len(unknowns))]
+    vecs = linalg.sparse_kernel_basis(
+        (rows[key] for key in sorted(rows)), len(unknowns), field)
     out = []
     for vec in vecs:
         mat = mat_zero(field, cod.rank, dom.rank)
@@ -682,16 +666,16 @@ def hom_degree_basis(dom, cod, degree=0):
 
 
 def scalar_part(phi):
-    """Constant coefficients where source and target degrees agree."""
-    field = phi.dom.field
+    """Constant coefficients where source and target degrees agree, as
+    sparse rows {column: scalar}."""
     out = []
     for i in range(phi.cod.rank):
-        row = []
+        row = {}
         for j in range(phi.dom.rank):
-            if (phi.degree + phi.dom.degrees[j] - phi.cod.degrees[i] == 0):
-                row.append(phi.matrix[i][j].constant_coefficient())
-            else:
-                row.append(field.zero())
+            if phi.degree + phi.dom.degrees[j] - phi.cod.degrees[i] == 0:
+                c = phi.matrix[i][j].constant_coefficient()
+                if c:
+                    row[j] = c
         out.append(row)
     return out
 
@@ -701,27 +685,29 @@ def is_invertible(phi):
         return False
     if not phi.dom.same_graded_rank(phi.cod):
         return False
-    return bool(linalg.det(scalar_part(phi), phi.dom.field))
+    span = linalg.Echelon()
+    return all(span.insert(row) for row in scalar_part(phi))
 
 
 def invert_morphism(phi):
     """Inverse of a degree-0 isomorphism via the graded Neumann series."""
     field = phi.dom.field
-    sinv = linalg.inverse(scalar_part(phi), field)
+    n = phi.dom.rank
+    spart = scalar_part(phi)
+    sinv = linalg.inverse(spart, field)
     if sinv is None:
         return None
-    sinv_r = [[RingElement.constant(field, 0) + c if c else
-               RingElement.zero(field) for c in row] for row in sinv]
+    zero = RingElement.zero(field)
+    sinv_r = [[RingElement(field, {(0, 0): c}) for c in row] for row in sinv]
     # phi = S + P with P of strictly positive internal degree; then
     # N = S^-1 P strictly raises basis degree, hence is nilpotent.
-    smat = [[RingElement.constant(field, 0) + c if c else
-             RingElement.zero(field) for c in row]
-            for row in scalar_part(phi)]
-    pmat = mat_sub([list(r) for r in phi.matrix], smat)
+    smat = [[RingElement(field, {(0, 0): row[j]}) if j in row else zero
+             for j in range(n)] for row in spart]
+    pmat = mat_sub(phi.matrix, smat)
     nmat = mat_mul(sinv_r, pmat, field)
-    acc = mat_identity(field, phi.dom.rank)
-    term = mat_identity(field, phi.dom.rank)
-    for _ in range(phi.dom.rank + 1):
+    acc = mat_identity(field, n)
+    term = mat_identity(field, n)
+    for _ in range(n + 1):
         term = mat_neg(mat_mul(term, nmat, field))
         if not any(any(row) for row in term):
             break

@@ -19,7 +19,7 @@ import click
 
 from .complexes import ChainComplex, parse_braid, rouquier_braid
 
-NORMALIZATION_VERSION = 1
+NORMALIZATION_VERSION = 2
 DEFAULT_SEED = 20240401
 
 

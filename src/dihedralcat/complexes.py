@@ -15,10 +15,11 @@ from . import linalg
 from .bimodule import (Bimodule, BimoduleMorphism, b_generator, bott_samelson,
                        direct_sum, dot_in, dot_out, hom_degree_basis,
                        identity_morphism, invert_morphism, is_invertible,
-                       mat_add, mat_identity, mat_mul, mat_zero,
-                       regular, scalar_part, zero_morphism)
+                       lift_columns, mat_identity, mat_mul, mat_sub, mat_zero,
+                       regular)
+from .hecke import group_elements
 from .modules import ModuleGB, minimalize_columns, column_degree
-from .ring import LETTERS, RingElement, realization
+from .ring import LETTERS, realization
 
 MAX_WORD_LENGTH = 24
 
@@ -72,9 +73,7 @@ class ChainComplex:
         for d in self.diffs:
             if d + 1 not in self.diffs:
                 continue
-            prod = _compose_block_matrices(self.diffs[d + 1], self.diffs[d],
-                                           self.objects[d],
-                                           self.objects[d + 2])
+            prod = _compose_block_matrices(self.diffs[d + 1], self.diffs[d])
             for row in prod:
                 for blk in row:
                     if blk is not None and blk:
@@ -122,17 +121,6 @@ class ChainComplex:
                 objects[d][c], objects[d + 1][r], blk.matrix, 0, check=False)
                 for c, blk in enumerate(row)]
                 for r, row in enumerate(blocks)]
-        return ChainComplex(self.m, objects, diffs, check=False)
-
-    def shift_cohomological(self, k):
-        """[k]: degree d moves to d - k; differential scaled by (-1)^k."""
-        sign = (-1) ** k
-        objects = {d - k: list(obs) for d, obs in self.objects.items()}
-        diffs = {}
-        for d, blocks in self.diffs.items():
-            diffs[d - k] = [[None if blk is None else
-                             (blk if sign == 1 else -blk)
-                             for blk in row] for row in blocks]
         return ChainComplex(self.m, objects, diffs, check=False)
 
     def graded_atom_profile(self):
@@ -200,7 +188,7 @@ def _offsets(mods):
     return out
 
 
-def _compose_block_matrices(b2, b1, src_objs, tgt_objs):
+def _compose_block_matrices(b2, b1):
     """Blockwise composite b2 . b1."""
     nrows = len(b2)
     ncols = len(b1[0]) if b1 else 0
@@ -218,10 +206,6 @@ def _compose_block_matrices(b2, b1, src_objs, tgt_objs):
                 acc = term if acc is None else acc + term
             out[r][c] = acc
     return out
-
-
-def zero_complex(m):
-    return ChainComplex(m, {}, {}, check=False)
 
 
 def single_object(m, mod, degree=0):
@@ -247,7 +231,8 @@ def rouquier(m, letter, sign=1):
 
 
 def parse_braid(text):
-    """Braid grammar: tokens s, t (optionally ^<int>) or signed 1/2."""
+    """Braid grammar: tokens s, t (optionally ^<int>) or signed 1/2; at
+    most MAX_WORD_LENGTH letters once exponents are expanded."""
     letters = []
     for pos, token in enumerate(str(text).split()):
         base = token
@@ -272,6 +257,10 @@ def parse_braid(text):
         else:
             raise ValueError("bad braid token %d: %r" % (pos, token))
         sign = 1 if exp >= 0 else -1
+        if len(letters) + abs(exp) > MAX_WORD_LENGTH:
+            raise ValueError("braid word has %d letters, more than the "
+                             "maximum of %d"
+                             % (len(letters) + abs(exp), MAX_WORD_LENGTH))
         letters.extend([(letter, sign)] * abs(exp))
     if not letters:
         raise ValueError("empty braid word")
@@ -414,106 +403,13 @@ def minimal_form(cplx, check=False):
 
 
 # ---------------------------------------------------------------------------
-# chain maps and cones
-
-
-class ChainMap:
-    __slots__ = ("dom", "cod", "blocks")
-
-    def __init__(self, dom, cod, blocks, check=True):
-        self.dom = dom
-        self.cod = cod
-        self.blocks = {d: [list(r) for r in rows] for d, rows in blocks.items()}
-        if check:
-            self.validate()
-
-    def block(self, d, r, c):
-        rows = self.blocks.get(d)
-        return rows[r][c] if rows else None
-
-    def validate(self):
-        for d, rows in self.blocks.items():
-            if len(rows) != len(self.cod.objects.get(d, [])) or any(
-                    len(r) != len(self.dom.objects.get(d, [])) for r in rows):
-                raise ValueError("chain map block shape mismatch at %d" % d)
-        for d in self.dom.diffs:
-            lhs = None
-            if d + 1 in self.blocks:
-                lhs = _compose_block_matrices(
-                    self.blocks[d + 1], self.dom.diffs[d],
-                    self.dom.objects[d], self.cod.objects[d + 1])
-            rhs = None
-            if d in self.blocks and d in self.cod.diffs:
-                rhs = _compose_block_matrices(
-                    self.cod.diffs[d], self.blocks[d],
-                    self.dom.objects[d], self.cod.objects[d + 1])
-            for r in range(len(self.cod.objects.get(d + 1, []))):
-                for c in range(len(self.dom.objects.get(d, []))):
-                    a = lhs[r][c] if lhs else None
-                    b = rhs[r][c] if rhs else None
-                    diff = _sub_opt(a, b)
-                    if diff is not None and diff:
-                        raise ValueError("chain map does not commute at %d" % d)
-
-
-def _sub_opt(a, b):
-    if a is None:
-        return None if b is None else -b
-    if b is None:
-        return a
-    return a + (-b)
-
-
-def cone(chain_map):
-    """Cone(f): C[1] (+) D with differential [[-d_C, 0], [f, d_D]]."""
-    cc, dd = chain_map.dom, chain_map.cod
-    m = cc.m
-    objects = {}
-    for n in set(d - 1 for d in cc.degrees()) | set(dd.degrees()):
-        obs = list(cc.objects.get(n + 1, [])) + list(dd.objects.get(n, []))
-        if obs:
-            objects[n] = obs
-    diffs = {}
-    for n in objects:
-        if n + 1 not in objects:
-            continue
-        nc1 = len(cc.objects.get(n + 1, []))
-        nd = len(dd.objects.get(n, []))
-        nc2 = len(cc.objects.get(n + 2, []))
-        nd1 = len(dd.objects.get(n + 1, []))
-        rows = [[None] * (nc1 + nd) for _ in range(nc2 + nd1)]
-        if n + 1 in cc.diffs:
-            for r in range(nc2):
-                for c in range(nc1):
-                    blk = cc.diffs[n + 1][r][c]
-                    rows[r][c] = None if blk is None else -blk
-        if n + 1 in chain_map.blocks:
-            for r in range(nd1):
-                for c in range(nc1):
-                    rows[nc2 + r][c] = chain_map.block(n + 1, r, c)
-        if n in dd.diffs:
-            for r in range(nd1):
-                for c in range(nd):
-                    rows[nc2 + r][nc1 + c] = dd.diffs[n][r][c]
-        diffs[n] = rows
-    return ChainComplex(m, objects, diffs, check=False)
-
-
-def psi_link_split(m, letter):
-    """The chain map psi: F_letter -> F_letter^{-1}, identity on B_letter."""
-    pos = rouquier(m, letter, 1)
-    neg = rouquier(m, letter, -1)
-    blocks = {0: [[identity_morphism(pos.objects[0][0])]]}
-    return ChainMap(pos, neg, blocks)
-
-
-# ---------------------------------------------------------------------------
 # isomorphism testing
 
 
 def chain_map_basis(c1, c2):
-    """K_m-basis of the degree-0 chain maps c1 -> c2 (as per-degree
-    morphisms between the direct-sum objects)."""
+    """K_m-basis of the degree-0 chain maps c1 -> c2, as coefficient
+    vectors over per_degree, the hom_degree_basis of each degree between
+    the direct-sum objects; returns (vectors, per_degree, offsets)."""
     degs = sorted(set(c1.degrees()) | set(c2.degrees()))
     per_degree = {}
     for d in degs:
@@ -526,7 +422,7 @@ def chain_map_basis(c1, c2):
         offsets[d] = total
         total += len(per_degree[d])
     if total == 0:
-        return [], per_degree
+        return [], per_degree, offsets
     field = realization(c1.m).field
     rows = {}
 
@@ -538,25 +434,18 @@ def chain_map_basis(c1, c2):
         d1 = c1.sum_differential(d)
         d2 = c2.sum_differential(d)
         # f_{d+1} . d1 - d2 . f_d = 0
-        for k, f in enumerate(per_degree.get(d + 1, [])):
-            if d1 is None:
-                continue
-            mat = mat_mul([list(r) for r in f.matrix],
-                          [list(r) for r in d1.matrix], field)
-            _accumulate_poly_rows(bump, ("sq", d), offsets[d + 1] + k, mat, 1)
-        for k, f in enumerate(per_degree.get(d, [])):
-            if d2 is None:
-                continue
-            mat = mat_mul([list(r) for r in d2.matrix],
-                          [list(r) for r in f.matrix], field)
-            _accumulate_poly_rows(bump, ("sq", d), offsets[d] + k, mat, -1)
-    matrix = [[row.get(k, field.zero()) for k in range(total)]
-              for key in sorted(rows) for row in [rows[key]]]
-    if matrix:
-        vecs = linalg.kernel_basis(matrix, field)
-    else:
-        vecs = [[field.one() if i == k else field.zero()
-                 for k in range(total)] for i in range(total)]
+        if d1 is not None:
+            for k, f in enumerate(per_degree.get(d + 1, [])):
+                mat = mat_mul(f.matrix, d1.matrix, field)
+                _accumulate_poly_rows(bump, ("sq", d), offsets[d + 1] + k,
+                                      mat, 1)
+        if d2 is not None:
+            for k, f in enumerate(per_degree.get(d, [])):
+                mat = mat_mul(d2.matrix, f.matrix, field)
+                _accumulate_poly_rows(bump, ("sq", d), offsets[d] + k,
+                                      mat, -1)
+    vecs = linalg.sparse_kernel_basis((rows[key] for key in sorted(rows)),
+                                      total, field)
     return vecs, per_degree, offsets
 
 
@@ -619,27 +508,6 @@ def complexes_isomorphic(c1, c2, seed=20240401, trials=24):
 # idempotent splitting into indecomposables
 
 
-def _dihedral_elements(m):
-    """Reduced words for I_2(m), s-first canonical for the longest element."""
-    out = [()]
-    for length in range(1, m + 1):
-        for start in ("s", "t"):
-            word = tuple(("s", "t")[(LETTERS.index(start) + k) % 2]
-                         for k in range(length))
-            if word not in out:
-                out.append(word)
-        if length == m:
-            # both alternating words coincide in the group; keep s-first
-            pass
-    # drop the duplicate longest word (t-first)
-    seen = []
-    for w in out:
-        if len(w) == m and w and w[0] == "t":
-            continue
-        seen.append(w)
-    return seen
-
-
 def _split_summand(mod, cand):
     """Find cand as a direct summand of mod: returns (incl, proj) with
     proj . incl = id_cand, or None."""
@@ -692,42 +560,18 @@ def _complement_of_idempotent(mod, incl, proj):
     """Basis of im(1 - incl.proj) as a Bimodule summand with its own
     inclusion/projection."""
     field = mod.field
-    e = mat_mul([list(r) for r in incl.matrix],
-                [list(r) for r in proj.matrix], field)
     ident = mat_identity(field, mod.rank)
-    rest = [[ident[i][j] - e[i][j] for j in range(mod.rank)]
-            for i in range(mod.rank)]
+    rest = mat_sub(ident, mat_mul(incl.matrix, proj.matrix, field))
     cols = [[rest[i][j] for i in range(mod.rank)] for j in range(mod.rank)]
     basis = minimalize_columns([c for c in cols if any(c)], mod.rank, field,
-                               degrees=list(mod.degrees))
-    degrees = [column_degree(c, list(mod.degrees)) for c in basis]
+                               degrees=mod.degrees)
+    degrees = [column_degree(c, mod.degrees) for c in basis]
     gb = ModuleGB(basis, mod.rank, field)
-    left = {}
-    for x in LETTERS:
-        mat = []
-        for col in basis:
-            img = [sum((mod.left[x][i][k] * col[k] for k in range(mod.rank)
-                        if col[k]), RingElement.zero(field))
-                   for i in range(mod.rank)]
-            lifted = gb.lift(img)
-            if lifted is None:
-                raise ValueError("summand not closed under left action")
-            mat.append(lifted)
-        left[x] = [[mat[j][i] for j in range(len(basis))]
-                   for i in range(len(basis))]
+    left = {x: lift_columns(gb, mod.left[x], basis, field, ValueError)
+            for x in LETTERS}
     summand = Bimodule(mod.real, degrees, left["s"], left["t"], check=False)
-    incl_mat = [[basis[j][i] for j in range(len(basis))]
-                for i in range(mod.rank)]
-    proj_mat = []
-    unit_imgs = []
-    for i in range(mod.rank):
-        col = [rest[k][i] for k in range(mod.rank)]
-        lifted = gb.lift(col)
-        if lifted is None:
-            raise ValueError("projection lift failed")
-        unit_imgs.append(lifted)
-    proj_mat = [[unit_imgs[i][j] for i in range(mod.rank)]
-                for j in range(len(basis))]
+    incl_mat = [[col[i] for col in basis] for i in range(mod.rank)]
+    proj_mat = lift_columns(gb, ident, cols, field, ValueError)
     return (summand,
             BimoduleMorphism(summand, mod, incl_mat, 0, check=False),
             BimoduleMorphism(mod, summand, proj_mat, 0, check=False))
@@ -741,7 +585,7 @@ def indecomposable_b(m, word):
     if not word:
         return regular(m, 0)
     mod = bott_samelson(m, word)
-    shorter = [w for w in _dihedral_elements(m) if 0 < len(w) < len(word)]
+    shorter = [w for w in group_elements(m) if 0 < len(w) < len(word)]
     shorter.sort(key=len, reverse=True)
     changed = True
     while changed:
@@ -759,29 +603,8 @@ def indecomposable_b(m, word):
                 break
             if changed:
                 break
-    return _KLBimodule(mod, word)
-
-
-class _KLBimodule(Bimodule):
-    """Bimodule carrying an indecomposable (KL) word tag."""
-
-    __slots__ = ("kl",)
-
-    def __init__(self, base, word):
-        super().__init__(base.real, base.degrees, base.left["s"],
-                         base.left["t"], word=None, shift=base.shift,
-                         check=False)
-        self.kl = tuple(word)
-
-    def shifted(self, k):
-        out = super().shifted(k)
-        return _KLBimodule(out, self.kl)
-
-    def __repr__(self):
-        tag = "B_%s" % ("".join(self.kl) or "e")
-        if self.shift:
-            tag += "(%d)" % self.shift
-        return tag
+    return Bimodule(mod.real, mod.degrees, mod.left["s"], mod.left["t"],
+                    shift=mod.shift, kl=word, check=False)
 
 
 def _candidate_shifts(cand, mod):
@@ -799,8 +622,7 @@ def decompose_bimodule(mod):
     out = []
     if mod.rank == 0:
         return out
-    candidates = [w for w in _dihedral_elements(m)]
-    candidates.sort(key=len, reverse=True)
+    candidates = sorted(group_elements(m), key=len, reverse=True)
     current = mod
     incl_cur = identity_morphism(mod)
     proj_cur = identity_morphism(mod)
@@ -836,7 +658,7 @@ def split_atoms(cplx):
     for d, obs in cplx.objects.items():
         lst = []
         for src, mod in enumerate(obs):
-            if isinstance(mod, _KLBimodule) or _already_atomic(mod):
+            if mod.kl is not None or _already_atomic(mod):
                 lst.append((src, mod, identity_morphism(mod),
                             identity_morphism(mod)))
                 continue

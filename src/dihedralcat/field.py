@@ -215,12 +215,6 @@ class FieldScalar:
     def __rtruediv__(self, other):
         return self._coerce(other) * self.inverse()
 
-    def is_rational(self):
-        return not any(self.coeffs[1:])
-
-    def rational_part(self):
-        return self.coeffs[0] if self.coeffs else Fraction(0)
-
     def __repr__(self):
         return "K%d(%s)" % (self.field.m, format_scalar(self))
 

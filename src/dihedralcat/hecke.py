@@ -64,10 +64,6 @@ class Laurent:
 
     __rmul__ = __mul__
 
-    def substitute_q(self):
-        """Render as a dict exponent -> coeff (used for v -> Q checks)."""
-        return dict(self.terms)
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -260,9 +256,8 @@ def class_of_complex(cplx):
     for d, obs in cplx.objects.items():
         sign = (-1) ** d
         for mod in obs:
-            kl = getattr(mod, "kl", None)
-            if kl is not None:
-                base = kl_basis(m, kl)
+            if mod.kl is not None:
+                base = kl_basis(m, mod.kl)
             elif mod.word is not None:
                 base = bs_class(m, mod.word)
             else:

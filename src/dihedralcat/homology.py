@@ -2,8 +2,8 @@
 
 The triply-graded series is assembled strandwise: for each Hochschild
 degree k the simplified Rouquier complex is pushed through HH^k, homology
-is taken per cohomological (T-) degree, and Hilbert series are summed with
-one fixed internal-degree offset per strand.
+is taken per cohomological (T-) degree, and Hilbert series are summed.  The
+Koszul twists M(2), M(4) already carry the internal-degree normalization.
 """
 
 from __future__ import annotations
@@ -12,14 +12,6 @@ from .modules import (ModuleGB, PresentedModule, column_degree,
                       minimalize_columns)
 from .ring import RingElement, realization
 from .series import PoincareSeries, QSeries
-
-# Internal-degree offset per Hochschild strand (Q-exponent added to the
-# strand's Hilbert series).  The Koszul twists M(2), M(4) already carry the
-# normalization that reproduces the golden Whitehead data and the HOMFLY
-# specialization, so every offset is zero; the knob stays in place because
-# the acceptance tests pin it empirically.
-STRAND_Q_OFFSET = {0: 0, 1: 0, 2: 0}
-
 
 def _syzygy_project(columns, rank, field, first):
     """Syzygies of the given columns, projected to the first `first`
@@ -131,13 +123,8 @@ def hhh(braid, m=3, strands=(0, 1, 2), precomputed=None):
         cplx = rouquier_braid(m, braid, simplify=True, split=True)
     series = PoincareSeries.zero()
     for k in strands:
-        hom = strand_homology(cplx, k)
-        off = STRAND_Q_OFFSET[k]
-        for t_deg, module in hom.items():
-            qs = module.hilbert_series()
-            if off:
-                qs = qs.shift(off)
-            series = series.add_piece(k, t_deg, qs)
+        for t_deg, module in strand_homology(cplx, k).items():
+            series = series.add_piece(k, t_deg, module.hilbert_series())
     return series
 
 

@@ -1,112 +1,37 @@
-"""Dense linear algebra over the coefficient field K_m.
+"""Sparse exact linear algebra over the coefficient field K_m.
 
-Matrices are nested lists of FieldScalar.  Everything is exact Gaussian
-elimination; sizes stay small (dozens of rows) at desk scale.
+One elimination routine serves every caller: rows are {column: scalar}
+dicts, reduced one at a time against a {pivot column: row} map (Echelon).
+Kernels, ranks and inverses all read off that echelon form.
 """
 
 from __future__ import annotations
 
 
-def rref(matrix, field):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [list(row) for row in matrix]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+class Echelon:
+    """Row echelon form built one row at a time.
 
-
-def rank(matrix, field):
-    return len(rref(matrix, field)[1])
-
-
-def det(matrix, field):
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("determinant of a non-square matrix")
-    m = [list(row) for row in matrix]
-    out = field.one()
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c]), None)
-        if pr is None:
-            return field.zero()
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            out = -out
-        out = out * m[c][c]
-        inv = m[c][c].inverse()
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return out
-
-
-def inverse(matrix, field):
-    """Inverse of a square matrix, or None if singular."""
-    n = len(matrix)
-    aug = [list(row) + [field.one() if i == j else field.zero()
-                        for j in range(n)]
-           for i, row in enumerate(matrix)]
-    red, pivots = rref(aug, field)
-    if pivots[:n] != list(range(n)) or len(pivots) < n:
-        return None
-    return [row[n:] for row in red[:n]]
-
-
-def kernel_basis(matrix, field):
-    """Basis of the right kernel, as column vectors (lists)."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    if ncols == 0:
-        return []
-    red, pivots = rref(matrix, field)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fcol in free:
-        vec = [field.zero()] * ncols
-        vec[fcol] = field.one()
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fcol]
-        basis.append(vec)
-    return basis
-
-
-def sparse_kernel_basis(rows, ncols, field):
-    """Basis of the right kernel of a sparse system.
-
-    rows: iterable of {column: FieldScalar} dicts.  Intended for the large
-    but very sparse intertwining systems, where dense rref is wasteful.
+    pivots maps each pivot column to its row, scaled so that the pivot
+    entry is 1 and stored without that entry; every other entry of the row
+    lies in a larger column.
     """
-    pivots = {}  # pivot column -> normalized row dict (pivot entry == 1)
-    # sparsest rows first: keeps fill-in during elimination down
-    pending = sorted(({c: v for c, v in raw.items() if v} for raw in rows),
-                     key=len)
-    for row in pending:
+
+    __slots__ = ("pivots",)
+
+    def __init__(self):
+        self.pivots = {}
+
+    def insert(self, row):
+        """Reduce a {column: nonzero scalar} row (consumed) against the
+        pivots; store it and return True when it brings a new pivot."""
+        pivots = self.pivots
         while row:
             c = min(row)
             prow = pivots.get(c)
             if prow is None:
                 inv = row.pop(c).inverse()
                 pivots[c] = {cc: v * inv for cc, v in row.items()}
-                break
+                return True
             f = row.pop(c)
             for cc, v in prow.items():
                 nv = row.get(cc)
@@ -115,19 +40,38 @@ def sparse_kernel_basis(rows, ncols, field):
                     row[cc] = nv
                 else:
                     row.pop(cc, None)
-    # back-substitute so every pivot row involves only free columns
-    for c in sorted(pivots, reverse=True):
-        prow = pivots[c]
-        hit = [cc for cc in prow if cc in pivots]
-        for cc in hit:
-            f = prow.pop(cc)
-            for c2, v in pivots[cc].items():
-                nv = prow.get(c2)
-                nv = -(f * v) if nv is None else nv - f * v
-                if nv:
-                    prow[c2] = nv
-                else:
-                    prow.pop(c2, None)
+        return False
+
+    def reduce(self):
+        """Back-substitute, so that every pivot row involves only non-pivot
+        columns: the reduced row echelon form."""
+        pivots = self.pivots
+        for c in sorted(pivots, reverse=True):
+            prow = pivots[c]
+            for cc in [cc for cc in prow if cc in pivots]:
+                f = prow.pop(cc)
+                for c2, v in pivots[cc].items():
+                    nv = prow.get(c2)
+                    nv = -(f * v) if nv is None else nv - f * v
+                    if nv:
+                        prow[c2] = nv
+                    else:
+                        prow.pop(c2, None)
+        return self
+
+
+def sparse_kernel_basis(rows, ncols, field):
+    """Basis of the right kernel of a sparse system, one vector per
+    non-pivot column of the reduced row echelon form.
+
+    rows: iterable of {column: FieldScalar} dicts.
+    """
+    ech = Echelon()
+    # sparsest rows first: keeps fill-in during elimination down
+    for row in sorted(({c: v for c, v in raw.items() if v} for raw in rows),
+                      key=len):
+        ech.insert(row)
+    pivots = ech.reduce().pivots
     basis = []
     for fc in range(ncols):
         if fc in pivots:
@@ -141,15 +85,17 @@ def sparse_kernel_basis(rows, ncols, field):
     return basis
 
 
-def solve(matrix, rhs, field):
-    """One solution of matrix @ x = rhs, or None if inconsistent."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(nrows)]
-    red, pivots = rref(aug, field)
-    if ncols in pivots:
+def inverse(rows, field):
+    """Inverse of a square matrix given as n sparse {column: scalar} rows
+    (left unchanged), as nested lists; None if singular."""
+    n = len(rows)
+    ech = Echelon()
+    for i, row in enumerate(rows):
+        row = dict(row)
+        row[n + i] = field.one()
+        ech.insert(row)
+    if any(c not in ech.pivots for c in range(n)):
         return None
-    x = [field.zero()] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
+    pivots = ech.reduce().pivots
+    return [[pivots[i].get(n + j, field.zero()) for j in range(n)]
+            for i in range(n)]

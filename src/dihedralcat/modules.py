@@ -36,10 +36,6 @@ def _lm(vec):
     return max(vec, key=_key)
 
 
-def _divides(a, b):
-    return a[0] == b[0] and a[1] <= b[1] and a[2] <= b[2]
-
-
 def _mono_mul(mono, di, dj):
     return (mono[0], mono[1] + di, mono[2] + dj)
 
@@ -130,14 +126,12 @@ class ModuleGB:
         _axpy(out, cb.inverse(), li - mb[1], lj - mb[2], b)
         return out
 
-    def _reduce(self, v, main_only=False):
+    def _reduce(self, v):
         """Full normal form of v against the current basis."""
         v = dict(v)
         remainder = {}
         while v:
             mono = _lm(v)
-            if main_only and mono[0] >= self.rank:
-                break
             red = None
             for idx in self._by_pos.get(mono[0], ()):
                 bm = _lm(self._basis[idx])
@@ -200,12 +194,6 @@ class ModuleGB:
     def contains(self, column):
         return self.lift(column) is not None
 
-    def reduce_column(self, column):
-        """Normal form of a free-module vector modulo the column span."""
-        v = self._reduce(vec_from_column(column), main_only=True)
-        v = {m: c for m, c in v.items() if m[0] < self.rank}
-        return column_from_vec(v, self.rank, self.field)
-
     def syzygies(self):
         """Columns generating ker(M) in R^ncols."""
         return [column_from_vec(v, self.ncols, self.field)
@@ -218,14 +206,6 @@ class ModuleGB:
             pos, i, j = _lm(g)
             out.setdefault(pos, []).append((i, j))
         return out
-
-
-def groebner_basis(columns, rank, field):
-    """Reduced Groebner basis of the column span, as columns."""
-    gb = ModuleGB(columns, rank, field)
-    return [column_from_vec({m: c for m, c in g.items() if m[0] < rank},
-                            rank, field)
-            for g in gb.image_basis]
 
 
 def kernel(columns, rank, field):
@@ -409,7 +389,7 @@ def minimal_presentation(degrees, relations, field):
             break
 
     # resolve chained substitutions
-    def resolve(i, cache={}):
+    def resolve(i):
         if subst[i] is None:
             return {i: one}
         out = {}

@@ -127,10 +127,6 @@ class RingElement:
             out[new] = c
         return RingElement(self.field, out)
 
-    def leading_monomial(self):
-        """Degrevlex with a_s > a_t: higher total degree first, then higher a_s."""
-        return max(self.terms, key=lambda e: (e[0] + e[1], e[0]))
-
     def __repr__(self):
         return render(self)
 

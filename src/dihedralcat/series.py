@@ -7,8 +7,6 @@ c * A^a T^t Q^q / (1-Q^2)^e with positive integer c.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class QSeries:
     __slots__ = ("num", "e")
@@ -109,13 +107,6 @@ class QSeries:
             out.extend((q, e, v) for q, v in num.items())
             num, e = peel, e - 1
         return sorted(out)
-
-    def evaluate(self, sym_q, one):
-        """Evaluate at a sympy symbol (exact rational function)."""
-        expr = 0
-        for q, c in self.num.items():
-            expr += c * sym_q ** q
-        return expr / (one - sym_q ** 2) ** self.e
 
     def __repr__(self):
         return format_qseries(self)

@@ -8,7 +8,9 @@ report dict with a "status" of "pass", "inconclusive-pass" or "fail".
 
 from __future__ import annotations
 
-from .bimodule import b_generator, hom_space, regular
+from functools import lru_cache
+
+from .bimodule import b_generator, hom_space, lift_columns, mat_neg, regular
 from .complexes import (complexes_isomorphic, minimal_form, rouquier_braid,
                         single_object, split_atoms, tensor_complex)
 from .homology import complex_homology
@@ -20,9 +22,6 @@ from .trace import pi_on_complex
 
 # ---------------------------------------------------------------------------
 # full twists
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=None)
@@ -45,38 +44,8 @@ def ft_over_t(m, simplify=True):
     return rouquier_braid(m, braid, simplify=simplify, split=simplify)
 
 
-@lru_cache(maxsize=None)
-def ft_over_t_inverse(m, simplify=True):
-    braid = "t t " + " ".join(["t^-1", "s^-1"] * m)
-    return rouquier_braid(m, braid, simplify=simplify, split=simplify)
-
-
 # ---------------------------------------------------------------------------
 # homology series of a complex of free bimodules
-
-
-def _diff_matrix(cplx, d):
-    """Whole differential C^d -> C^{d+1} as a matrix over R, or None."""
-    if d not in cplx.diffs:
-        return None
-    field = realization(cplx.m).field
-    src = cplx.objects.get(d, [])
-    tgt = cplx.objects.get(d + 1, [])
-    rows = sum(mod.rank for mod in tgt)
-    cols = sum(mod.rank for mod in src)
-    mat = [[RingElement.zero(field)] * cols for _ in range(rows)]
-    roff = 0
-    for r, tm in enumerate(tgt):
-        coff = 0
-        for c, sm in enumerate(src):
-            blk = cplx.diffs[d][r][c]
-            if blk is not None:
-                for i in range(tm.rank):
-                    for j in range(sm.rank):
-                        mat[roff + i][coff + j] = blk.matrix[i][j]
-            coff += sm.rank
-        roff += tm.rank
-    return mat
 
 
 def complex_presentation(cplx):
@@ -85,11 +54,7 @@ def complex_presentation(cplx):
     degrees = {d: [deg for mod in obs for deg in mod.degrees]
                for d, obs in cplx.objects.items() if obs}
     relations = {d: [] for d in degrees}
-    maps = {}
-    for d in cplx.diffs:
-        mat = _diff_matrix(cplx, d)
-        if mat is not None:
-            maps[d] = mat
+    maps = {d: cplx.sum_differential(d).matrix for d in cplx.diffs}
     return degrees, relations, maps
 
 
@@ -99,6 +64,15 @@ def homology_series(cplx):
     degrees, relations, maps = complex_presentation(cplx)
     hom = complex_homology(degrees, relations, maps, field)
     return {d: h.hilbert_series() for d, h in hom.items()}
+
+
+def _overall(statuses):
+    """The worst of the given statuses: fail, then inconclusive-pass."""
+    statuses = set(statuses)
+    for status in ("fail", "inconclusive-pass"):
+        if status in statuses:
+            return status
+    return "pass"
 
 
 def _is_zero_up_to_homotopy(cplx):
@@ -161,12 +135,8 @@ def check_vanishing(m):
         inverse = " ".join(tok + "^-1" for tok in reversed(word.split()))
         record("pi_s_minus(F_%s^-1) ~ 0" % word.replace(" ", ""),
                _traced_vanishes(m, inverse, "s", -1))
-    status = "pass"
-    if any(c["status"] == "fail" for c in checks):
-        status = "fail"
-    elif any(c["status"] == "inconclusive-pass" for c in checks):
-        status = "inconclusive-pass"
-    return {"suite": "vanishing", "m": m, "status": status, "checks": checks}
+    return {"suite": "vanishing", "m": m,
+            "status": _overall(c["status"] for c in checks), "checks": checks}
 
 
 def check_pift(m):
@@ -280,56 +250,40 @@ class HomComplex:
         return offs, total
 
     def _differential(self, n, xobj, xdif, ydif):
+        """D from degree n to n + 1, as a matrix over R between the
+        generators of the components."""
         field = self.field
+        zero = RingElement.zero(field)
         src_offs, src_total = self._component_offsets(n)
         tgt_offs, tgt_total = self._component_offsets(n + 1)
-        tgt_lookup = {(p, q): (hs, gb)
-                      for (p, q, hs, gb) in self.components[n + 1]}
-        mat = [[RingElement.zero(field)] * src_total
-               for _ in range(tgt_total)]
-
-        def add_lift(col, tgt_key, vec):
-            hs, gb = tgt_lookup[tgt_key]
-            if gb is None:
-                if any(vec):
-                    raise ArithmeticError("Hom differential misses target")
-                return
-            lifted = gb.lift(vec)
-            if lifted is None:
-                raise ArithmeticError("Hom differential lift failed")
-            base = tgt_offs[tgt_key]
-            for i, val in enumerate(lifted):
-                if val:
-                    mat[base + i][col] = mat[base + i][col] + val
-
+        tgt_gb = {(p, q): gb for (p, q, _, gb) in self.components[n + 1]}
+        mat = [[zero] * src_total for _ in range(tgt_total)]
         for (p, q, hs, _) in self.components[n]:
-            nd = hs.dom.rank
-            for gi, gen in enumerate(hs.generators):
-                col = src_offs[(p, q)] + gi
-                fmat = [[gen[i * nd + j] for j in range(nd)]
-                        for i in range(hs.cod.rank)]
-                if q in ydif and (p, q + 1) in tgt_lookup:
-                    dmat = ydif[q].matrix
-                    comp = [[sum((dmat[i][k] * fmat[k][j]
-                                  for k in range(len(fmat)) if fmat[k][j]),
-                                 RingElement.zero(field))
-                             for j in range(nd)] for i in range(len(dmat))]
-                    vec = [comp[i][j] for i in range(len(comp))
-                           for j in range(nd)]
-                    add_lift(col, (p, q + 1), vec)
-                if p - 1 in xdif and (p - 1, q) in tgt_lookup:
-                    dmat = xdif[p - 1].matrix
-                    nd2 = xobj[p - 1].rank
-                    # -(-1)^n f d_X
-                    sign = -1 if n % 2 == 0 else 1
-                    comp = [[sum((fmat[i][k] * dmat[k][j]
-                                  for k in range(nd) if dmat[k][j]),
-                                 RingElement.zero(field))
-                             for j in range(nd2)]
-                            for i in range(len(fmat))]
-                    vec = [comp[i][j] if sign == 1 else -comp[i][j]
-                           for i in range(len(comp)) for j in range(nd2)]
-                    add_lift(col, (p - 1, q), vec)
+            if not hs.generators:
+                continue
+            nc, nd = hs.cod.rank, hs.dom.rank
+            # D acts on f flattened row-major: f[i][j] sits at i * nd + j
+            ops = []
+            if q in ydif and (p, q + 1) in tgt_gb:
+                dy = ydif[q].matrix  # d_Y f
+                ops.append(((p, q + 1), [
+                    [dy[i][k] if j2 == j else zero
+                     for k in range(nc) for j2 in range(nd)]
+                    for i in range(len(dy)) for j in range(nd)]))
+            if p - 1 in xdif and (p - 1, q) in tgt_gb:
+                dx = xdif[p - 1].matrix  # -(-1)^n f d_X
+                if n % 2 == 0:
+                    dx = mat_neg(dx)
+                ops.append(((p - 1, q), [
+                    [dx[k][j] if i2 == i else zero
+                     for i2 in range(nc) for k in range(nd)]
+                    for i in range(nc) for j in range(xobj[p - 1].rank)]))
+            col = src_offs[(p, q)]
+            for key, op in ops:
+                lifted = lift_columns(tgt_gb[key], op, hs.generators, field,
+                                      ArithmeticError)
+                for i, row in enumerate(lifted):
+                    mat[tgt_offs[key] + i][col:col + len(row)] = row
         return mat
 
     def homology(self):
@@ -426,9 +380,8 @@ def check_semiorthogonality(m):
                            "status": "pass" if not series else "fail",
                            "series": {str(n): repr(q)
                                       for n, q in series.items()}})
-    status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
-    return {"suite": "semiorthogonality", "m": m, "status": status,
-            "checks": checks}
+    return {"suite": "semiorthogonality", "m": m,
+            "status": _overall(c["status"] for c in checks), "checks": checks}
 
 
 def check_equivalence_instance(m):
@@ -443,13 +396,8 @@ def check_equivalence_instance(m):
         status = _is_zero_up_to_homotopy(pi_on_complex(prod, "s", 1))
         checks.append({"name": "pi_s_plus(ft_over_t (x) F_%s^-1) ~ 0"
                        % "".join(word), "status": status})
-    status = "pass"
-    if any(c["status"] == "fail" for c in checks):
-        status = "fail"
-    elif any(c["status"] == "inconclusive-pass" for c in checks):
-        status = "inconclusive-pass"
-    return {"suite": "equivalence", "m": m, "status": status,
-            "checks": checks}
+    return {"suite": "equivalence", "m": m,
+            "status": _overall(c["status"] for c in checks), "checks": checks}
 
 
 def run_suite(name, m, seed=20240401):
@@ -464,21 +412,14 @@ def run_suite(name, m, seed=20240401):
             rep = check_relative_serre(xc, m, seed=seed)
             rep["object"] = xn
             checks.append(rep)
-        status = "pass"
-        if any(c["status"] == "fail" for c in checks):
-            status = "fail"
-        elif any(c["status"] == "inconclusive-pass" for c in checks):
-            status = "inconclusive-pass"
-        return {"suite": "relative", "m": m, "status": status,
+        return {"suite": "relative", "m": m,
+                "status": _overall(c["status"] for c in checks),
                 "checks": checks}
     if name == "full":
         parts = [check_vanishing(m), check_pift(m),
                  run_suite("relative", m, seed=seed),
                  check_semiorthogonality(m), check_equivalence_instance(m)]
-        status = "pass"
-        if any(p["status"] == "fail" for p in parts):
-            status = "fail"
-        elif any(p["status"] == "inconclusive-pass" for p in parts):
-            status = "inconclusive-pass"
-        return {"suite": "full", "m": m, "status": status, "parts": parts}
+        return {"suite": "full", "m": m,
+                "status": _overall(p["status"] for p in parts),
+                "parts": parts}
     raise ValueError("unknown suite %r" % name)

@@ -11,7 +11,8 @@ Hochschild cohomology uses the length-2 Koszul complex in the directions
 
 from __future__ import annotations
 
-from .bimodule import Bimodule, BimoduleMorphism, mat_zero
+from .bimodule import (Bimodule, BimoduleMorphism, lift_columns, mat_mul,
+                       mat_zero)
 from .complexes import ChainComplex
 from .modules import (ModuleGB, PresentedModule, column_degree, matrix_kernel,
                       minimal_presentation, minimalize_columns)
@@ -52,28 +53,15 @@ class TracedBimodule:
 def _submodule_bimodule(mod, columns):
     """The span of the given columns as a free Bimodule with induced left
     actions; raises TraceError if the span is not free on the columns."""
-    field = mod.field
-    degrees = [column_degree(c, list(mod.degrees)) for c in columns]
     if not columns:
-        empty = Bimodule(mod.real, (), [], [], check=False)
-        return empty, None
+        return Bimodule(mod.real, (), [], [], check=False), None
+    field = mod.field
     gb = ModuleGB(columns, mod.rank, field)
-    if any(any(v) for v in (gb.syzygies() or [])):
+    if any(any(v) for v in gb.syzygies()):
         raise TraceError("traced output is not free (syzygies present)")
-    left = {}
-    for x in LETTERS:
-        cols_out = []
-        for col in columns:
-            img = [sum((mod.left[x][i][k] * col[k]
-                        for k in range(mod.rank) if col[k]),
-                       RingElement.zero(field))
-                   for i in range(mod.rank)]
-            lifted = gb.lift(img)
-            if lifted is None:
-                raise TraceError("traced output not closed under left action")
-            cols_out.append(lifted)
-        left[x] = [[cols_out[j][i] for j in range(len(columns))]
-                   for i in range(len(columns))]
+    left = {x: lift_columns(gb, mod.left[x], columns, field, TraceError)
+            for x in LETTERS}
+    degrees = [column_degree(c, mod.degrees) for c in columns]
     out = Bimodule(mod.real, degrees, left["s"], left["t"], check=False)
     return out, gb
 
@@ -100,7 +88,6 @@ def pi_plus(mod, letter):
     if any(any(c) for c in new_rel):
         raise TraceError("traced cokernel is not free (relations persist)")
     left = {}
-    from .bimodule import mat_mul
     for x in LETTERS:
         left[x] = mat_mul(mat_mul(proj, mod.left_action_of(
             mod.real.alpha[x]), field), incl, field)
@@ -114,33 +101,15 @@ def trace_functor(mod, letter, sign):
 
 def induced_map(f, traced_dom, traced_cod):
     """Induced morphism between traced outputs of f.dom and f.cod."""
-    from .bimodule import mat_mul
     field = f.dom.field
     if traced_dom.kind != traced_cod.kind:
         raise TraceError("mixed traced kinds")
     if traced_dom.kind == "ker":
-        cols_out = []
-        fmat = [list(r) for r in f.matrix]
-        for col in (traced_dom.generators or []):
-            img = [sum((fmat[i][k] * col[k]
-                        for k in range(f.dom.rank) if col[k]),
-                       RingElement.zero(field))
-                   for i in range(f.cod.rank)]
-            if traced_cod.gb is None:
-                if any(img):
-                    raise TraceError("induced kernel map into zero module")
-                cols_out.append([])
-                continue
-            lifted = traced_cod.gb.lift(img)
-            if lifted is None:
-                raise TraceError("induced kernel map lift failed")
-            cols_out.append(lifted)
-        mat = [[cols_out[j][i] for j in range(traced_dom.module.rank)]
-               for i in range(traced_cod.module.rank)]
-        return BimoduleMorphism(traced_dom.module, traced_cod.module, mat,
-                                f.degree, check=False)
-    mat = mat_mul(mat_mul(traced_cod.proj, [list(r) for r in f.matrix],
-                          field), traced_dom.incl, field)
+        mat = lift_columns(traced_cod.gb, f.matrix, traced_dom.generators,
+                           field, TraceError)
+    else:
+        mat = mat_mul(mat_mul(traced_cod.proj, f.matrix, field),
+                      traced_dom.incl, field)
     return BimoduleMorphism(traced_dom.module, traced_cod.module, mat,
                             f.degree, check=False)
 
@@ -246,33 +215,14 @@ def hochschild_induced(f, res_dom, res_cod):
     field = f.dom.field
     if res_dom.k != res_cod.k:
         raise TraceError("mixed HH degrees")
-    k = res_dom.k
-    fmat = [list(r) for r in f.matrix]
-    if k == 2:
+    fmat = f.matrix
+    if res_dom.k == 2:
         return fmat
-    copies = 1 if k == 0 else 2
-    nd, nc = f.dom.rank, f.cod.rank
-    cols_out = []
-    for col in (res_dom.generators or []):
-        img = [RingElement.zero(field)] * (copies * nc)
-        for cp in range(copies):
-            for i in range(nc):
-                img[cp * nc + i] = sum(
-                    (fmat[i][j] * col[cp * nd + j]
-                     for j in range(nd) if col[cp * nd + j]),
-                    RingElement.zero(field))
-        if res_cod.gb is None:
-            if any(img):
-                raise TraceError("induced HH map into zero module")
-            cols_out.append([])
-            continue
-        lifted = res_cod.gb.lift(img)
-        if lifted is None:
-            raise TraceError("induced HH map lift failed")
-        cols_out.append(lifted)
-    nrows = res_cod.presentation.rank
-    return [[cols_out[j][i] if cols_out[j] else RingElement.zero(field)
-             for j in range(len(cols_out))] for i in range(nrows)]
+    if res_dom.k == 1:  # f acts on both copies of M(2) (+) M(2)
+        pad = [RingElement.zero(field)] * f.dom.rank
+        fmat = [list(r) + pad for r in fmat] + [pad + list(r) for r in fmat]
+    return lift_columns(res_cod.gb, fmat, res_dom.generators, field,
+                        TraceError)
 
 
 def hochschild_on_complex(cplx, k):

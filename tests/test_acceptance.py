@@ -142,7 +142,7 @@ def test_criterion_08b_half_twist_minimal_atoms(m):
             expect[j] = sorted([(alt("s", 2 * k - j), j),
                                 (alt("t", 2 * k - j), j)])
         expect[2 * k] = [((), 2 * k)]
-        got = {d: sorted((getattr(mod, "kl", mod.word), mod.shift)
+        got = {d: sorted((mod.kl or mod.word, mod.shift)
                          for mod in obs)
                for d, obs in cplx.objects.items()}
         assert got == expect
@@ -155,7 +155,7 @@ def test_criterion_08b_half_twist_minimal_atoms(m):
             expect_inv[-j] = sorted([(alt("s", 2 * k - j), -j),
                                      (alt("t", 2 * k - j), -j)])
         expect_inv[-2 * k] = [((), -2 * k)]
-        got_inv = {d: sorted((getattr(mod, "kl", mod.word), mod.shift)
+        got_inv = {d: sorted((mod.kl or mod.word, mod.shift)
                              for mod in obs)
                    for d, obs in inv.objects.items()}
         assert got_inv == expect_inv

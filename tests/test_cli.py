@@ -34,6 +34,21 @@ def test_bad_braid_exits_one(runner):
     assert res.exit_code == 1
 
 
+def test_overlong_braid_exits_one(runner):
+    res = runner.invoke(main, ["hhh", "s^100000"])
+    assert res.exit_code == 1
+    assert "100000 letters" in res.output
+
+
+@pytest.mark.parametrize("args", [["minimal", "s t s t"],
+                                  ["trace", "s t", "--functor", "pi_s_plus"]])
+def test_cold_and_warm_cache_print_the_same(runner, args):
+    cold = runner.invoke(main, args)
+    warm = runner.invoke(main, args)
+    assert cold.exit_code == 0 and warm.exit_code == 0
+    assert warm.output == cold.output
+
+
 def test_minimal_lists_degrees(runner):
     res = runner.invoke(main, ["minimal", "s"])
     assert res.exit_code == 0

@@ -4,9 +4,12 @@ import random
 
 import pytest
 
-from dihedralcat.complexes import (ChainComplex, complexes_isomorphic,
-                                   minimal_form, parse_braid, rouquier,
-                                   rouquier_braid, split_atoms, tensor_complex)
+from dihedralcat.bimodule import Bimodule, bott_samelson
+from dihedralcat.complexes import (MAX_WORD_LENGTH, ChainComplex,
+                                   chain_map_basis, complexes_isomorphic,
+                                   indecomposable_b, minimal_form, parse_braid,
+                                   rouquier, rouquier_braid, single_object,
+                                   split_atoms, tensor_complex)
 from dihedralcat.homology import hhh
 
 
@@ -34,6 +37,16 @@ def test_parse_braid_grammar():
         parse_braid("u")
     with pytest.raises(ValueError):
         parse_braid("s^x")
+
+
+def test_parse_braid_bounds_expanded_length():
+    assert len(parse_braid("s^%d" % MAX_WORD_LENGTH)) == MAX_WORD_LENGTH
+    with pytest.raises(ValueError, match="25 letters"):
+        parse_braid("s^%d t" % MAX_WORD_LENGTH)
+    with pytest.raises(ValueError, match="100000 letters"):
+        parse_braid("s^100000")
+    with pytest.raises(ValueError, match="100001 letters"):
+        parse_braid("t s^-100000")
 
 
 @pytest.mark.parametrize("word", ["s t", "s t^-1", "s^2"])
@@ -118,3 +131,20 @@ def test_tensor_with_unit_is_identity_up_to_iso():
     prod = minimal_form(split_atoms(minimal_form(tensor_complex(unit, f_t))))
     verdict, _ = complexes_isomorphic(prod, f_t)
     assert verdict == "yes"
+
+
+def test_complexes_isomorphic_without_degree_zero_maps():
+    # same graded atom profile, but no degree-0 maps B_st -> B_ts at m = 3
+    b_st = single_object(3, bott_samelson(3, ("s", "t")))
+    b_ts = single_object(3, bott_samelson(3, ("t", "s")))
+    vecs, per_degree, offsets = chain_map_basis(b_st, b_ts)
+    assert vecs == [] and per_degree == {0: []} and offsets == {0: 0}
+    assert complexes_isomorphic(b_st, b_ts) == ("no", None)
+
+
+def test_kl_tag_survives_json_and_shifts():
+    b_sts = indecomposable_b(3, ("s", "t", "s"))
+    back = Bimodule.from_json(b_sts.shifted(-1).to_json())
+    assert repr(back) == "B_sts(-1)" and back.kl == ("s", "t", "s")
+    assert back == b_sts.shifted(-1)
+    assert "kl" not in bott_samelson(3, ("s", "t")).to_json()
