@@ -8,6 +8,7 @@ word/shift tags ride along for atom bookkeeping.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from . import linalg
@@ -556,20 +557,6 @@ class HomSpace:
             num[d] = num.get(d, 0) + 1
         return QSeries(num, 0)
 
-    def basis(self):
-        out = []
-        nd = self.dom.rank
-        for g in self.generators:
-            mat = [[g[i * nd + j] for j in range(nd)]
-                   for i in range(self.cod.rank)]
-            out.append(BimoduleMorphism(
-                self.dom, self.cod, mat,
-                column_degree(g, self.position_degrees), check=False))
-        return sorted(out, key=lambda f: f.degree)
-
-    def degree_basis(self, degree=0):
-        return [f for f in self.basis() if f.degree == degree]
-
 
 def hom_space(dom, cod):
     return HomSpace(dom, cod)
@@ -716,24 +703,37 @@ def invert_morphism(phi):
     return BimoduleMorphism(phi.cod, phi.dom, inv, 0, check=False)
 
 
-def find_isomorphism(mod_a, mod_b, seed=0, trials=32):
-    """A degree-0 invertible intertwiner mod_a -> mod_b, or None."""
-    import random
+def split_summand(mod, cand):
+    """cand as a direct summand of mod: (incl, proj) of degree 0 with
+    proj . incl = id_cand, or None.
+
+    Tries every pair of basis maps f_i: cand -> mod and g_j: mod -> cand
+    of degree 0 for an invertible g_j . f_i.  This is exact when cand is
+    indecomposable: End^0(cand) is then local, so its non-units form an
+    ideal, and if some g . f = sum a_i b_j g_j . f_i is a unit, one of its
+    terms g_j . f_i already is.
+    """
+    if Counter(cand.degrees) - Counter(mod.degrees):
+        return None
+    fs = hom_degree_basis(cand, mod, 0)
+    if not fs:
+        return None
+    gs = hom_degree_basis(mod, cand, 0)
+    for f in fs:
+        for g in gs:
+            comp = g.compose(f)
+            if is_invertible(comp):
+                return f.compose(invert_morphism(comp)), g
+    return None
+
+
+def find_isomorphism(mod_a, mod_b):
+    """A degree-0 isomorphism mod_a -> mod_b, or None.
+
+    Exact when mod_b is indecomposable (see split_summand), as every
+    R(k), B_s(k) and B_t(k) is.
+    """
     if not mod_a.same_graded_rank(mod_b):
         return None
-    basis = hom_space(mod_a, mod_b).degree_basis(0)
-    if not basis:
-        return None
-    field = mod_a.field
-    rng = random.Random(seed)
-    candidates = [[1] * len(basis)]
-    for _ in range(trials):
-        candidates.append([rng.randint(-3, 3) for _ in basis])
-    for coeffs in candidates:
-        phi = zero_morphism(mod_a, mod_b)
-        for c, f in zip(coeffs, basis):
-            if c:
-                phi = phi + f.scale(field.from_rational(c))
-        if is_invertible(phi):
-            return phi
-    return None
+    hit = split_summand(mod_a, mod_b)
+    return hit[1] if hit else None

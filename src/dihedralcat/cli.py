@@ -20,7 +20,6 @@ import click
 from .complexes import ChainComplex, parse_braid, rouquier_braid
 
 NORMALIZATION_VERSION = 2
-DEFAULT_SEED = 20240401
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +90,7 @@ def _parse(braid_text):
 @click.option("--m", "m", type=int, default=3, show_default=True)
 @click.option("--json", "as_json", is_flag=True, default=False)
 @click.option("--strand", type=click.Choice(["0", "1", "2"]), default=None)
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
-def hhh_command(braid, m, as_json, strand, seed):
+def hhh_command(braid, m, as_json, strand):
     """Triply-graded Poincare series of the braid closure."""
     from .homology import hhh
     word = _parse(braid)
@@ -104,7 +102,7 @@ def hhh_command(braid, m, as_json, strand, seed):
         _fail("%s: %s" % (type(exc).__name__, exc))
     if as_json:
         out = {"braid": braid, "m": m, "strands": list(strands),
-               "series": series.to_json(), "seed": seed}
+               "series": series.to_json()}
         if m != 3:
             out["note"] = "experimental: non-type-A dihedral closure"
         click.echo(json.dumps(out, sort_keys=True))
@@ -206,13 +204,12 @@ def homfly_command(braid, as_json):
 @click.option("--m", "m", type=int, default=3, show_default=True)
 @click.option("--suite", type=click.Choice(
     ["vanishing", "pift", "relative", "full"]), required=True)
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
 @click.option("--json", "as_json", is_flag=True, default=False)
-def serre_check_command(m, suite, seed, as_json):
+def serre_check_command(m, suite, as_json):
     """Run one of the structural-theorem check suites."""
     from .serre import run_suite
     try:
-        report = run_suite(suite, m, seed=seed)
+        report = run_suite(suite, m)
     except Exception as exc:
         _fail("%s: %s" % (type(exc).__name__, exc))
     click.echo(json.dumps(report, sort_keys=True) if as_json

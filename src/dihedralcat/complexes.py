@@ -16,9 +16,10 @@ from .bimodule import (Bimodule, BimoduleMorphism, b_generator, bott_samelson,
                        direct_sum, dot_in, dot_out, hom_degree_basis,
                        identity_morphism, invert_morphism, is_invertible,
                        lift_columns, mat_identity, mat_mul, mat_sub, mat_zero,
-                       regular)
+                       regular, split_summand, tensor,
+                       tensor_morphism)
 from .hecke import group_elements
-from .modules import ModuleGB, minimalize_columns, column_degree
+from .modules import ModuleGB
 from .ring import LETTERS, realization
 
 MAX_WORD_LENGTH = 24
@@ -269,7 +270,6 @@ def parse_braid(text):
 
 def tensor_complex(c1, c2):
     """Totalization of c1 (x) c2 with the Koszul sign (-1)^p on d_{c2}."""
-    from .bimodule import tensor, tensor_morphism
     m = c1.m
     objects = {}
     index = {}
@@ -472,7 +472,13 @@ def _assemble_chain_map(vec, per_degree, offsets, c1, c2, field):
     return maps
 
 
-def complexes_isomorphic(c1, c2, seed=20240401, trials=24):
+# The witness search of complexes_isomorphic: the all-ones combination of
+# the chain-map basis, then WITNESS_TRIALS random ones.
+WITNESS_SEED = 20240401
+WITNESS_TRIALS = 24
+
+
+def complexes_isomorphic(c1, c2):
     """'yes' | 'no' | 'inconclusive' for minimal complexes; a witness
     per-degree morphism dict accompanies 'yes'."""
     if c1.is_zero() and c2.is_zero():
@@ -483,10 +489,10 @@ def complexes_isomorphic(c1, c2, seed=20240401, trials=24):
     if not vecs:
         return "no", None
     field = realization(c1.m).field
-    rng = random.Random(seed)
+    rng = random.Random(WITNESS_SEED)
     n = len(vecs)
     candidates = [[1] * n]
-    for _ in range(trials):
+    for _ in range(WITNESS_TRIALS):
         candidates.append([rng.randint(-3, 3) for _ in range(n)])
     degs = sorted(c1.objects)
     total = len(vecs[0])
@@ -508,64 +514,29 @@ def complexes_isomorphic(c1, c2, seed=20240401, trials=24):
 # idempotent splitting into indecomposables
 
 
-def _split_summand(mod, cand):
-    """Find cand as a direct summand of mod: returns (incl, proj) with
-    proj . incl = id_cand, or None."""
-    if not _degree_submultiset(cand.degrees, mod.degrees):
-        return None
-    fs = hom_degree_basis(cand, mod, 0)
-    if not fs:
-        return None
-    gs = hom_degree_basis(mod, cand, 0)
-    for f in fs:
-        for g in gs:
-            comp = g.compose(f)
-            if is_invertible(comp):
-                return f.compose(invert_morphism(comp)), g
-    # fallback: random combinations (summand bases need not align pairwise)
-    field = mod.field
-    rng = random.Random(1729)
-    for _ in range(32):
-        f = None
-        for cand_f in fs:
-            cf = rng.randint(-2, 2)
-            if cf:
-                term = cand_f.scale(field.from_rational(cf))
-                f = term if f is None else f + term
-        g = None
-        for cand_g in gs:
-            cf = rng.randint(-2, 2)
-            if cf:
-                term = cand_g.scale(field.from_rational(cf))
-                g = term if g is None else g + term
-        if f is None or g is None:
-            continue
-        comp = g.compose(f)
-        if is_invertible(comp):
-            return f.compose(invert_morphism(comp)), g
-    return None
-
-
-def _degree_submultiset(small, big):
-    pool = list(big)
-    for d in small:
-        if d in pool:
-            pool.remove(d)
-        else:
-            return False
-    return True
-
-
 def _complement_of_idempotent(mod, incl, proj):
     """Basis of im(1 - incl.proj) as a Bimodule summand with its own
-    inclusion/projection."""
+    inclusion/projection.
+
+    The image P is a graded direct summand, so P meets R_+ mod in R_+ P.
+    By graded Nakayama, scanning the columns of 1 - incl.proj by ascending
+    degree, a column lies in the span of the columns kept before it
+    exactly when its constant coefficients lie in the span of theirs.  So
+    the columns kept are those minimalize_columns would keep, found
+    without a Groebner basis per column.
+    """
     field = mod.field
     ident = mat_identity(field, mod.rank)
     rest = mat_sub(ident, mat_mul(incl.matrix, proj.matrix, field))
     cols = [[rest[i][j] for i in range(mod.rank)] for j in range(mod.rank)]
-    basis = minimalize_columns([c for c in cols if any(c)], mod.rank, field,
-                               degrees=mod.degrees)
-    degrees = [column_degree(c, mod.degrees) for c in basis]
+    span = linalg.Echelon()
+    kept = []
+    for j in sorted(range(mod.rank), key=lambda j: mod.degrees[j]):
+        if span.insert({i: f.terms[(0, 0)] for i, f in enumerate(cols[j])
+                        if (0, 0) in f.terms}):
+            kept.append(j)
+    basis = [cols[j] for j in kept]
+    degrees = [mod.degrees[j] for j in kept]
     gb = ModuleGB(basis, mod.rank, field)
     left = {x: lift_columns(gb, mod.left[x], basis, field, ValueError)
             for x in LETTERS}
@@ -579,41 +550,28 @@ def _complement_of_idempotent(mod, incl, proj):
 
 @lru_cache(maxsize=None)
 def indecomposable_b(m, word):
-    """The indecomposable B_w (with its canonical reduced word), built by
-    peeling smaller summands off the Bott-Samelson BS(word)."""
+    """The indecomposable B_w of an alternating word w of length <= m.
+
+    Built by the dihedral Kazhdan-Lusztig rule b_s b_w' = b_sw' + b_w''
+    for l(w') >= 2, where w'' is w' without its first letter (Elias, The
+    two-color Soergel calculus, 2016): B_w is the Bott-Samelson BS(w)
+    when l(w) <= 2, and otherwise the complement of B_w'' in
+    B_s (x) B_w', split off once at shift 0.
+    """
     word = tuple(word)
     if not word:
         return regular(m, 0)
-    mod = bott_samelson(m, word)
-    shorter = [w for w in group_elements(m) if 0 < len(w) < len(word)]
-    shorter.sort(key=len, reverse=True)
-    changed = True
-    while changed:
-        changed = False
-        for cand_word in shorter:
-            cand0 = indecomposable_b(m, cand_word)
-            for shift in _candidate_shifts(cand0, mod):
-                cand = cand0.shifted(shift) if shift else cand0
-                hit = _split_summand(mod, cand)
-                if hit is None:
-                    continue
-                incl, proj = hit
-                mod, _, _ = _complement_of_idempotent(mod, incl, proj)
-                changed = True
-                break
-            if changed:
-                break
+    if len(word) > m or any(a == b for a, b in zip(word, word[1:])):
+        raise ValueError("%s is not a reduced word at m = %d"
+                         % ("".join(word), m))
+    if len(word) <= 2:
+        mod = bott_samelson(m, word)
+    else:
+        mod = tensor(b_generator(m, word[0]), indecomposable_b(m, word[1:]))
+        incl, proj = split_summand(mod, indecomposable_b(m, word[2:]))
+        mod, _, _ = _complement_of_idempotent(mod, incl, proj)
     return Bimodule(mod.real, mod.degrees, mod.left["s"], mod.left["t"],
                     shift=mod.shift, kl=word, check=False)
-
-
-def _candidate_shifts(cand, mod):
-    if not mod.degrees:
-        return []
-    shifts = sorted({dc - dm for dc in cand.degrees for dm in mod.degrees})
-    return [k for k in shifts
-            if _degree_submultiset([d - k for d in cand.degrees],
-                                   mod.degrees)]
 
 
 def decompose_bimodule(mod):
@@ -630,9 +588,10 @@ def decompose_bimodule(mod):
         hit = None
         for cand_word in candidates:
             cand0 = indecomposable_b(m, cand_word)
-            for shift in _candidate_shifts(cand0, current):
+            for shift in sorted({dc - dm for dc in cand0.degrees
+                                 for dm in current.degrees}):
                 cand = cand0.shifted(shift) if shift else cand0
-                found = _split_summand(current, cand)
+                found = split_summand(current, cand)
                 if found is not None:
                     hit = (cand, found)
                     break

@@ -11,8 +11,8 @@ Hochschild cohomology uses the length-2 Koszul complex in the directions
 
 from __future__ import annotations
 
-from .bimodule import (Bimodule, BimoduleMorphism, lift_columns, mat_mul,
-                       mat_zero)
+from .bimodule import (Bimodule, BimoduleMorphism, lift_columns,
+                       mat_identity, mat_mul, mat_zero)
 from .complexes import ChainComplex
 from .modules import (ModuleGB, PresentedModule, column_degree, matrix_kernel,
                       minimal_presentation, minimalize_columns)
@@ -191,15 +191,10 @@ def hochschild(mod, k):
         cols = minimalize_columns(cols, 2 * n, field, degrees=degs2)
         degs = [column_degree(c, degs2) for c in cols]
         gb = ModuleGB(cols, 2 * n, field) if cols else None
-        rels = []
-        for j in range(n):
-            img = [d0[i][j] for i in range(2 * n)]
-            if not any(img):
-                continue
-            lifted = gb.lift(img) if gb else None
-            if lifted is None:
-                raise TraceError("HH1 image lift failed")
-            rels.append(lifted)
+        units = [row for j, row in enumerate(mat_identity(field, n))
+                 if any(d0[i][j] for i in range(2 * n))]
+        lifted = lift_columns(gb, d0, units, field, TraceError)
+        rels = [list(col) for col in zip(*lifted)]
         return HochschildResult(1, mod, PresentedModule(degs, rels, field),
                                 generators=cols, gb=gb)
     if k == 2:

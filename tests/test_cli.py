@@ -20,6 +20,7 @@ def test_hhh_json_deterministic(runner):
     assert first.exit_code == 0
     assert first.output == second.output  # warm cache, byte-identical
     payload = json.loads(first.output)
+    assert sorted(payload) == ["braid", "m", "series", "strands"]
     assert payload["m"] == 3 and payload["series"]
 
 
@@ -41,7 +42,9 @@ def test_overlong_braid_exits_one(runner):
 
 
 @pytest.mark.parametrize("args", [["minimal", "s t s t"],
-                                  ["trace", "s t", "--functor", "pi_s_plus"]])
+                                  ["trace", "s t", "--functor", "pi_s_plus"],
+                                  ["hhh", "s t s t", "--strand", "1"],
+                                  ["trace", "s t", "--functor", "hh1"]])
 def test_cold_and_warm_cache_print_the_same(runner, args):
     cold = runner.invoke(main, args)
     warm = runner.invoke(main, args)

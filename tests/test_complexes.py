@@ -1,15 +1,20 @@
 """Tests for Rouquier complexes, tensor products and minimal forms."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
-from dihedralcat.bimodule import Bimodule, bott_samelson
+from dihedralcat.bimodule import Bimodule, bott_samelson, hom_degree_basis
 from dihedralcat.complexes import (MAX_WORD_LENGTH, ChainComplex,
                                    chain_map_basis, complexes_isomorphic,
-                                   indecomposable_b, minimal_form, parse_braid,
-                                   rouquier, rouquier_braid, single_object,
-                                   split_atoms, tensor_complex)
+                                   decompose_bimodule, indecomposable_b,
+                                   minimal_form, parse_braid, rouquier,
+                                   rouquier_braid, single_object, split_atoms,
+                                   tensor_complex)
+from dihedralcat.hecke import (bs_class, class_of_complex, group_elements,
+                               kl_basis)
 from dihedralcat.homology import hhh
 
 
@@ -148,3 +153,50 @@ def test_kl_tag_survives_json_and_shifts():
     assert repr(back) == "B_sts(-1)" and back.kl == ("s", "t", "s")
     assert back == b_sts.shifted(-1)
     assert "kl" not in bott_samelson(3, ("s", "t")).to_json()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_indecomposables_have_kl_rank_and_local_degree_zero_ends(m):
+    for w in group_elements(m):
+        b_w = indecomposable_b(m, w)
+        expect = sorted(2 * len(y) - len(w) for y in kl_basis(m, w).terms)
+        assert sorted(b_w.degrees) == expect
+        assert len(hom_degree_basis(b_w, b_w, 0)) == 1
+
+
+def test_indecomposable_b_rejects_unreduced_words():
+    with pytest.raises(ValueError):
+        indecomposable_b(3, ("s", "s"))
+    with pytest.raises(ValueError):
+        indecomposable_b(3, ("s", "t", "s", "t"))
+
+
+# sha256 of json.dumps(B_w.to_json(), sort_keys=True) at m = 4, as built by
+# peeling every shorter B_v(k) off BS(w): a change of basis fails here
+# instead of silently invalidating on-disk cache entries.
+B_W_SHA256_M4 = {
+    "": "39386b17a6eb31baad522c1c16ae1084e33624fb84b0dc1b29a9af97dec84d1f",
+    "s": "96e917c65109c81440129a7d8a7eccd2f3504a5b662136203ed368a4c1e35111",
+    "st": "fee13c15b464e03b1b5bab082bb1897cc9b9f24cc551693da594cb9634bc3130",
+    "sts": "c07b5a51a0030bc9702ac115ee2ef0c8d7cb04169af23a22162ef86f6066d825",
+    "stst": "9feb4bc66e6d3a0250bc583c1e5746a9a722c708c9ea53cccac0ec603b2045a9",
+    "t": "9887f14d4bdf55d79e304edfc55f866b51e5e8ad7973b4bb3fc05982c9b1108c",
+    "ts": "57a3efc41edb3463424335587e67c31f648f60b26b60eb9acefa24b8bcad25dd",
+    "tst": "6cb5e8492e84dce147fe7d8bfe64c3330b67a0f171cb42d9e91e98a6ae8829ee",
+}
+
+
+def test_indecomposables_keep_their_basis():
+    for w in group_elements(4):
+        text = json.dumps(indecomposable_b(4, w).to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            B_W_SHA256_M4["".join(w)]
+
+
+@pytest.mark.parametrize("m, word", [(3, "stst"), (3, "ss"), (4, "ststs"),
+                                     (5, "ststs")])
+def test_decomposition_matches_bott_samelson_class(m, word):
+    atoms = [atom for atom, _, _ in decompose_bimodule(bott_samelson(m, word))]
+    assert len(atoms) > 1
+    total = class_of_complex(ChainComplex(m, {0: atoms}, {}, check=False))
+    assert total == bs_class(m, word)
