@@ -12,6 +12,7 @@ from collections import Counter
 from fractions import Fraction
 
 from . import linalg
+from .hecke import Laurent, class_of_bimodule
 from .modules import column_degree, matrix_kernel, minimalize_columns
 from .ring import LETTERS, RingElement, realization
 
@@ -99,11 +100,12 @@ class Bimodule:
     """Free right R-module with commuting left-action matrices.
 
     word tags a Bott-Samelson bimodule BS(word), kl an indecomposable
-    B_kl; either is None when absent.
+    B_kl; either is None when absent.  product_class is the Hecke class,
+    before the shift, of an untagged tensor product (set by tensor).
     """
 
     __slots__ = ("real", "rank", "degrees", "left", "word", "shift", "kl",
-                 "_pow_cache")
+                 "product_class", "_pow_cache")
 
     def __init__(self, real, degrees, left_s, left_t, word=None, shift=0,
                  kl=None, check=True):
@@ -115,6 +117,7 @@ class Bimodule:
         self.word = tuple(word) if word is not None else None
         self.shift = shift
         self.kl = tuple(kl) if kl is not None else None
+        self.product_class = None
         self._pow_cache = {}
         if check:
             self._validate()
@@ -167,10 +170,12 @@ class Bimodule:
 
     def shifted(self, k):
         """M(k): internal grading shifted down by k."""
-        return Bimodule(self.real, [d - k for d in self.degrees],
-                        self.left["s"], self.left["t"],
-                        word=self.word, shift=self.shift + k, kl=self.kl,
-                        check=False)
+        out = Bimodule(self.real, [d - k for d in self.degrees],
+                       self.left["s"], self.left["t"],
+                       word=self.word, shift=self.shift + k, kl=self.kl,
+                       check=False)
+        out.product_class = self.product_class
+        return out
 
     def graded_rank(self):
         """Sum of Q^degree over the right basis."""
@@ -296,8 +301,14 @@ def tensor(mod_a, mod_b):
     word = None
     if mod_a.word is not None and mod_b.word is not None:
         word = mod_a.word + mod_b.word
-    return Bimodule(mod_a.real, degrees, left["s"], left["t"],
-                    word=word, shift=mod_a.shift + mod_b.shift, check=False)
+    out = Bimodule(mod_a.real, degrees, left["s"], left["t"],
+                   word=word, shift=mod_a.shift + mod_b.shift, check=False)
+    if word is None:
+        class_a, class_b = class_of_bimodule(mod_a), class_of_bimodule(mod_b)
+        if class_a is not None and class_b is not None:
+            out.product_class = (class_a * class_b).scale(
+                Laurent.monomial(-out.shift))
+    return out
 
 
 def bott_samelson(m, word, shift=0):

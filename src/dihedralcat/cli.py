@@ -49,8 +49,8 @@ def cached_simplified_complex(braid, m):
         try:
             with open(path) as fh:
                 return ChainComplex.from_json(json.load(fh))
-        except (ValueError, KeyError, OSError):
-            pass  # corrupt or stale entry: recompute below
+        except (ValueError, KeyError, IndexError, TypeError, OSError):
+            pass  # corrupt, stale or invalid entry: recompute below
     cplx = rouquier_braid(m, braid, simplify=True, split=True)
     try:
         os.makedirs(cache_dir(), exist_ok=True)

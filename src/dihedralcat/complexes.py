@@ -16,9 +16,9 @@ from .bimodule import (Bimodule, BimoduleMorphism, b_generator, bott_samelson,
                        direct_sum, dot_in, dot_out, hom_degree_basis,
                        identity_morphism, invert_morphism, is_invertible,
                        lift_columns, mat_identity, mat_mul, mat_sub, mat_zero,
-                       regular, split_summand, tensor,
-                       tensor_morphism)
-from .hecke import group_elements
+                       poly_from_json, poly_to_json, regular, split_summand,
+                       tensor, tensor_morphism)
+from .hecke import class_of_bimodule, group_elements, kl_multiplicities
 from .modules import ModuleGB
 from .ring import LETTERS, realization
 
@@ -135,7 +135,7 @@ class ChainComplex:
             "objects": {str(d): [mod.to_json() for mod in obs]
                         for d, obs in self.objects.items()},
             "diffs": {str(d): [[None if blk is None else
-                                [[_poly_json(x) for x in row_]
+                                [[poly_to_json(x) for x in row_]
                                  for row_ in blk.matrix]
                                 for blk in row] for row in blocks]
                       for d, blocks in self.diffs.items()},
@@ -143,7 +143,6 @@ class ChainComplex:
 
     @classmethod
     def from_json(cls, data):
-        from .bimodule import poly_from_json
         m = data["m"]
         field = realization(m).field
         objects = {int(d): [Bimodule.from_json(ob) for ob in obs]
@@ -165,7 +164,7 @@ class ChainComplex:
                             check=False))
                 rows.append(out_row)
             diffs[d] = rows
-        return cls(m, objects, diffs, check=False)
+        return cls(m, objects, diffs)
 
     def __repr__(self):
         bits = []
@@ -173,11 +172,6 @@ class ChainComplex:
             bits.append("%d: %s" % (d, " + ".join(
                 repr(mod) for mod in self.objects[d])))
         return "ChainComplex{%s}" % "; ".join(bits)
-
-
-def _poly_json(x):
-    from .bimodule import poly_to_json
-    return poly_to_json(x)
 
 
 def _offsets(mods):
@@ -369,8 +363,7 @@ def gaussian_eliminate(cplx, deg, row, col):
     objects[deg + 1].pop(row)
     diffs[deg] = new_blocks
     if deg - 1 in diffs:
-        for r_ in [col]:
-            diffs[deg - 1].pop(r_)
+        diffs[deg - 1].pop(col)
     if deg + 1 in diffs:
         for r_row in diffs[deg + 1]:
             r_row.pop(row)
@@ -575,39 +568,33 @@ def indecomposable_b(m, word):
 
 
 def decompose_bimodule(mod):
-    """[(atom, incl, proj)] with atoms indecomposable B_w(k) or R(k)."""
-    m = mod.m
+    """[(atom, incl, proj)] over the summands B_w(k) that the Hecke class
+    names (Soergel 2007): longest w first, group_elements order, k up."""
+    cls = class_of_bimodule(mod)
+    if cls is None:
+        raise ValueError("%r has no Hecke class to split by" % (mod,))
+    mults = kl_multiplicities(cls)
+    summands = [indecomposable_b(mod.m, w).shifted(k)
+                for w in sorted(group_elements(mod.m), key=len, reverse=True)
+                if w in mults for k, n in sorted(mults[w].terms.items())
+                for _ in range(n)]
+    if sorted(d for b in summands for d in b.degrees) != sorted(mod.degrees):
+        raise ValueError("%r does not match its class %r" % (mod, cls))
     out = []
-    if mod.rank == 0:
-        return out
-    candidates = sorted(group_elements(m), key=len, reverse=True)
     current = mod
-    incl_cur = identity_morphism(mod)
-    proj_cur = identity_morphism(mod)
-    while current.rank:
-        hit = None
-        for cand_word in candidates:
-            cand0 = indecomposable_b(m, cand_word)
-            for shift in sorted({dc - dm for dc in cand0.degrees
-                                 for dm in current.degrees}):
-                cand = cand0.shifted(shift) if shift else cand0
-                found = split_summand(current, cand)
-                if found is not None:
-                    hit = (cand, found)
-                    break
-            if hit:
-                break
-        if hit is None:
-            raise ValueError("failed to split off an indecomposable summand")
-        cand, (incl, proj) = hit
+    incl_cur = proj_cur = identity_morphism(mod)
+    for cand in summands:
+        found = split_summand(current, cand)
+        if found is None:
+            raise ValueError("%r does not split off %r" % (mod, cand))
+        incl, proj = found
         out.append((cand, incl_cur.compose(incl), proj.compose(proj_cur)))
         if cand.rank == current.rank:
             break
-        rest, rest_incl, rest_proj = _complement_of_idempotent(
+        current, rest_incl, rest_proj = _complement_of_idempotent(
             current, incl, proj)
         incl_cur = incl_cur.compose(rest_incl)
         proj_cur = rest_proj.compose(proj_cur)
-        current = rest
     return out
 
 
@@ -617,7 +604,8 @@ def split_atoms(cplx):
     for d, obs in cplx.objects.items():
         lst = []
         for src, mod in enumerate(obs):
-            if mod.kl is not None or _already_atomic(mod):
+            if mod.kl is not None or (mod.word is not None
+                                      and len(mod.word) <= 1):
                 lst.append((src, mod, identity_morphism(mod),
                             identity_morphism(mod)))
                 continue
@@ -640,7 +628,3 @@ def split_atoms(cplx):
             rows.append(row)
         diffs[d] = rows
     return ChainComplex(cplx.m, objects, diffs, check=False)
-
-
-def _already_atomic(mod):
-    return (mod.word is not None and len(mod.word) <= 1)

@@ -249,21 +249,36 @@ def bs_class(m, word):
     return out
 
 
+def class_of_bimodule(mod):
+    """v^shift times b_kl, [BS(word)] or the stored class of a tensor
+    product, whichever mod carries; None when it carries none."""
+    base = (kl_basis(mod.m, mod.kl) if mod.kl is not None
+            else bs_class(mod.m, mod.word) if mod.word is not None
+            else mod.product_class)
+    return None if base is None else base.scale(Laurent.monomial(mod.shift))
+
+
+def kl_multiplicities(h):
+    """h in the KL basis, {y: Laurent}: n v^k counts n summands B_y(k) of a
+    bimodule of class h (Soergel 2007); ValueError if some n < 0."""
+    out = {}
+    for w, c in h.terms.items():
+        for y, e in standard_in_kl(h.m, w).items():
+            out[y] = out.get(y, Laurent()) + c * e
+    if any(n < 0 for c in out.values() for n in c.terms.values()):
+        raise ValueError("%r has a negative KL multiplicity" % (h,))
+    return {y: c for y, c in out.items() if c}
+
+
 def class_of_complex(cplx):
     """Sum_i (-1)^i sum_atoms v^{shift} [atom]; class(F_s) = delta_s."""
-    m = cplx.m
-    total = HeckeElement(m)
+    total = HeckeElement(cplx.m)
     for d, obs in cplx.objects.items():
-        sign = (-1) ** d
         for mod in obs:
-            if mod.kl is not None:
-                base = kl_basis(m, mod.kl)
-            elif mod.word is not None:
-                base = bs_class(m, mod.word)
-            else:
-                raise ValueError("untagged atom in class_of_complex")
-            piece = base.scale(Laurent.monomial(mod.shift, sign))
-            total = total + piece
+            piece = class_of_bimodule(mod)
+            if piece is None:
+                raise ValueError("atom %r has no Hecke class" % (mod,))
+            total = total + piece.scale(Laurent.monomial(0, (-1) ** d))
     return total
 
 

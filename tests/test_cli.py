@@ -52,6 +52,21 @@ def test_cold_and_warm_cache_print_the_same(runner, args):
     assert warm.output == cold.output
 
 
+def test_invalid_cache_entry_is_recomputed(runner, tmp_path):
+    cold = runner.invoke(main, ["minimal", "s t"])
+    hhh_cold = runner.invoke(main, ["hhh", "s t"])
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    data = json.loads(entry.read_text())
+    data["objects"]["2"] *= 2  # deg 2 holds R(2) twice: shapes disagree
+    entry.write_text(json.dumps(data))
+    warm = runner.invoke(main, ["minimal", "s t"])
+    assert cold.exit_code == 0 and warm.exit_code == 0
+    assert warm.output == cold.output
+    entry.write_text(json.dumps(data))
+    hhh_warm = runner.invoke(main, ["hhh", "s t"])
+    assert hhh_warm.exit_code == 0 and hhh_warm.output == hhh_cold.output
+
+
 def test_minimal_lists_degrees(runner):
     res = runner.invoke(main, ["minimal", "s"])
     assert res.exit_code == 0

@@ -5,16 +5,22 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dihedralcat.bimodule import Bimodule, bott_samelson, hom_degree_basis
+from dihedralcat import complexes
+from dihedralcat.bimodule import (Bimodule, b_generator, bott_samelson,
+                                  direct_sum, hom_degree_basis,
+                                  identity_morphism, tensor)
 from dihedralcat.complexes import (MAX_WORD_LENGTH, ChainComplex,
                                    chain_map_basis, complexes_isomorphic,
                                    decompose_bimodule, indecomposable_b,
                                    minimal_form, parse_braid, rouquier,
                                    rouquier_braid, single_object, split_atoms,
                                    tensor_complex)
-from dihedralcat.hecke import (bs_class, class_of_complex, group_elements,
-                               kl_basis)
+from dihedralcat.hecke import (Laurent, bs_class, class_of_bimodule,
+                               class_of_complex, delta_product,
+                               group_elements, kl_basis)
 from dihedralcat.homology import hhh
 
 
@@ -193,10 +199,93 @@ def test_indecomposables_keep_their_basis():
             B_W_SHA256_M4["".join(w)]
 
 
+def _decompose_counting_splits(mod, monkeypatch):
+    """decompose_bimodule(mod) and the number of split_summand calls it
+    made; the indecomposables it reads are built beforehand."""
+    for w in group_elements(mod.m):
+        indecomposable_b(mod.m, w)
+    calls = []
+    split_summand = complexes.split_summand
+
+    def counting(current, cand):
+        calls.append(cand)
+        return split_summand(current, cand)
+
+    monkeypatch.setattr(complexes, "split_summand", counting)
+    pieces = decompose_bimodule(mod)
+    monkeypatch.undo()
+    return pieces, len(calls)
+
+
+def _assert_complete_orthogonal_idempotents(mod, pieces):
+    """proj_j . incl_i = delta_ij id and sum_i incl_i . proj_i = id."""
+    total = None
+    for i, (atom, incl, proj) in enumerate(pieces):
+        for j, (_, _, proj_j) in enumerate(pieces):
+            comp = proj_j.compose(incl)
+            assert comp == identity_morphism(atom) if i == j else not comp
+        term = incl.compose(proj)
+        total = term if total is None else total + term
+    assert total == identity_morphism(mod)
+
+
 @pytest.mark.parametrize("m, word", [(3, "stst"), (3, "ss"), (4, "ststs"),
                                      (5, "ststs")])
-def test_decomposition_matches_bott_samelson_class(m, word):
-    atoms = [atom for atom, _, _ in decompose_bimodule(bott_samelson(m, word))]
-    assert len(atoms) > 1
+def test_decomposition_matches_bott_samelson_class(m, word, monkeypatch):
+    mod = bott_samelson(m, word)
+    pieces, splits = _decompose_counting_splits(mod, monkeypatch)
+    atoms = [atom for atom, _, _ in pieces]
+    assert len(atoms) > 1 and splits == len(atoms)
     total = class_of_complex(ChainComplex(m, {0: atoms}, {}, check=False))
     assert total == bs_class(m, word)
+    _assert_complete_orthogonal_idempotents(mod, pieces)
+
+
+def test_untagged_tensor_splits_by_its_class(monkeypatch):
+    mod = tensor(indecomposable_b(3, "st"), b_generator(3, "s"))
+    assert mod.word is None and mod.kl is None
+    pieces, splits = _decompose_counting_splits(mod, monkeypatch)
+    assert [repr(atom) for atom, _, _ in pieces] == ["B_sts", "B_s"]
+    assert splits == 2
+    _assert_complete_orthogonal_idempotents(mod, pieces)
+
+
+def test_tensor_class_is_the_product_and_shifts_by_v():
+    a = indecomposable_b(3, "st").shifted(-1)
+    b = b_generator(3, "s", shift=2)
+    prod = tensor(a, b)
+    assert prod.word is None and prod.kl is None
+    assert class_of_bimodule(prod) == \
+        class_of_bimodule(a) * class_of_bimodule(b)
+    for k in (-2, 3):
+        assert class_of_bimodule(prod.shifted(k)) == \
+            class_of_bimodule(prod).scale(Laurent.monomial(k))
+
+
+def test_decompose_refuses_a_missing_or_wrong_class():
+    summed, _, _ = direct_sum([b_generator(3, "s"), b_generator(3, "t")])
+    assert class_of_bimodule(summed) is None
+    assert class_of_bimodule(tensor(summed, b_generator(3, "s"))) is None
+    with pytest.raises(ValueError, match="no Hecke class"):
+        decompose_bimodule(summed)
+    b_ts = tensor(indecomposable_b(3, "t"), b_generator(3, "s"))
+    b_ts.product_class = kl_basis(3, "sts")
+    with pytest.raises(ValueError, match="does not match its class"):
+        decompose_bimodule(b_ts)
+    b_ts.product_class = kl_basis(3, "st")  # same degrees as B_ts
+    with pytest.raises(ValueError, match="does not split off B_st"):
+        decompose_bimodule(b_ts)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(["s", "t", "s^-1", "t^-1"]),
+                min_size=1, max_size=4))
+def test_split_rouquier_complexes_are_sound(tokens):
+    word = " ".join(tokens)
+    cplx = rouquier_braid(3, word, split=True)
+    cplx.validate()
+    for obs in cplx.objects.values():
+        for mod in obs:
+            assert mod.kl is not None or (mod.word is not None
+                                          and len(mod.word) <= 1)
+    assert class_of_complex(cplx) == delta_product(3, parse_braid(word))

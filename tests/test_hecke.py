@@ -8,8 +8,8 @@ import sympy as sp
 from dihedralcat.complexes import parse_braid, rouquier_braid
 from dihedralcat.hecke import (HeckeElement, Laurent, bs_class, canonical_word,
                                class_of_complex, delta_product, group_elements,
-                               homfly, kl_basis, soergel_pairing,
-                               standard_in_kl)
+                               homfly, kl_basis, kl_multiplicities,
+                               soergel_pairing, standard_in_kl)
 
 
 def test_laurent_arithmetic():
@@ -62,6 +62,14 @@ def test_kl_round_trip(m):
     for u, coeff in expansion.items():
         total = total + kl_basis(m, u).scale(coeff)
     assert total == HeckeElement.delta(m, word)
+
+
+def test_kl_multiplicities():
+    # BS(stst) = B_sts(-1) + B_sts(1) + B_st at m = 3
+    assert kl_multiplicities(bs_class(3, "stst")) == {
+        ("s", "t", "s"): Laurent({-1: 1, 1: 1}), ("s", "t"): Laurent.one()}
+    with pytest.raises(ValueError, match="negative"):
+        kl_multiplicities(HeckeElement.delta(3, "s"))  # b_s - v b_e
 
 
 def test_class_of_rouquier_generators():
