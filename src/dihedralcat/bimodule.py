@@ -411,11 +411,16 @@ def zero_morphism(dom, cod, degree=0):
 
 def tensor_morphism(f, g):
     """f (x) g between the tensor bimodules."""
-    dom = tensor(f.dom, g.dom)
-    cod = tensor(f.cod, g.cod)
-    field = dom.field
+    return BimoduleMorphism(tensor(f.dom, g.dom), tensor(f.cod, g.cod),
+                            tensor_matrix(f, g), f.degree + g.degree,
+                            check=False)
+
+
+def tensor_matrix(f, g):
+    """The matrix of f (x) g, for callers that already hold its endpoints."""
+    field = f.dom.field
     rb_dom, rb_cod = g.dom.rank, g.cod.rank
-    mat = mat_zero(field, cod.rank, dom.rank)
+    mat = mat_zero(field, f.cod.rank * rb_cod, f.dom.rank * rb_dom)
     for k in range(f.cod.rank):
         for i in range(f.dom.rank):
             p = f.matrix[k][i]
@@ -429,7 +434,7 @@ def tensor_morphism(f, g):
                     if block[l][j]:
                         mat[k * rb_cod + l][i * rb_dom + j] = \
                             mat[k * rb_cod + l][i * rb_dom + j] + block[l][j]
-    return BimoduleMorphism(dom, cod, mat, f.degree + g.degree, check=False)
+    return mat
 
 
 DOT_IN_HALF = Fraction(1, 2)

@@ -15,9 +15,9 @@ from . import linalg
 from .bimodule import (Bimodule, BimoduleMorphism, b_generator, bott_samelson,
                        direct_sum, dot_in, dot_out, hom_degree_basis,
                        identity_morphism, invert_morphism, is_invertible,
-                       lift_columns, mat_identity, mat_mul, mat_sub, mat_zero,
-                       poly_from_json, poly_to_json, regular, split_summand,
-                       tensor, tensor_morphism)
+                       lift_columns, mat_identity, mat_mul, mat_neg, mat_sub,
+                       mat_zero, poly_from_json, poly_to_json, regular,
+                       split_summand, tensor, tensor_matrix)
 from .hecke import class_of_bimodule, group_elements, kl_multiplicities
 from .modules import ModuleGB
 from .ring import LETTERS, realization
@@ -280,33 +280,33 @@ def tensor_complex(c1, c2):
         if n + 1 in objects:
             diffs[n] = [[None] * len(objects[n])
                         for _ in range(len(objects[n + 1]))]
+    # Each block's matrix is tensor_matrix of the factors' blocks; its
+    # endpoints are the atoms built above, not fresh tensor products.
     for (p, i, q, j), (n, col) in index.items():
         if n not in diffs:
             continue
         blocks = diffs[n]
-        src_a = c1.objects[p][i]
-        src_b = c2.objects[q][j]
+        terms = []
         if p in c1.diffs:
+            ident = identity_morphism(c2.objects[q][j])
             for r, row in enumerate(c1.diffs[p]):
-                blk = row[i]
-                if blk is None:
-                    continue
-                _, tgt = index[(p + 1, r, q, j)]
-                term = tensor_morphism(blk, identity_morphism(src_b))
-                blocks[tgt][col] = term if blocks[tgt][col] is None \
-                    else blocks[tgt][col] + term
+                if row[i] is not None:
+                    terms.append((index[(p + 1, r, q, j)][1], row[i].degree,
+                                  tensor_matrix(row[i], ident)))
         if q in c2.diffs:
-            sign = (-1) ** p
+            ident = identity_morphism(c1.objects[p][i])
             for r, row in enumerate(c2.diffs[q]):
-                blk = row[j]
-                if blk is None:
-                    continue
-                _, tgt = index[(p, i, q + 1, r)]
-                term = tensor_morphism(identity_morphism(src_a), blk)
-                if sign < 0:
-                    term = -term
-                blocks[tgt][col] = term if blocks[tgt][col] is None \
-                    else blocks[tgt][col] + term
+                if row[j] is not None:
+                    mat = tensor_matrix(ident, row[j])
+                    if p % 2:  # Koszul sign
+                        mat = mat_neg(mat)
+                    terms.append((index[(p, i, q + 1, r)][1], row[j].degree,
+                                  mat))
+        for tgt, degree, mat in terms:
+            term = BimoduleMorphism(objects[n][col], objects[n + 1][tgt], mat,
+                                    degree, check=False)
+            blocks[tgt][col] = term if blocks[tgt][col] is None \
+                else blocks[tgt][col] + term
     return ChainComplex(m, objects, diffs, check=False)
 
 

@@ -1,13 +1,21 @@
 """Exact arithmetic in K_m = Q[d]/(p_m), where d = 2cos(pi/m).
 
 Scalars are represented by their residue mod the minimal polynomial p_m,
-as tuples of Fractions.  No floating point anywhere.
+stored as a tuple of integer numerators over one positive integer
+denominator in lowest terms (Cohen, A Course in Computational Algebraic
+Number Theory, 1993, 4.2), so the arithmetic runs on ints.  p_m is monic
+with integer coefficients, so a product is an integer convolution reduced
+through a precomputed table of x^n, ..., x^(2n-2) mod p_m; in the degree-1
+fields (m = 2, 3) it is a single product.  The public view `coeffs` is a
+tuple of Fractions.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import add as _add, neg as _neg, sub as _sub
 
 MAX_M = 12
 
@@ -70,9 +78,11 @@ class FieldDescriptor:
             raise FieldError("m capped at %d for desk-scale runs" % MAX_M)
         self.m = m
         self.minimal_polynomial = _minimal_poly_2cos(m)
-        self.degree = len(self.minimal_polynomial) - 1
-        self._zero = FieldScalar(self, (Fraction(0),) * self.degree)
-        self._one = self.from_rational(1) if self.degree > 0 else None
+        n = self.degree = len(self.minimal_polynomial) - 1
+        self._low = tuple(int(c) for c in self.minimal_polynomial[:n])
+        self._reduction = _reduction_rows(self._low)
+        self._zero = _make(self, (0,) * n, 1)
+        self._one = _make(self, (1,) + (0,) * (n - 1), 1)
 
     def __repr__(self):
         return "FieldDescriptor(m=%d, deg=%d)" % (self.m, self.degree)
@@ -87,21 +97,21 @@ class FieldDescriptor:
         return self._zero
 
     def one(self):
-        return self.from_rational(1)
+        return self._one
 
     def from_rational(self, q):
-        coeffs = [Fraction(q)] + [Fraction(0)] * (self.degree - 1)
-        return FieldScalar(self, tuple(coeffs[: self.degree]))
+        if not isinstance(q, (int, Fraction)):
+            raise TypeError("K_%d accepts int or Fraction, not %s"
+                            % (self.m, type(q).__name__))
+        q = Fraction(q)
+        return _make(self, (q.numerator,) + (0,) * (self.degree - 1),
+                     q.denominator)
 
     def delta(self):
         """The image of 2cos(pi/m) itself."""
-        coeffs = [Fraction(0)] * self.degree
-        if self.degree >= 2:
-            coeffs[1] = Fraction(1)
-        else:
-            # degree-1 field: x is congruent to the rational root of p_m
-            coeffs[0] = -self.minimal_polynomial[0]
-        return FieldScalar(self, tuple(coeffs))
+        if self.degree == 1:  # x is congruent to the rational root of p_m
+            return self.from_rational(-self.minimal_polynomial[0])
+        return _make(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
     def quantum_number(self, k):
         """[k] via the Chebyshev recursion [k+1] = d*[k] - [k-1]."""
@@ -116,28 +126,60 @@ class FieldDescriptor:
         return b
 
 
+def _times_x(col, low):
+    """x * col mod p, for p = x^n + low[n-1] x^(n-1) + ... + low[0]."""
+    top = col[-1]
+    return [a - top * c for a, c in zip([0] + col[:-1], low)]
+
+
+def _reduction_rows(low):
+    """Integer rows of x^n, ..., x^(2n-2) mod p, low to high."""
+    row, rows = [0] * (len(low) - 1) + [1], []
+    for _ in range(len(low) - 1):
+        row = _times_x(row, low)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 @lru_cache(maxsize=None)
 def field_for(m):
     return FieldDescriptor(m)
 
 
 class FieldScalar:
-    """Element of K_m; always reduced mod p_m."""
+    """Element of K_m, stored as integer numerators over one denominator.
 
-    __slots__ = ("field", "coeffs", "_hash")
+    The value is sum(num[i] * x^i) / den with den > 0 and
+    gcd(den, *num) == 1, so equal elements have equal (num, den).
+    """
+
+    __slots__ = ("field", "num", "den", "_hash")
 
     def __init__(self, field, coeffs):
+        if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+            raise TypeError("K_%d coefficients must be int or Fraction: %r"
+                            % (field.m, coeffs))
+        coeffs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
         self.field = field
-        self.coeffs = coeffs
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
         self._hash = None
 
+    @property
+    def coeffs(self):
+        """The coefficients of 1, x, ..., x^(n-1) as Fractions."""
+        den = self.den
+        return tuple(Fraction(a, den) for a in self.num)
+
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other):
         if not isinstance(other, FieldScalar):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return (self.num == other.num and self.den == other.den
+                and self.field.m == other.field.m)
 
     def __hash__(self):
         if self._hash is None:
@@ -145,27 +187,33 @@ class FieldScalar:
         return self._hash
 
     def __add__(self, other):
-        if not isinstance(other, FieldScalar):
-            other = self._coerce(other)
-        elif other.field.m != self.field.m:
-            raise FieldError("mixed fields: m=%d vs m=%d"
-                             % (self.field.m, other.field.m))
-        return FieldScalar(self.field,
-                           tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, _add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldScalar(self.field, tuple(-a for a in self.coeffs))
+        return _make(self.field, tuple(map(_neg, self.num)), self.den)
 
     def __sub__(self, other):
+        return self._combine(other, _sub)
+
+    def _combine(self, other, op):
+        """self + other or self - other, as op is operator.add or sub."""
         if not isinstance(other, FieldScalar):
             other = self._coerce(other)
         elif other.field.m != self.field.m:
             raise FieldError("mixed fields: m=%d vs m=%d"
                              % (self.field.m, other.field.m))
-        return FieldScalar(self.field,
-                           tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        a, b, da, db = self.num, other.num, self.den, other.den
+        if self.field.degree == 1:
+            if da == db:
+                return _rational(self.field, op(a[0], b[0]), da)
+            return _rational(self.field, op(a[0] * db, b[0] * da), da * db)
+        if da == db:
+            return _reduced(self.field, tuple(map(op, a, b)), da)
+        return _reduced(self.field,
+                        tuple(op(x * db, y * da) for x, y in zip(a, b)),
+                        da * db)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -186,28 +234,49 @@ class FieldScalar:
         elif other.field.m != self.field.m:
             raise FieldError("mixed fields: m=%d vs m=%d"
                              % (self.field.m, other.field.m))
-        n = self.field.degree
-        if n == 1:  # K_m = Q: plain rational arithmetic
-            return FieldScalar(self.field,
-                               (self.coeffs[0] * other.coeffs[0],))
-        prod = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        return FieldScalar(self.field, _reduce_mod(prod, self.field.minimal_polynomial, n))
+        field = self.field
+        a, b = self.num, other.num
+        if field.degree == 1:  # K_m = Q: one product of rationals
+            return _rational(field, a[0] * b[0], self.den * other.den)
+        n = field.degree
+        prod = [0] * (2 * n - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    prod[j] += x * y
+        out = prod[:n]
+        for c, row in zip(prod[n:], field._reduction):
+            if c:
+                for j, r in enumerate(row):
+                    out[j] += c * r
+        return _reduced(field, tuple(out), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not self:
             raise FieldError("division by zero in K_%d" % self.field.m)
-        p = list(self.field.minimal_polynomial)
-        inv = _poly_invert(list(self.coeffs), p)
-        n = self.field.degree
-        inv = (inv + [Fraction(0)] * n)[:n]
-        return FieldScalar(self.field, tuple(inv))
+        if self.field.degree == 1:  # swap numerator and denominator
+            (a,), den = self.num, self.den
+            return _make(self.field, (den,), a) if a > 0 \
+                else _make(self.field, (-den,), -a)
+        # Solve num * y = den over Q; column j of num's matrix is num * x^j.
+        n, cols = self.field.degree, [list(self.num)]
+        for _ in range(n - 1):
+            cols.append(_times_x(cols[-1], self.field._low))
+        rows = [[Fraction(col[i]) for col in cols] + [Fraction(0)]
+                for i in range(n)]
+        rows[0][n] = Fraction(self.den)
+        for c in range(n):
+            k = next(r for r in range(c, n) if rows[r][c])
+            rows[c], rows[k] = rows[k], rows[c]
+            pivot = rows[c][c]
+            rows[c] = [v / pivot for v in rows[c]]
+            for r in range(n):
+                f = rows[r][c]
+                if r != c and f:
+                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+        return FieldScalar(self.field, tuple(row[n] for row in rows))
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -219,64 +288,37 @@ class FieldScalar:
         return "K%d(%s)" % (self.field.m, format_scalar(self))
 
 
-def _reduce_mod(poly, p, n):
-    poly = list(poly)
-    for i in range(len(poly) - 1, n - 1, -1):
-        c = poly[i]
-        if c:
-            for j in range(len(p) - 1):
-                poly[i - n + j] -= c * p[j]
-            poly[i] = Fraction(0)
-    return tuple(poly[:n])
+_new = object.__new__
 
 
-def _poly_trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
+def _make(field, num, den):
+    """A scalar from numerators and a denominator already in lowest terms."""
+    x = _new(FieldScalar)
+    x.field = field
+    x.num = num
+    x.den = den
+    x._hash = None
+    return x
 
 
-def _poly_invert(a, p):
-    """Inverse of a mod p over Q via extended Euclid."""
-    r0, r1 = list(p), _poly_trim(list(a))
-    s0, s1 = [], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-    # r0 is the gcd, a nonzero constant since p is irreducible
-    c = r0[0]
-    return [x / c for x in s0]
+def _reduced(field, num, den):
+    """A scalar from numerators and a positive denominator, in lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(a // g for a in num)
+            den //= g
+    return _make(field, num, den)
 
 
-def _poly_divmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = a[i + len(b) - 1] / b[-1]
-        q[i] = c
-        for j, bj in enumerate(b):
-            a[i + j] -= c * bj
-    return q, _poly_trim(a[: len(b) - 1])
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _poly_trim(out)
+def _rational(field, p, d):
+    """The rational p/d, d > 0, of a degree-1 field, in lowest terms."""
+    if d != 1:
+        g = gcd(p, d)
+        if g != 1:
+            p //= g
+            d //= g
+    return _make(field, (p,), d)
 
 
 def format_scalar(x):

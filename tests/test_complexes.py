@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dihedralcat import complexes
+from dihedralcat import bimodule, complexes
 from dihedralcat.bimodule import (Bimodule, b_generator, bott_samelson,
                                   direct_sum, hom_degree_basis,
                                   identity_morphism, tensor)
@@ -64,6 +64,33 @@ def test_parse_braid_bounds_expanded_length():
 def test_tensor_complex_d_squared(word):
     raw = rouquier_braid(3, word, simplify=False)
     raw.check_d2()
+
+
+def test_tensor_complex_reuses_its_atoms(monkeypatch):
+    # Cold, the Whitehead complex takes 55 tensor products: the atoms of each
+    # tensor_complex plus the B_w the splits read, none per differential block.
+    indecomposable_b.cache_clear()
+    calls = []
+    real_tensor = bimodule.tensor
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real_tensor(a, b)
+
+    monkeypatch.setattr(bimodule, "tensor", counting)
+    monkeypatch.setattr(complexes, "tensor", counting)
+    rouquier_braid(3, "s^-2 t s^-1 t", split=True)
+    assert len(calls) == 55
+    monkeypatch.undo()
+    cplx = tensor_complex(rouquier_braid(3, "s^-1 t", split=True),
+                          rouquier(3, "s", -1))
+    blocks = [(n, r, c, blk) for n, rows in cplx.diffs.items()
+              for r, row in enumerate(rows) for c, blk in enumerate(row)
+              if blk is not None]
+    assert blocks
+    for n, r, c, blk in blocks:
+        assert blk.dom is cplx.objects[n][c]
+        assert blk.cod is cplx.objects[n + 1][r]
 
 
 def test_inverse_pair_collapses_to_unit():
