@@ -276,13 +276,17 @@ def b_generator(m, letter, shift=0):
                     word=(letter,), shift=shift, check=False)
 
 
-def tensor(mod_a, mod_b):
-    """mod_a (x)_R mod_b with lexicographic pair basis (a-index major)."""
-    if mod_a.m != mod_b.m:
-        raise ValueError("tensor over different m")
+# {x: left_x} of tensor products, keyed on the factors' left actions: a
+# grading shift of either factor changes its degrees, not these matrices.
+_TENSOR_LEFT = {}
+
+
+def _tensor_left(mod_a, mod_b):
+    key = (mod_a.left["s"], mod_a.left["t"], mod_b.left["s"], mod_b.left["t"])
+    if key in _TENSOR_LEFT:
+        return _TENSOR_LEFT[key]
     field = mod_a.field
     ra, rb = mod_a.rank, mod_b.rank
-    degrees = [da + db for da in mod_a.degrees for db in mod_b.degrees]
     left = {}
     for x in LETTERS:
         mat = mat_zero(field, ra * rb, ra * rb)
@@ -298,6 +302,16 @@ def tensor(mod_a, mod_b):
                             mat[k * rb + l][i * rb + j] = \
                                 mat[k * rb + l][i * rb + j] + act[l][j]
         left[x] = mat
+    _TENSOR_LEFT[key] = left
+    return left
+
+
+def tensor(mod_a, mod_b):
+    """mod_a (x)_R mod_b with lexicographic pair basis (a-index major)."""
+    if mod_a.m != mod_b.m:
+        raise ValueError("tensor over different m")
+    degrees = [da + db for da in mod_a.degrees for db in mod_b.degrees]
+    left = _tensor_left(mod_a, mod_b)
     word = None
     if mod_a.word is not None and mod_b.word is not None:
         word = mod_a.word + mod_b.word

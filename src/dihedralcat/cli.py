@@ -49,7 +49,8 @@ def cached_simplified_complex(braid, m):
         try:
             with open(path) as fh:
                 return ChainComplex.from_json(json.load(fh))
-        except (ValueError, KeyError, IndexError, TypeError, OSError):
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError,
+                OSError):
             pass  # corrupt, stale or invalid entry: recompute below
     cplx = rouquier_braid(m, braid, simplify=True, split=True)
     try:

@@ -11,14 +11,15 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from . import linalg
+from . import bimodule, linalg
 from .bimodule import (Bimodule, BimoduleMorphism, b_generator, bott_samelson,
                        direct_sum, dot_in, dot_out, hom_degree_basis,
                        identity_morphism, invert_morphism, is_invertible,
                        lift_columns, mat_identity, mat_mul, mat_neg, mat_sub,
                        mat_zero, poly_from_json, poly_to_json, regular,
                        split_summand, tensor, tensor_matrix)
-from .hecke import class_of_bimodule, group_elements, kl_multiplicities
+from .hecke import (Laurent, class_of_bimodule, group_elements,
+                    kl_multiplicities)
 from .modules import ModuleGB
 from .ring import LETTERS, realization
 
@@ -567,12 +568,36 @@ def indecomposable_b(m, word):
                     shift=mod.shift, kl=word, check=False)
 
 
+# Splittings up to shift: (m, degrees - min, left_s, left_t) ->
+# (min degree, class, [(atom, incl matrix, proj matrix)]).  M(k) has the
+# matrices of M, so its summands are those of M shifted by k (Krull-Schmidt).
+_SPLITTINGS = {}
+
+
+def clear_caches():
+    """Forget every memoized tensor product, splitting and B_w.  No answer
+    depends on them; this gives tests and benchmarks a cold start."""
+    bimodule._TENSOR_LEFT.clear()
+    _SPLITTINGS.clear()
+    indecomposable_b.cache_clear()
+
+
 def decompose_bimodule(mod):
     """[(atom, incl, proj)] over the summands B_w(k) that the Hecke class
     names (Soergel 2007): longest w first, group_elements order, k up."""
     cls = class_of_bimodule(mod)
     if cls is None:
         raise ValueError("%r has no Hecke class to split by" % (mod,))
+    low = min(mod.degrees, default=0)
+    key = (mod.m, tuple(d - low for d in mod.degrees),
+           mod.left["s"], mod.left["t"])
+    if key in _SPLITTINGS:
+        low0, cls0, pieces = _SPLITTINGS[key]
+        if cls == cls0.scale(Laurent.monomial(low0 - low)):
+            atoms = [atom.shifted(low0 - low) for atom, _, _ in pieces]
+            return [(atom, BimoduleMorphism(atom, mod, incl, 0, check=False),
+                     BimoduleMorphism(mod, atom, proj, 0, check=False))
+                    for atom, (_, incl, proj) in zip(atoms, pieces)]
     mults = kl_multiplicities(cls)
     summands = [indecomposable_b(mod.m, w).shifted(k)
                 for w in sorted(group_elements(mod.m), key=len, reverse=True)
@@ -595,6 +620,8 @@ def decompose_bimodule(mod):
             current, incl, proj)
         incl_cur = incl_cur.compose(rest_incl)
         proj_cur = rest_proj.compose(proj_cur)
+    _SPLITTINGS[key] = (low, cls, [(atom, incl.matrix, proj.matrix)
+                                   for atom, incl, proj in out])
     return out
 
 

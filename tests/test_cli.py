@@ -67,6 +67,17 @@ def test_invalid_cache_entry_is_recomputed(runner, tmp_path):
     assert hhh_warm.exit_code == 0 and hhh_warm.output == hhh_cold.output
 
 
+def test_malformed_cache_entry_is_recomputed(runner, tmp_path):
+    cold = runner.invoke(main, ["minimal", "s t"])
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    data = json.loads(entry.read_text())
+    data["objects"] = list(data["objects"].values())
+    entry.write_text(json.dumps(data))
+    warm = runner.invoke(main, ["minimal", "s t"])
+    assert cold.exit_code == 0 and warm.exit_code == 0
+    assert warm.output == cold.output
+
+
 def test_minimal_lists_degrees(runner):
     res = runner.invoke(main, ["minimal", "s"])
     assert res.exit_code == 0

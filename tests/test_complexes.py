@@ -69,7 +69,7 @@ def test_tensor_complex_d_squared(word):
 def test_tensor_complex_reuses_its_atoms(monkeypatch):
     # Cold, the Whitehead complex takes 55 tensor products: the atoms of each
     # tensor_complex plus the B_w the splits read, none per differential block.
-    indecomposable_b.cache_clear()
+    complexes.clear_caches()
     calls = []
     real_tensor = bimodule.tensor
 
@@ -227,8 +227,9 @@ def test_indecomposables_keep_their_basis():
 
 
 def _decompose_counting_splits(mod, monkeypatch):
-    """decompose_bimodule(mod) and the number of split_summand calls it
-    made; the indecomposables it reads are built beforehand."""
+    """decompose_bimodule(mod), cold, and the number of split_summand calls
+    it made; the indecomposables it reads are built beforehand."""
+    complexes.clear_caches()
     for w in group_elements(mod.m):
         indecomposable_b(mod.m, w)
     calls = []
@@ -296,12 +297,81 @@ def test_decompose_refuses_a_missing_or_wrong_class():
     with pytest.raises(ValueError, match="no Hecke class"):
         decompose_bimodule(summed)
     b_ts = tensor(indecomposable_b(3, "t"), b_generator(3, "s"))
+    # the memo holds the true splitting of these matrices; a wrong class
+    # must still be refused, not answered from it
+    assert [repr(a) for a, _, _ in decompose_bimodule(b_ts)] == ["B_ts"]
     b_ts.product_class = kl_basis(3, "sts")
     with pytest.raises(ValueError, match="does not match its class"):
         decompose_bimodule(b_ts)
     b_ts.product_class = kl_basis(3, "st")  # same degrees as B_ts
     with pytest.raises(ValueError, match="does not split off B_st"):
         decompose_bimodule(b_ts)
+
+
+def test_tensor_memo_matches_cold_shifted_products():
+    pairs = [(indecomposable_b(3, "st"), b_generator(3, "s")),
+             (b_generator(3, "s"), b_generator(3, "t"))]
+    shifts = [(0, 0), (2, -1), (-3, 1), (1, 4)]
+
+    def summary(mod):
+        return repr(mod), mod.to_json(), class_of_bimodule(mod)
+
+    for a, b in pairs:
+        cold = []
+        for i, j in shifts:
+            complexes.clear_caches()
+            cold.append(summary(tensor(a, b).shifted(i + j)))
+        complexes.clear_caches()
+        warm = [summary(tensor(a.shifted(i), b.shifted(j)))
+                for i, j in shifts]
+        assert warm == cold
+
+
+@pytest.mark.parametrize("m, word", [(3, "stst"), (4, "stst")])
+def test_decompose_memo_rewraps_shifted_splittings(m, word, monkeypatch):
+    mod = bott_samelson(m, word)
+    shifts = [0, 3, -2, 1]
+
+    def summary(pieces):
+        return [(repr(a), i.matrix, p.matrix) for a, i, p in pieces]
+
+    cold = []
+    for k in shifts:
+        complexes.clear_caches()
+        cold.append(summary(decompose_bimodule(mod.shifted(k))))
+    decompose_bimodule(mod.shifted(5))
+    calls = []
+    monkeypatch.setattr(complexes, "split_summand",
+                        lambda *args: calls.append(args))
+    for k, want in zip(shifts, cold):
+        pieces = decompose_bimodule(mod.shifted(k))
+        assert summary(pieces) == want
+        for atom, incl, proj in pieces:
+            assert incl.dom is atom and proj.cod is atom
+        _assert_complete_orthogonal_idempotents(mod.shifted(k), pieces)
+    assert calls == []
+
+
+def test_sweep_words_share_their_splittings(monkeypatch):
+    # The 50 words of criterion 08a split 394 modules, 13 of them distinct
+    # up to shift; from cold they cost 44 hom_degree_basis solves (1,144
+    # with every splitting recomputed).
+    complexes.clear_caches()
+    calls = []
+    real = bimodule.hom_degree_basis
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bimodule, "hom_degree_basis", counting)
+    monkeypatch.setattr(complexes, "hom_degree_basis", counting)
+    rng = random.Random(20240401)
+    tokens = ["s", "t", "s^-1", "t^-1"]
+    for _ in range(50):
+        word = " ".join(rng.choice(tokens) for _ in range(rng.randint(1, 6)))
+        rouquier_braid(3, word, simplify=True, split=True)
+    assert len(calls) <= 60
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
