@@ -12,8 +12,7 @@ from collections import Counter
 from fractions import Fraction
 
 from . import linalg
-from .hecke import Laurent, class_of_bimodule
-from .modules import column_degree, matrix_kernel, minimalize_columns
+from .hecke import Laurent, class_of_bimodule, hom_rank
 from .ring import LETTERS, RingElement, realization
 
 # ---------------------------------------------------------------------------
@@ -193,9 +192,6 @@ class Bimodule:
             return NotImplemented
         return (self.m == other.m and self.degrees == other.degrees
                 and self.left == other.left)
-
-    def __hash__(self):
-        return hash((self.m, self.degrees, self.left))
 
     def __repr__(self):
         if self.kl is not None:
@@ -479,113 +475,41 @@ def dot_in(m, letter):
 
 
 class HomSpace:
-    """Right R-module of intertwiners dom -> cod, with minimal generators."""
+    """Right R-module of intertwiners dom -> cod, with minimal generators.
+
+    Hom spaces of Soergel bimodules are free right R-modules, and Soergel's
+    hom formula (hecke.hom_rank) says how many generators sit in each
+    degree.  Only those degrees are solved (hom_degree_basis); the new
+    generators of a degree are the solutions outside the span of the lower
+    generators times monomials, and their number must be the formula's.
+    """
 
     def __init__(self, dom, cod):
         self.dom = dom
         self.cod = cod
-        field = dom.field
-        nd, nc = dom.rank, cod.rank
-        nunk = nc * nd
-        tags = [cod.degrees[i] - dom.degrees[j]
-                for i in range(nc) for j in range(nd)]
-        self.position_degrees = tags
-        if not nunk:
-            self.generators = []
-            self.degrees = []
-            return
-        gens = self._generators_by_degree(field, nd, nc, tags)
-        if gens is None:  # freeness heuristic failed: exact fallback
-            gens = self._generators_by_syzygies(field, nd, nc, nunk, tags)
-        self.generators = gens
-        self.degrees = sorted(column_degree(g, tags) for g in gens)
-
-    def _generators_by_degree(self, field, nd, nc, tags):
-        """Minimal generators collected degree by degree.
-
-        Hom spaces of Soergel bimodules are free right R-modules generated
-        in degrees within [min(tags), max(tags)]; each degree slice is a
-        small K_m-linear system (hom_degree_basis).  The bound is verified
-        on two extra degrees; on any mismatch we return None and the
-        caller falls back to the syzygy computation.
-        """
-        dom, cod = self.dom, self.cod
         gens = []  # (degree, morphism matrix)
-        lo, hi = min(tags), max(tags)
-        for d in range(lo, hi + 3):
-            unknowns = []
-            for i in range(nc):
-                for j in range(nd):
-                    dd = d + dom.degrees[j] - cod.degrees[i]
-                    if dd < 0 or dd % 2:
-                        continue
-                    half = dd // 2
-                    for a in range(half + 1):
-                        unknowns.append((i, j, a, half - a))
-            if not unknowns:
-                continue
-            col_of = {u: k for k, u in enumerate(unknowns)}
+        for d, want in sorted(hom_rank(dom, cod).items()):
+            col_of = _unknowns(dom, cod, d)
             span = linalg.Echelon()
             for e, mat in gens:
-                if (d - e) < 0 or (d - e) % 2:
+                half, odd = divmod(d - e, 2)
+                if odd:
                     continue
-                half = (d - e) // 2
                 for p in range(half + 1):
-                    q = half - p
-                    vec = {}
-                    for (i, j, a, b), k in col_of.items():
-                        if a >= p and b >= q:
-                            c = mat[i][j].terms.get((a - p, b - q))
-                            if c:
-                                vec[k] = c
-                    span.insert(vec)
-            for phi in hom_degree_basis(dom, cod, d):
-                vec = {}
-                for (i, j, a, b), k in col_of.items():
-                    c = phi.matrix[i][j].terms.get((a, b))
-                    if c:
-                        vec[k] = c
-                if span.insert(vec):
-                    if d > hi:
-                        return None  # generator beyond the bound: bail out
-                    gens.append((d, phi.matrix))
-        out = []
-        for e, mat in sorted(gens, key=lambda t: t[0]):
-            vec = [RingElement.zero(field)] * (nc * nd)
-            for i in range(nc):
-                for j in range(nd):
-                    vec[i * nd + j] = mat[i][j]
-            out.append(vec)
-        return out
-
-    def _generators_by_syzygies(self, field, nd, nc, nunk, tags):
-        dom, cod = self.dom, self.cod
-
-        def pos(i, j):
-            return i * nd + j
-
-        rows = []
-        for x in LETTERS:
-            for i in range(nc):
-                for j in range(nd):
-                    row = [RingElement.zero(field)] * nunk
-                    for a in range(nc):
-                        if cod.left[x][i][a]:
-                            row[pos(a, j)] = row[pos(a, j)] + cod.left[x][i][a]
-                    for b in range(nd):
-                        if dom.left[x][b][j]:
-                            row[pos(i, b)] = row[pos(i, b)] - dom.left[x][b][j]
-                    rows.append(row)
-        gens = matrix_kernel(rows, field)
-        return minimalize_columns(gens, nunk, field, degrees=tags)
+                    span.insert(_coefficients(mat, col_of, p, half - p))
+            new = [phi.matrix for phi in hom_degree_basis(dom, cod, d)
+                   if span.insert(_coefficients(phi.matrix, col_of))]
+            if len(new) != want:
+                raise ArithmeticError(
+                    "Hom(%r, %r) has %d generators in degree %d, the hom "
+                    "formula %d" % (dom, cod, len(new), d, want))
+            gens.extend((d, mat) for mat in new)
+        self.degrees = [d for d, _ in gens]
+        self.generators = [[x for row in mat for x in row] for _, mat in gens]
 
     def graded_rank(self):
         from .series import QSeries
-        num = {}
-        for g in self.generators:
-            d = column_degree(g, self.position_degrees)
-            num[d] = num.get(d, 0) + 1
-        return QSeries(num, 0)
+        return QSeries(Counter(self.degrees), 0)
 
 
 def hom_space(dom, cod):
@@ -626,15 +550,10 @@ def direct_sum(mods):
     return out, incls, projs
 
 
-def hom_degree_basis(dom, cod, degree=0):
-    """K_m-basis of the intertwiners dom -> cod of one fixed degree.
-
-    Solved as a finite-dimensional linear system over K_m: each matrix
-    entry is a polynomial of a forced internal degree, so its monomial
-    coefficients are the unknowns.
-    """
-    field = dom.field
-    unknowns = []  # (i, j, a, b): coefficient of a_s^a a_t^b in entry (i,j)
+def _unknowns(dom, cod, degree):
+    """{(i, j, a, b): column}: the coefficient of a_s^a a_t^b in entry
+    (i, j) of a map dom -> cod of the given degree."""
+    unknowns = []
     for i in range(cod.rank):
         for j in range(dom.rank):
             d = degree + dom.degrees[j] - cod.degrees[i]
@@ -643,9 +562,30 @@ def hom_degree_basis(dom, cod, degree=0):
             half = d // 2
             for a in range(half + 1):
                 unknowns.append((i, j, a, half - a))
-    if not unknowns:
+    return {u: k for k, u in enumerate(unknowns)}
+
+
+def _coefficients(mat, col_of, p=0, q=0):
+    """mat times a_s^p a_t^q, as a sparse vector over the unknowns col_of."""
+    vec = {}
+    for (i, j, a, b), k in col_of.items():
+        c = mat[i][j].terms.get((a - p, b - q))
+        if c:
+            vec[k] = c
+    return vec
+
+
+def hom_degree_basis(dom, cod, degree=0):
+    """K_m-basis of the intertwiners dom -> cod of one fixed degree.
+
+    Solved as a finite-dimensional linear system over K_m: each matrix
+    entry is a polynomial of a forced internal degree, so its monomial
+    coefficients are the unknowns.
+    """
+    field = dom.field
+    col_of = _unknowns(dom, cod, degree)
+    if not col_of:
         return []
-    col_of = {u: k for k, u in enumerate(unknowns)}
     rows = {}  # (x, r, c, mono) -> {col: scalar}
 
     def bump(key, col, val):
@@ -653,8 +593,7 @@ def hom_degree_basis(dom, cod, degree=0):
         row[col] = row.get(col, field.zero()) + val
 
     for x in LETTERS:
-        for (i, j, a, b) in unknowns:
-            col = col_of[(i, j, a, b)]
+        for (i, j, a, b), col in col_of.items():
             # term (cod.left[x] . Phi)[r][j] picks up left[x][r][i]*mono(a,b)
             for r in range(cod.rank):
                 f = cod.left[x][r][i]
@@ -666,7 +605,7 @@ def hom_degree_basis(dom, cod, degree=0):
                 for (p, q), cf in f.terms.items():
                     bump((x, i, c, (p + a, q + b)), col, -cf)
     vecs = linalg.sparse_kernel_basis(
-        (rows[key] for key in sorted(rows)), len(unknowns), field)
+        (rows[key] for key in sorted(rows)), len(col_of), field)
     out = []
     for vec in vecs:
         mat = mat_zero(field, cod.rank, dom.rank)

@@ -258,6 +258,27 @@ def class_of_bimodule(mod):
     return None if base is None else base.scale(Laurent.monomial(mod.shift))
 
 
+def hom_rank(dom, cod):
+    """Graded rank {degree: count} of the free right R-module Hom(dom, cod)
+    by Soergel's hom formula (Soergel 2007): epsilon(omega(h) h') times
+    v^(dom.shift - cod.shift) for the unshifted classes h, h', where omega
+    is the v-linear anti-involution delta_w -> delta_{w^-1}.
+
+    As epsilon(delta_{x^-1} delta_y) = [x = y] and omega is v-linear, the
+    shifted classes [dom] = v^dom.shift h and [cod] = v^cod.shift h' give
+    sum_w [dom]_w [cod]_w = v^(dom.shift + cod.shift) epsilon(omega(h) h'),
+    so the rank is that sum times v^(-2 cod.shift).  ValueError when either
+    module has no class.
+    """
+    h_dom, h_cod = class_of_bimodule(dom), class_of_bimodule(cod)
+    for mod, h in ((dom, h_dom), (cod, h_cod)):
+        if h is None:
+            raise ValueError("%r has no Hecke class" % (mod,))
+    total = sum((c * h_cod.coefficient(w) for w, c in h_dom.terms.items()),
+                Laurent())
+    return {e - 2 * cod.shift: c for e, c in total.terms.items()}
+
+
 def kl_multiplicities(h):
     """h in the KL basis, {y: Laurent}: n v^k counts n summands B_y(k) of a
     bimodule of class h (Soergel 2007); ValueError if some n < 0."""

@@ -14,7 +14,7 @@ from .bimodule import b_generator, hom_space, lift_columns, mat_neg, regular
 from .complexes import (complexes_isomorphic, minimal_form, rouquier_braid,
                         single_object, split_atoms, tensor_complex)
 from .homology import complex_homology
-from .modules import ModuleGB, column_degree
+from .modules import ModuleGB
 from .ring import RingElement, realization
 from .series import QSeries
 from .trace import pi_on_complex
@@ -200,8 +200,54 @@ def check_relative_serre(x_complex, m):
 # Hom complexes
 
 
+# Hom(atom, atom) up to shifts: shifting dom by k and cod by l moves every
+# generator degree by k - l and changes no matrix.
+_HOM_BLOCKS = {}
+
+
+def _hom_block(dom, cod):
+    """(generators, degrees) of hom_space(dom, cod), solved once per pair
+    of left actions and degrees relative to each module's lowest."""
+    lo_d, lo_c = min(dom.degrees), min(cod.degrees)
+    key = (dom.left["s"], dom.left["t"], cod.left["s"], cod.left["t"],
+           tuple(d - lo_d for d in dom.degrees),
+           tuple(d - lo_c for d in cod.degrees))
+    if key not in _HOM_BLOCKS:
+        hs = hom_space(dom, cod)
+        _HOM_BLOCKS[key] = hs.generators, [d + lo_d - lo_c
+                                           for d in hs.degrees]
+    gens, degrees = _HOM_BLOCKS[key]
+    return gens, [d - lo_d + lo_c for d in degrees]
+
+
+def _hom_generators(doms, cods):
+    """Generators of Hom(sum doms, sum cods), flattened row-major, and
+    their degrees: one hom block per atom pair, embedded at the atoms'
+    offsets."""
+    nd = sum(mod.rank for mod in doms)
+    nc = sum(mod.rank for mod in cods)
+    zero = RingElement.zero(doms[0].field)
+    gens, degrees = [], []
+    row = 0
+    for cod in cods:
+        col = 0
+        for dom in doms:
+            block, block_degrees = _hom_block(dom, cod)
+            for g in block:
+                vec = [zero] * (nc * nd)
+                for i in range(cod.rank):
+                    start = (row + i) * nd + col
+                    vec[start:start + dom.rank] = \
+                        g[i * dom.rank:(i + 1) * dom.rank]
+                gens.append(vec)
+            degrees.extend(block_degrees)
+            col += dom.rank
+        row += cod.rank
+    return gens, degrees
+
+
 class HomComplex:
-    """Total complex of hom_space blocks with D(f) = d_Y f - (-1)^n f d_X.
+    """Total complex of Hom(X^p, Y^q) with D(f) = d_Y f - (-1)^n f d_X.
 
     Components are free (Soergel inputs), so homology is computed through
     the presented-module machinery with empty relation sets.
@@ -213,77 +259,68 @@ class HomComplex:
         field = self.field
         xdeg = sorted(d for d, obs in x_complex.objects.items() if obs)
         ydeg = sorted(d for d, obs in y_complex.objects.items() if obs)
-        xobj = {p: x_complex.sum_object(p) for p in xdeg}
-        yobj = {q: y_complex.sum_object(q) for q in ydeg}
+        xrank = {p: sum(mod.rank for mod in x_complex.objects[p])
+                 for p in xdeg}
+        yrank = {q: sum(mod.rank for mod in y_complex.objects[q])
+                 for q in ydeg}
         xdif = {p: x_complex.sum_differential(p)
                 for p in xdeg if p in x_complex.diffs}
         ydif = {q: y_complex.sum_differential(q)
                 for q in ydeg if q in y_complex.diffs}
-        # components[n] = ordered list of (p, q, HomSpace, ModuleGB|None)
+        # components[n] = ordered list of (p, q, generators, ModuleGB|None,
+        # offset of the generators in degrees[n])
         self.components = {}
+        self.degrees = {}
         for p in xdeg:
             for q in ydeg:
-                hs = hom_space(xobj[p], yobj[q])
-                gb = ModuleGB(hs.generators, len(hs.position_degrees),
-                              field) if hs.generators else None
-                self.components.setdefault(q - p, []).append((p, q, hs, gb))
-        self.degrees = {}
-        for n, comps in self.components.items():
-            degs = []
-            for (_, _, hs, _) in comps:
-                degs.extend(column_degree(g, hs.position_degrees)
-                            for g in hs.generators)
-            self.degrees[n] = degs
+                gens, degs = _hom_generators(x_complex.objects[p],
+                                             y_complex.objects[q])
+                gb = ModuleGB(gens, xrank[p] * yrank[q],
+                              field) if gens else None
+                offset = len(self.degrees.setdefault(q - p, []))
+                self.components.setdefault(q - p, []).append(
+                    (p, q, gens, gb, offset))
+                self.degrees[q - p].extend(degs)
         self.maps = {}
         for n in sorted(self.components):
             if n + 1 not in self.components:
                 continue
-            mat = self._differential(n, xobj, xdif, ydif)
-            self.maps[n] = mat
+            self.maps[n] = self._differential(n, xrank, yrank, xdif, ydif)
 
-    def _component_offsets(self, n):
-        offs = {}
-        total = 0
-        for (p, q, hs, _) in self.components[n]:
-            offs[(p, q)] = total
-            total += len(hs.generators)
-        return offs, total
-
-    def _differential(self, n, xobj, xdif, ydif):
+    def _differential(self, n, xrank, yrank, xdif, ydif):
         """D from degree n to n + 1, as a matrix over R between the
         generators of the components."""
         field = self.field
         zero = RingElement.zero(field)
-        src_offs, src_total = self._component_offsets(n)
-        tgt_offs, tgt_total = self._component_offsets(n + 1)
-        tgt_gb = {(p, q): gb for (p, q, _, gb) in self.components[n + 1]}
-        mat = [[zero] * src_total for _ in range(tgt_total)]
-        for (p, q, hs, _) in self.components[n]:
-            if not hs.generators:
+        tgt = {(p, q): (gb, offset)
+               for (p, q, _, gb, offset) in self.components[n + 1]}
+        mat = [[zero] * len(self.degrees[n])
+               for _ in range(len(self.degrees[n + 1]))]
+        for (p, q, gens, _, col) in self.components[n]:
+            if not gens:
                 continue
-            nc, nd = hs.cod.rank, hs.dom.rank
+            nc, nd = yrank[q], xrank[p]
             # D acts on f flattened row-major: f[i][j] sits at i * nd + j
             ops = []
-            if q in ydif and (p, q + 1) in tgt_gb:
+            if q in ydif and (p, q + 1) in tgt:
                 dy = ydif[q].matrix  # d_Y f
                 ops.append(((p, q + 1), [
                     [dy[i][k] if j2 == j else zero
                      for k in range(nc) for j2 in range(nd)]
                     for i in range(len(dy)) for j in range(nd)]))
-            if p - 1 in xdif and (p - 1, q) in tgt_gb:
+            if p - 1 in xdif and (p - 1, q) in tgt:
                 dx = xdif[p - 1].matrix  # -(-1)^n f d_X
                 if n % 2 == 0:
                     dx = mat_neg(dx)
                 ops.append(((p - 1, q), [
                     [dx[k][j] if i2 == i else zero
                      for i2 in range(nc) for k in range(nd)]
-                    for i in range(nc) for j in range(xobj[p - 1].rank)]))
-            col = src_offs[(p, q)]
+                    for i in range(nc) for j in range(xrank[p - 1])]))
             for key, op in ops:
-                lifted = lift_columns(tgt_gb[key], op, hs.generators, field,
-                                      ArithmeticError)
+                gb, row0 = tgt[key]
+                lifted = lift_columns(gb, op, gens, field, ArithmeticError)
                 for i, row in enumerate(lifted):
-                    mat[tgt_offs[key] + i][col:col + len(row)] = row
+                    mat[row0 + i][col:col + len(row)] = row
         return mat
 
     def homology(self):
@@ -401,6 +438,7 @@ def check_equivalence_instance(m):
 
 
 def run_suite(name, m):
+    realization(m)  # refuses an m without a dihedral realization
     if name == "vanishing":
         return check_vanishing(m)
     if name == "pift":

@@ -11,7 +11,8 @@ import pytest
 import sympy as sp
 
 from dihedralcat.bimodule import (b_generator, bott_samelson,
-                                  find_isomorphism, hom_space, regular)
+                                  find_isomorphism, hom_degree_basis,
+                                  hom_space, regular)
 from dihedralcat.complexes import (indecomposable_b, rouquier_braid)
 from dihedralcat.hecke import (canonical_word, class_of_complex,
                                delta_product, euler_check, group_elements,
@@ -104,7 +105,7 @@ def test_criterion_06_relative_serre_duality(m):
         assert rep["witness"], name  # explicit isomorphism emitted
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", [2, 3, 4])
 def test_criterion_07_serre_duality_series(m):
     objs = serre_test_objects(m)
     for xname, xc in objs.items():
@@ -242,3 +243,13 @@ def test_criterion_11c_soergel_hom_formula(m):
             pairing = soergel_pairing(m, w, u)
             assert sorted(pairing.terms.items()) == \
                 sorted((q, c) for q, _, c in rank.terms()), (w, u)
+            # hom_space solves only the degrees the formula names; the
+            # whole slices check it everywhere: dim Hom^d is the Q^d
+            # coefficient of pairing / (1 - Q^2)^2
+            tags = [c - d for c in mod_u.degrees for d in mod_w.degrees]
+            for d in range(min(tags), max(tags) + 5):
+                want = sum(c * ((d - e) // 2 + 1)
+                           for e, c in pairing.terms.items()
+                           if d >= e and (d - e) % 2 == 0)
+                assert len(hom_degree_basis(mod_w, mod_u, d)) == want, \
+                    (w, u, d)

@@ -1,5 +1,7 @@
 """Oracle tests for Soergel bimodules and their morphisms."""
 
+from collections import Counter
+
 import pytest
 
 from dihedralcat.bimodule import (Bimodule, b_generator, bott_samelson,
@@ -8,6 +10,7 @@ from dihedralcat.bimodule import (Bimodule, b_generator, bott_samelson,
                                   hom_space, identity_morphism, invert_morphism,
                                   is_invertible, regular, tensor,
                                   tensor_morphism)
+from dihedralcat.hecke import hom_rank, kl_basis
 from dihedralcat.ring import LETTERS, realization
 from dihedralcat.series import QSeries
 
@@ -71,14 +74,53 @@ def test_soergel_hom_ranks_small(m):
         assert hom_space(bs, bt).graded_rank() == QSeries({2: 1}, 0)
 
 
+def _slice_dim(ranks, d):
+    """Q^d coefficient of sum_e ranks[e] Q^e / (1 - Q^2)^2: the dimension
+    in degree d of a free right R-module with ranks[e] generators in
+    degree e."""
+    return sum(c * ((d - e) // 2 + 1) for e, c in ranks.items()
+               if d >= e and (d - e) % 2 == 0)
+
+
 def test_hom_degree_basis_matches_hom_space():
     bs = b_generator(3, "s")
     full = hom_space(bs, bs)
     for d in (0, 2):
-        want = sum(1 for g in full.degrees if g == d)
         got = len(hom_degree_basis(bs, bs, d))
         # degree-d morphisms = generators of degree <= d times ring elements
-        assert got >= want
+        assert got == _slice_dim(Counter(full.degrees), d)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_hom_rank_of_shifted_atoms(m):
+    # the graded ranks of test_soergel_hom_ranks_small, moved by k - l
+    # for Hom(M(k), N(l)); R(k) -> R(l) is generated in degree k - l
+    bs, bt, r = b_generator(m, "s"), b_generator(m, "t"), regular(m)
+    cases = [(bs, bs, {0: 1, 2: 1}), (r, bs, {1: 1}), (bs, r, {1: 1}),
+             (bs, bt, {2: 1}), (r, r, {0: 1})]
+    for k, l in [(0, 0), (2, 0), (0, 3), (-1, 4)]:
+        for dom, cod, ranks in cases:
+            dom_k, cod_l = dom.shifted(k), cod.shifted(l)
+            want = {e + k - l: c for e, c in ranks.items()}
+            assert hom_rank(dom_k, cod_l) == want
+            assert Counter(hom_space(dom_k, cod_l).degrees) == want
+            for d in range(min(want) - 2, max(want) + 3):
+                assert len(hom_degree_basis(dom_k, cod_l, d)) == \
+                    _slice_dim(want, d)
+    assert hom_rank(regular(m, 3), regular(m, 1)) == {2: 1}
+
+
+def test_hom_space_refuses_a_missing_or_wrong_class():
+    summed, _, _ = direct_sum([b_generator(3, "s"), b_generator(3, "t")])
+    with pytest.raises(ValueError, match="no Hecke class"):
+        hom_space(summed, b_generator(3, "s"))
+    with pytest.raises(ValueError, match="no Hecke class"):
+        hom_space(regular(3), summed)
+    summed.product_class = kl_basis(3, "s") + kl_basis(3, "t")
+    assert Counter(hom_space(summed, summed).degrees) == {0: 2, 2: 4}
+    summed.product_class = kl_basis(3, "st")  # End would be 1 + 2Q^2 + Q^4
+    with pytest.raises(ArithmeticError, match="generators in degree 0"):
+        hom_space(summed, summed)
 
 
 def test_invertibility_and_neumann_inverse():

@@ -107,6 +107,12 @@ def test_serre_check_exit_codes(runner):
     assert bad.exit_code == 2  # click usage error
 
 
+@pytest.mark.parametrize("suite", ["vanishing", "pift", "relative", "full"])
+def test_serre_check_refuses_m_below_two(runner, suite):
+    res = runner.invoke(main, ["serre-check", "--suite", suite, "--m", "1"])
+    assert res.exit_code == 1
+
+
 def test_cache_round_trip(tmp_path, monkeypatch):
     monkeypatch.setenv("SOERGEL_CACHE", str(tmp_path / "cache"))
     cold = cached_simplified_complex("s t^-1", 3)

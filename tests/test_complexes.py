@@ -22,6 +22,7 @@ from dihedralcat.hecke import (Laurent, bs_class, class_of_bimodule,
                                class_of_complex, delta_product,
                                group_elements, kl_basis)
 from dihedralcat.homology import hhh
+from dihedralcat.serre import homology_series
 
 
 def test_rouquier_generator_shapes():
@@ -386,3 +387,5 @@ def test_split_rouquier_complexes_are_sound(tokens):
             assert mod.kl is not None or (mod.word is not None
                                           and len(mod.word) <= 1)
     assert class_of_complex(cplx) == delta_product(3, parse_braid(word))
+    raw = rouquier_braid(3, word, simplify=False)
+    assert homology_series(raw) == homology_series(cplx)
