@@ -31,17 +31,32 @@ def mat_identity(field, n):
 
 
 def mat_mul(a, b, field):
-    n, k = len(a), len(b)
-    m = len(b[0]) if k else 0
-    out = mat_zero(field, n, m)
-    for i in range(n):
-        for p in range(k):
-            x = a[i][p]
-            if not x:
+    """a times b over R.  Each entry is summed in one {exponent: scalar}
+    dict and wrapped once; zero rows of b are skipped."""
+    rows_b = [(p, [(j, y.terms.items()) for j, y in enumerate(row) if y])
+              for p, row in enumerate(b)]
+    rows_b = [(p, row) for p, row in rows_b if row]
+    zero_row = [RingElement.zero(field)] * (len(b[0]) if b else 0)
+    out = []
+    for row_a in a:
+        acc = {}
+        for p, row_b in rows_b:
+            xt = row_a[p].terms.items()
+            if not xt:
                 continue
-            for j in range(m):
-                if b[p][j]:
-                    out[i][j] = out[i][j] + x * b[p][j]
+            for j, yt in row_b:
+                d = acc.get(j)
+                if d is None:
+                    d = acc[j] = {}
+                for (i1, j1), c1 in xt:
+                    for (i2, j2), c2 in yt:
+                        e = (i1 + i2, j1 + j2)
+                        c = c1 * c2
+                        d[e] = d[e] + c if e in d else c
+        row = list(zero_row)
+        for j, d in acc.items():
+            row[j] = RingElement(field, d)
+        out.append(row)
     return out
 
 
@@ -104,7 +119,7 @@ class Bimodule:
     """
 
     __slots__ = ("real", "rank", "degrees", "left", "word", "shift", "kl",
-                 "product_class", "_pow_cache")
+                 "product_class")
 
     def __init__(self, real, degrees, left_s, left_t, word=None, shift=0,
                  kl=None, check=True):
@@ -117,7 +132,6 @@ class Bimodule:
         self.shift = shift
         self.kl = tuple(kl) if kl is not None else None
         self.product_class = None
-        self._pow_cache = {}
         if check:
             self._validate()
 
@@ -147,25 +161,29 @@ class Bimodule:
         return self.real.m
 
     def left_action_of(self, f):
-        """Matrix of left multiplication by f in R."""
-        field = self.field
-        out = mat_zero(field, self.rank, self.rank)
-        for (i, j), c in f.terms.items():
-            p = self._power("s", i)
-            q = self._power("t", j)
-            term = mat_scale(mat_mul(p, q, field), RingElement.constant(field, 0) + c)
-            out = mat_add(out, term)
-        return out
+        """Matrix of left multiplication by f in R, as fresh lists."""
+        key = (self.left["s"], self.left["t"], f)
+        rows = _LEFT_ACTION.get(key)
+        if rows is None:
+            rows = _LEFT_ACTION[key] = self._left_action(f)
+        return [list(row) for row in rows]
 
-    def _power(self, x, k):
-        key = (x, k)
-        if key not in self._pow_cache:
-            if k == 0:
-                self._pow_cache[key] = mat_identity(self.field, self.rank)
-            else:
-                self._pow_cache[key] = mat_mul(
-                    self._power(x, k - 1), self.left[x], self.field)
-        return self._pow_cache[key]
+    def _left_action(self, f):
+        """The sum of c s^i t^j over the terms c a_s^i a_t^j of f."""
+        field, n = self.field, self.rank
+        pows = {x: [mat_identity(field, n), self.left[x]] for x in LETTERS}
+        monos = []
+        for i, j in f.terms:
+            for x, k in (("s", i), ("t", j)):
+                while len(pows[x]) <= k:
+                    pows[x].append(mat_mul(pows[x][-1], self.left[x], field))
+            mono = mat_mul(pows["s"][i], pows["t"][j], field) if i and j \
+                else pows["s"][i] if i else pows["t"][j]
+            monos.append([g for row in mono for g in row])
+        coeffs = [RingElement(field, {(0, 0): c}) for c in f.terms.values()]
+        flat = mat_mul([coeffs], monos, field)[0] if monos else \
+            mat_zero(field, 1, n * n)[0]
+        return tuple(tuple(flat[r * n:(r + 1) * n]) for r in range(n))
 
     def shifted(self, k):
         """M(k): internal grading shifted down by k."""
@@ -272,34 +290,21 @@ def b_generator(m, letter, shift=0):
                     word=(letter,), shift=shift, check=False)
 
 
+# Left actions of f in R, keyed on (left_s, left_t, f): shifts change none.
+_LEFT_ACTION = {}
+
 # {x: left_x} of tensor products, keyed on the factors' left actions: a
 # grading shift of either factor changes its degrees, not these matrices.
 _TENSOR_LEFT = {}
 
 
 def _tensor_left(mod_a, mod_b):
+    """left_x of mod_a (x) mod_b is left_x of mod_a tensored with id."""
     key = (mod_a.left["s"], mod_a.left["t"], mod_b.left["s"], mod_b.left["t"])
-    if key in _TENSOR_LEFT:
-        return _TENSOR_LEFT[key]
-    field = mod_a.field
-    ra, rb = mod_a.rank, mod_b.rank
-    left = {}
-    for x in LETTERS:
-        mat = mat_zero(field, ra * rb, ra * rb)
-        for k in range(ra):
-            for i in range(ra):
-                f = mod_a.left[x][k][i]
-                if not f:
-                    continue
-                act = mod_b.left_action_of(f)
-                for l in range(rb):
-                    for j in range(rb):
-                        if act[l][j]:
-                            mat[k * rb + l][i * rb + j] = \
-                                mat[k * rb + l][i * rb + j] + act[l][j]
-        left[x] = mat
-    _TENSOR_LEFT[key] = left
-    return left
+    if key not in _TENSOR_LEFT:
+        _TENSOR_LEFT[key] = {x: tensor_id_matrix(BimoduleMorphism(
+            mod_a, mod_a, mod_a.left[x], check=False), mod_b) for x in LETTERS}
+    return _TENSOR_LEFT[key]
 
 
 def tensor(mod_a, mod_b):
@@ -427,23 +432,30 @@ def tensor_morphism(f, g):
 
 
 def tensor_matrix(f, g):
-    """The matrix of f (x) g, for callers that already hold its endpoints."""
-    field = f.dom.field
-    rb_dom, rb_cod = g.dom.rank, g.cod.rank
-    mat = mat_zero(field, f.cod.rank * rb_cod, f.dom.rank * rb_dom)
-    for k in range(f.cod.rank):
-        for i in range(f.dom.rank):
-            p = f.matrix[k][i]
-            if not p:
-                continue
-            act = g.cod.left_action_of(p)
-            # left-move p across the tensor, then apply g
-            block = mat_mul(act, g.matrix, field)
-            for l in range(rb_cod):
-                for j in range(rb_dom):
-                    if block[l][j]:
-                        mat[k * rb_cod + l][i * rb_dom + j] = \
-                            mat[k * rb_cod + l][i * rb_dom + j] + block[l][j]
+    """f (x) g = (f (x) id) . (id (x) g), for callers holding its endpoints."""
+    return mat_mul(tensor_id_matrix(f, g.cod), id_tensor_matrix(f.dom, g),
+                   f.dom.field)
+
+
+def tensor_id_matrix(f, mod):
+    """f (x) id_mod: block (k, i) is the left action of f[k][i] on mod."""
+    n = mod.rank
+    mat = mat_zero(f.dom.field, f.cod.rank * n, f.dom.rank * n)
+    for k, row in enumerate(f.matrix):
+        for i, p in enumerate(row):
+            if p:
+                for l, act in enumerate(mod.left_action_of(p)):
+                    mat[k * n + l][i * n:(i + 1) * n] = act
+    return mat
+
+
+def id_tensor_matrix(mod, g):
+    """id_mod (x) g: g on every diagonal block."""
+    rd, rc = g.dom.rank, g.cod.rank
+    mat = mat_zero(g.dom.field, mod.rank * rc, mod.rank * rd)
+    for k in range(mod.rank):
+        for l, row in enumerate(g.matrix):
+            mat[k * rc + l][k * rd:(k + 1) * rd] = row
     return mat
 
 

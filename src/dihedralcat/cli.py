@@ -19,7 +19,8 @@ import click
 
 from .complexes import ChainComplex, parse_braid, rouquier_braid
 
-NORMALIZATION_VERSION = 2
+# Cache keys hash this tag and the package sources (_source_digest).
+CACHE_FORMAT = "chaincomplex-json-1"
 
 
 # ---------------------------------------------------------------------------
@@ -35,9 +36,19 @@ def cache_dir():
     return root
 
 
+def _source_digest():
+    """sha256 of the package's .py sources, by file name."""
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(n for n in os.listdir(pkg) if n.endswith(".py")):
+        with open(os.path.join(pkg, name), "rb") as fh:
+            digest.update(name.encode() + b"\0" + fh.read() + b"\0")
+    return digest.hexdigest()
+
+
 def _cache_key(braid, m):
     canon = " ".join("%s^%d" % (letter, sign) for letter, sign in braid)
-    payload = "v%d|m%d|%s" % (NORMALIZATION_VERSION, m, canon)
+    payload = "%s|%s|m%d|%s" % (CACHE_FORMAT, _source_digest(), m, canon)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 

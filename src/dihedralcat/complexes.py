@@ -14,10 +14,12 @@ from functools import lru_cache
 from . import bimodule, linalg
 from .bimodule import (Bimodule, BimoduleMorphism, b_generator, bott_samelson,
                        direct_sum, dot_in, dot_out, hom_degree_basis,
-                       identity_morphism, invert_morphism, is_invertible,
-                       lift_columns, mat_identity, mat_mul, mat_neg, mat_sub,
-                       mat_zero, poly_from_json, poly_to_json, regular,
-                       split_summand, tensor, tensor_matrix)
+                       id_tensor_matrix, identity_morphism, invert_morphism,
+                       is_invertible, lift_columns, mat_identity, mat_mul,
+                       mat_neg, mat_sub, mat_zero, poly_from_json,
+                       poly_to_json, regular, split_summand, tensor,
+                       tensor_id_matrix)
+from .field import _minimal_poly_2cos, field_for
 from .hecke import (Laurent, class_of_bimodule, group_elements,
                     kl_multiplicities)
 from .modules import ModuleGB
@@ -212,7 +214,9 @@ def single_object(m, mod, degree=0):
 # Rouquier complexes
 
 
+@lru_cache(maxsize=None)
 def rouquier(m, letter, sign=1):
+    """F_letter^sign, built once: callers share it and must not change it."""
     if sign == 1:
         bs = b_generator(m, letter)
         r1 = regular(m, 1)
@@ -281,24 +285,22 @@ def tensor_complex(c1, c2):
         if n + 1 in objects:
             diffs[n] = [[None] * len(objects[n])
                         for _ in range(len(objects[n + 1]))]
-    # Each block's matrix is tensor_matrix of the factors' blocks; its
-    # endpoints are the atoms built above, not fresh tensor products.
+    # Each block's matrix is d (x) id or id (x) d for a block d of a factor;
+    # its endpoints are the atoms built above, not fresh tensor products.
     for (p, i, q, j), (n, col) in index.items():
         if n not in diffs:
             continue
         blocks = diffs[n]
         terms = []
         if p in c1.diffs:
-            ident = identity_morphism(c2.objects[q][j])
             for r, row in enumerate(c1.diffs[p]):
                 if row[i] is not None:
                     terms.append((index[(p + 1, r, q, j)][1], row[i].degree,
-                                  tensor_matrix(row[i], ident)))
+                                  tensor_id_matrix(row[i], c2.objects[q][j])))
         if q in c2.diffs:
-            ident = identity_morphism(c1.objects[p][i])
             for r, row in enumerate(c2.diffs[q]):
                 if row[j] is not None:
-                    mat = tensor_matrix(ident, row[j])
+                    mat = id_tensor_matrix(c1.objects[p][i], row[j])
                     if p % 2:  # Koszul sign
                         mat = mat_neg(mat)
                     terms.append((index[(p, i, q + 1, r)][1], row[j].degree,
@@ -575,11 +577,16 @@ _SPLITTINGS = {}
 
 
 def clear_caches():
-    """Forget every memoized tensor product, splitting and B_w.  No answer
-    depends on them; this gives tests and benchmarks a cold start."""
-    bimodule._TENSOR_LEFT.clear()
-    _SPLITTINGS.clear()
-    indecomposable_b.cache_clear()
+    """Empty every memo and lru_cache of the package.  No answer depends on
+    them; this gives tests and benchmarks a cold start."""
+    from . import serre  # serre imports this module
+    for memo in (bimodule._LEFT_ACTION, bimodule._TENSOR_LEFT, _SPLITTINGS,
+                 serre._HOM_BLOCKS):
+        memo.clear()
+    for cached in (indecomposable_b, rouquier, serre.full_twist,
+                   serre.full_twist_inverse, serre.ft_over_t, realization,
+                   field_for, _minimal_poly_2cos):
+        cached.cache_clear()
 
 
 def decompose_bimodule(mod):
@@ -627,14 +634,13 @@ def decompose_bimodule(mod):
 
 def split_atoms(cplx):
     """Replace every atom by its indecomposable summands (KL-tagged)."""
-    pieces = {}  # degree -> [(source index, atom, incl, proj)]
+    pieces = {}  # degree -> [(source index, atom, incl, proj)], None: id
     for d, obs in cplx.objects.items():
         lst = []
         for src, mod in enumerate(obs):
             if mod.kl is not None or (mod.word is not None
                                       and len(mod.word) <= 1):
-                lst.append((src, mod, identity_morphism(mod),
-                            identity_morphism(mod)))
+                lst.append((src, mod, None, None))
                 continue
             for atom, incl, proj in decompose_bimodule(mod):
                 lst.append((src, atom, incl, proj))
@@ -644,14 +650,15 @@ def split_atoms(cplx):
     for d, blocks in cplx.diffs.items():
         rows = []
         for (ro, _, _, prj) in pieces[d + 1]:
+            # prj . blk once per source atom, then . inc once per piece
+            left = [blk if blk is None or prj is None else prj.compose(blk)
+                    for blk in blocks[ro]]
             row = []
             for (co, _, inc, _) in pieces[d]:
-                blk = blocks[ro][co]
-                if blk is None:
-                    row.append(None)
-                else:
-                    comp = prj.compose(blk).compose(inc)
-                    row.append(comp if comp else None)
+                comp = left[co]
+                if comp is not None and inc is not None:
+                    comp = comp.compose(inc)
+                row.append(comp if comp else None)
             rows.append(row)
         diffs[d] = rows
     return ChainComplex(cplx.m, objects, diffs, check=False)

@@ -97,7 +97,7 @@ def test_criterion_05_pift_minimal_form(m):
     assert check_pift(m)["status"] == "pass"
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", [2, 3, 4])
 def test_criterion_06_relative_serre_duality(m):
     for name, cplx in serre_test_objects(m).items():
         rep = check_relative_serre(cplx, m)

@@ -3,16 +3,22 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dihedralcat.bimodule import (Bimodule, b_generator, bott_samelson,
                                   direct_sum, dot_in, dot_out, dualize_D,
                                   find_isomorphism, hom_degree_basis,
-                                  hom_space, identity_morphism, invert_morphism,
-                                  is_invertible, regular, tensor,
+                                  hom_space, id_tensor_matrix,
+                                  identity_morphism, invert_morphism,
+                                  is_invertible, mat_mul, regular, tensor,
+                                  tensor_id_matrix, tensor_matrix,
                                   tensor_morphism)
+from dihedralcat.field import FieldScalar, field_for
 from dihedralcat.hecke import hom_rank, kl_basis
-from dihedralcat.ring import LETTERS, realization
+from dihedralcat.ring import LETTERS, RingElement, realization
 from dihedralcat.series import QSeries
+from dihedralcat.trace import rho_endomorphism
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -31,7 +37,6 @@ def test_left_action_is_ring_homomorphism(m):
     bs = b_generator(m, "s")
     f = real.alpha["s"] * real.alpha["t"] + real.alpha["t"]
     g = real.alpha["s"]
-    from dihedralcat.bimodule import mat_mul
     lf = bs.left_action_of(f)
     lg = bs.left_action_of(g)
     assert bs.left_action_of(f * g) == mat_mul(lf, lg, real.field)
@@ -156,6 +161,74 @@ def test_tensor_morphism_functorial():
     g2 = dot_in(m, "t")
     comp = tensor_morphism(f, g.compose(g2))
     assert comp == fg.compose(tensor_morphism(f, g2))
+
+
+def _naive_mat_mul(a, b, field):
+    """The reference product: a triple sum of RingElement products."""
+    ncols = len(b[0]) if b else 0
+    return [[sum((a[i][p] * b[p][j] for p in range(len(b))),
+                 RingElement.zero(field)) for j in range(ncols)]
+            for i in range(len(a))]
+
+
+def _ring_elements(field):
+    """Sparse elements of R: up to three terms, often none."""
+    coeffs = st.lists(st.fractions(-3, 3, max_denominator=3),
+                      min_size=field.degree, max_size=field.degree)
+    terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                            coeffs.map(lambda c: FieldScalar(field, c)),
+                            max_size=3)
+    return st.one_of(st.just({}), terms).map(
+        lambda t: RingElement(field, t))
+
+
+@pytest.mark.parametrize("m", [3, 5])  # K_3 = Q; K_5 has degree 2
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_mat_mul_matches_the_naive_triple_sum(m, data):
+    field = field_for(m)
+    n, k, ncols = (data.draw(st.integers(0, 4)) for _ in range(3))
+    elems = _ring_elements(field)
+    a = [[data.draw(elems) for _ in range(k)] for _ in range(n)]
+    zero_rows = data.draw(st.sets(st.integers(0, max(k - 1, 0))))
+    b = [[RingElement.zero(field) if p in zero_rows else data.draw(elems)
+          for _ in range(ncols)] for p in range(k)]
+    assert mat_mul(a, b, field) == _naive_mat_mul(a, b, field)
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_mat_mul_of_empty_shapes(m):
+    field = field_for(m)
+    one = RingElement.constant(field, 1)
+    # a product has len(a) rows and len(b[0]) columns, none when b is empty
+    assert mat_mul([[], []], [], field) == [[], []]       # a is 2x0
+    assert mat_mul([], [[one, one]], field) == []          # a is 0x1
+    assert mat_mul([[one, one]], [[], []], field) == [[]]  # b is 2x0
+
+
+def test_left_action_memo_is_safe_to_write_and_free_of_shifts():
+    mod = tensor(b_generator(3, "s"), b_generator(3, "t"))
+    rho = mod.real.rho["s"]
+    want = [list(row) for row in mod.left_action_of(rho)]
+    scratch = mod.left_action_of(rho)
+    scratch[0][0] = scratch[0][0] - rho
+    scratch[1] = []
+    assert mod.left_action_of(rho) == want
+    assert rho_endomorphism(mod, "s") == rho_endomorphism(mod, "s")
+    for k in (-3, 2):
+        assert mod.shifted(k).left_action_of(rho) == want
+
+
+def test_identity_tensor_helpers_match_tensor_matrix():
+    m = 3
+    maps = [dot_out(m, "s"), dot_in(m, "t"),
+            *hom_degree_basis(b_generator(m, "s"), b_generator(m, "s"), 2)]
+    mods = [regular(m, 1), b_generator(m, "t"), bott_samelson(m, "st")]
+    for f in maps:
+        for mod in mods:
+            ident = identity_morphism(mod)
+            assert tensor_id_matrix(f, mod) == tensor_matrix(f, ident)
+            assert id_tensor_matrix(mod, f) == tensor_matrix(ident, f)
 
 
 def test_direct_sum_projections():

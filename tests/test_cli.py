@@ -5,7 +5,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from dihedralcat import cli
 from dihedralcat.cli import cached_simplified_complex, main
+from dihedralcat.complexes import parse_braid
 
 
 @pytest.fixture()
@@ -124,3 +126,16 @@ def test_cache_round_trip(tmp_path, monkeypatch):
     files[0].write_text("{not json")
     again = cached_simplified_complex("s t^-1", 3)
     assert again.graded_atom_profile() == cold.graded_atom_profile()
+
+
+def test_cache_key_is_stable_for_one_braid_and_m():
+    key = cli._cache_key(parse_braid("s t^-1"), 3)
+    assert cli._cache_key(parse_braid("s t^-1"), 3) == key
+    assert cli._cache_key(parse_braid("s t^-1"), 4) != key
+
+
+def test_cache_key_changes_with_the_sources(monkeypatch):
+    braid = parse_braid("s t^-1")
+    key = cli._cache_key(braid, 3)
+    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+    assert cli._cache_key(braid, 3) != key

@@ -1,14 +1,18 @@
 """Tests for Rouquier complexes, tensor products and minimal forms."""
 
 import hashlib
+import importlib
 import json
+import pkgutil
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dihedralcat import bimodule, complexes
+import dihedralcat
+from dihedralcat import bimodule, complexes, serre
 from dihedralcat.bimodule import (Bimodule, b_generator, bott_samelson,
                                   direct_sum, hom_degree_basis,
                                   identity_morphism, tensor)
@@ -389,3 +393,55 @@ def test_split_rouquier_complexes_are_sound(tokens):
     assert class_of_complex(cplx) == delta_product(3, parse_braid(word))
     raw = rouquier_braid(3, word, simplify=False)
     assert homology_series(raw) == homology_series(cplx)
+
+
+def _package_memos():
+    """{name: size} of every lru_cache and every module-level _UPPER dict
+    in the package."""
+    sizes = {}
+    for info in pkgutil.iter_modules(dihedralcat.__path__):
+        module = importlib.import_module("dihedralcat." + info.name)
+        for name, value in vars(module).items():
+            key = "%s.%s" % (info.name, name)
+            if hasattr(value, "cache_info"):
+                sizes[key] = value.cache_info().currsize
+            elif isinstance(value, dict) and re.fullmatch(r"_[A-Z_]+", name):
+                sizes[key] = len(value)
+    return sizes
+
+
+def test_clear_caches_empties_every_memo():
+    objs = serre.serre_test_objects(2)
+    serre.hom_complex(objs["F_s"], objs["F_sF_t"])
+    for twist in (serre.full_twist, serre.full_twist_inverse, serre.ft_over_t):
+        twist(2)
+    decompose_bimodule(bott_samelson(2, "ss"))
+    indecomposable_b(2, "st")
+    before = _package_memos()
+    assert {"bimodule._LEFT_ACTION", "bimodule._TENSOR_LEFT",
+            "complexes._SPLITTINGS", "serre._HOM_BLOCKS", "complexes.rouquier",
+            "serre.full_twist", "serre.ft_over_t"} <= set(before)
+    assert all(before.values()), before
+    complexes.clear_caches()
+    assert not any(_package_memos().values())
+
+
+def test_rouquier_braids_agree_cold_and_warm():
+    # the 50 words of criterion 08a, with every memo filled by all of them
+    # and each from a cold start
+    rng = random.Random(20240401)
+    tokens = ["s", "t", "s^-1", "t^-1"]
+    words = [" ".join(rng.choice(tokens) for _ in range(rng.randint(1, 6)))
+             for _ in range(50)]
+
+    def summary(word):
+        cplx = rouquier_braid(3, word, split=True)
+        return repr(cplx), cplx.to_json()
+
+    complexes.clear_caches()
+    for word in words:
+        summary(word)
+    warm = [summary(word) for word in words]
+    for word, want in zip(words, warm):
+        complexes.clear_caches()
+        assert summary(word) == want, word
