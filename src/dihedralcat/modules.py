@@ -9,6 +9,10 @@ Internally vectors are flat sparse maps {(position, i, j): FieldScalar}.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+from itertools import islice
+
+from .linalg import Echelon
 from .ring import RingElement
 
 
@@ -36,18 +40,17 @@ def _lm(vec):
     return max(vec, key=_key)
 
 
-def _mono_mul(mono, di, dj):
-    return (mono[0], mono[1] + di, mono[2] + dj)
-
-
-def _axpy(target, coeff, di, dj, source):
-    """target -= coeff * x^di y^dj * source, in place."""
-    for mono, c in source.items():
-        key = _mono_mul(mono, di, dj)
+def _axpy(target, coeff, di, dj, items, heap=None):
+    """target -= coeff * x^di y^dj * (the (mono, c) items), in place.  A
+    monomial new to target is pushed on heap, when one is given."""
+    for (pos, i, j), c in items:
+        key = (pos, i + di, j + dj)
         cur = target.get(key)
         val = c * coeff
         if cur is None:
             target[key] = -val
+            if heap is not None:
+                heappush(heap, (pos, -key[1] - key[2], -key[1], key))
         else:
             cur = cur - val
             if cur:
@@ -56,12 +59,23 @@ def _axpy(target, coeff, di, dj, source):
                 del target[key]
 
 
+def _tail(vec):
+    """The items of a monic basis vector after its leading term."""
+    return islice(vec.items(), 1, None)
+
+
 class ModuleGB:
     """Groebner data for the column span of a matrix inside R^rank.
 
     Augmented with tracking positions so that lifts and syzygies come for
     free: generator j is stored as (column_j, e_j) with the main block
     dominating the tracking block in the term order.
+
+    Basis vectors are monic, with their leading monomial stored as the
+    first key; S-pairs are formed within one position only and pruned by
+    the Gebauer-Moller criteria B, M and F (the product criterion does not
+    hold for modules).  The result is the reduced basis, sorted by leading
+    monomial, which is unique for the term order.
     """
 
     def __init__(self, columns, rank, field):
@@ -71,121 +85,134 @@ class ModuleGB:
         gens = []
         for jcol, col in enumerate(columns):
             v = vec_from_column(col)
-            w = {(rank + jcol, 0, 0): field.one()}
-            v.update(w)
+            v[(rank + jcol, 0, 0)] = field.one()
             gens.append(v)
-        self._basis = []
-        self._by_pos = {}
+        self._basis, self._lms, self._by_pos = [], [], {}
         self._run_buchberger(gens)
-        self.image_basis = [g for g in self._basis if _lm(g)[0] < rank]
+        tops = list(zip(self._lms, self._basis))
+        self.image_basis = [g for lm, g in tops if lm[0] < rank]
         self.syzygy_vectors = [
             {(m[0] - rank, m[1], m[2]): c for m, c in g.items()}
-            for g in self._basis if _lm(g)[0] >= rank
-        ]
+            for lm, g in tops if lm[0] >= rank]
 
     # -- construction ---------------------------------------------------
 
     def _add_basis(self, v):
-        idx = len(self._basis)
+        """Store a normal form v (leading monomial first), made monic."""
+        lm = next(iter(v))
+        lc = v[lm]
+        if lc != self.field.one():
+            inv = lc.inverse()
+            v = {m: c * inv for m, c in v.items()}
         self._basis.append(v)
-        self._by_pos.setdefault(_lm(v)[0], []).append(idx)
-        return idx
+        self._lms.append(lm)
+        self._by_pos.setdefault(lm[0], []).append((lm[1], lm[2], v))
+        return len(self._basis) - 1
 
     def _run_buchberger(self, gens):
-        pairs = []
+        pairs = []  # heap of (degree, b, a, pos, lcm i, lcm j)
+        live = {}   # position -> basis indices whose lm no later lm divides
         for g in sorted(gens, key=lambda v: _key(_lm(v)), reverse=True):
             g = self._reduce(g)
             if g:
-                self._spawn_pairs(pairs, g)
+                pairs = self._update(pairs, live, g)
         while pairs:
-            pairs.sort(key=lambda p: p[0])
-            deg, ia, ib = pairs.pop(0)
-            s = self._spoly(self._basis[ia], self._basis[ib])
-            s = self._reduce(s)
+            _, ib, ia, _, li, lj = heappop(pairs)
+            s = self._reduce(self._spoly(ia, ib, li, lj))
             if s:
-                self._spawn_pairs(pairs, s)
-        self._interreduce()
+                pairs = self._update(pairs, live, s)
+        lms = self._lms
+        order = sorted((k for ks in live.values() for k in ks),
+                       key=lambda k: _key(lms[k]))
+        self._interreduce([self._basis[k] for k in order])
 
-    def _spawn_pairs(self, pairs, v):
-        lm = _lm(v)
-        idx = self._add_basis(v)
-        for other in self._by_pos.get(lm[0], []):
-            if other == idx:
+    def _update(self, pairs, live, v):
+        """Insert v; return the pair queue pruned by the Gebauer-Moller
+        criteria, with v's new pairs."""
+        h = self._add_basis(v)
+        lms = self._lms
+        pos, hi, hj = lms[h]
+        kept = []
+        for pair in pairs:
+            # B: drop (a, b) when lm(h) divides its lcm L and neither
+            # lcm(a, h) nor lcm(b, h) equals L
+            _, b, a, ppos, li, lj = pair
+            if ppos == pos and hi <= li and hj <= lj \
+                    and (max(lms[a][1], hi), max(lms[a][2], hj)) != (li, lj) \
+                    and (max(lms[b][1], hi), max(lms[b][2], hj)) != (li, lj):
                 continue
-            om = _lm(self._basis[other])
-            li = max(lm[1], om[1])
-            lj = max(lm[2], om[2])
-            pairs.append((li + lj, other, idx))
+            kept.append(pair)
+        group = live.setdefault(pos, [])
+        lcms = {}
+        for g in group:  # F: one new pair per lcm
+            lcms.setdefault((max(lms[g][1], hi), max(lms[g][2], hj)), g)
+        for (li, lj), g in lcms.items():  # M: no other new lcm divides it
+            if not any(a <= li and b <= lj and (a, b) != (li, lj)
+                       for a, b in lcms):
+                kept.append((li + lj, h, g, pos, li, lj))
+        live[pos] = [g for g in group
+                     if not (hi <= lms[g][1] and hj <= lms[g][2])] + [h]
+        heapify(kept)
+        return kept
 
-    def _spoly(self, a, b):
-        ma, mb = _lm(a), _lm(b)
-        li, lj = max(ma[1], mb[1]), max(ma[2], mb[2])
-        ca, cb = a[ma], b[mb]
-        out = {}
-        _axpy(out, -ca.inverse(), li - ma[1], lj - ma[2], a)
-        _axpy(out, cb.inverse(), li - mb[1], lj - mb[2], b)
+    def _spoly(self, ia, ib, li, lj):
+        (_, ai, aj), (_, bi, bj) = self._lms[ia], self._lms[ib]
+        di, dj = li - ai, lj - aj
+        out = {(p, i + di, j + dj): c
+               for (p, i, j), c in _tail(self._basis[ia])}
+        _axpy(out, self.field.one(), li - bi, lj - bj, _tail(self._basis[ib]))
         return out
 
-    def _reduce(self, v):
-        """Full normal form of v against the current basis."""
-        v = dict(v)
-        remainder = {}
-        while v:
-            mono = _lm(v)
-            red = None
-            for idx in self._by_pos.get(mono[0], ()):
-                bm = _lm(self._basis[idx])
-                if bm[1] <= mono[1] and bm[2] <= mono[2]:
-                    red = self._basis[idx]
-                    break
-            if red is None:
-                remainder[mono] = v.pop(mono)
-            else:
-                bm = _lm(red)
-                coeff = v[mono] * red[bm].inverse()
-                _axpy(v, coeff, mono[1] - bm[1], mono[2] - bm[2], red)
-        remainder.update(v)
-        return remainder
+    def _reducer(self, mono):
+        """(i, j, vector) of the first basis vector whose leading monomial
+        x^i y^j e_pos divides mono, or None."""
+        _, i, j = mono
+        for red in self._by_pos.get(mono[0], ()):
+            if red[0] <= i and red[1] <= j:
+                return red
+        return None
 
-    def _interreduce(self):
-        basis = sorted(self._basis, key=lambda v: _key(_lm(v)))
-        self._basis, self._by_pos = [], {}
+    def _reduce(self, v, stop=None):
+        """Normal form of v (consumed) against the basis, leading monomial
+        first.  With stop given, reduction ends at the first leading term
+        at a position >= stop and returns what is left of v; it returns
+        None at an irreducible term below stop."""
+        heap = [(m[0], -m[1] - m[2], -m[1], m) for m in v]
+        heapify(heap)
+        out = {}
+        while heap:
+            mono = heappop(heap)[3]
+            c = v.get(mono)
+            if c is None:
+                continue
+            if stop is not None and mono[0] >= stop:
+                break
+            del v[mono]
+            red = self._reducer(mono)
+            if red is not None:
+                bi, bj, b = red
+                _axpy(v, c, mono[1] - bi, mono[2] - bj, _tail(b), heap)
+            elif stop is None:
+                out[mono] = c
+            else:
+                return None
+        return out if stop is None else v
+
+    def _interreduce(self, basis):
+        """Reduce the tails of a minimal basis sorted by leading monomial."""
+        self._basis, self._lms, self._by_pos = [], [], {}
         for v in basis:
-            v = self._reduce(v)
-            if v:
-                # normalize leading coefficient
-                lc = v[_lm(v)]
-                if lc != self.field.one():
-                    inv = lc.inverse()
-                    v = {m: c * inv for m, c in v.items()}
-                self._add_basis(v)
+            self._add_basis(self._reduce(v))
 
     # -- queries --------------------------------------------------------
 
     def lift_vec(self, vec):
         """Coefficients c with M*c = vec, or None if vec is not in the span."""
-        v = dict(vec)
-        coeffs = {}
-        while v:
-            mono = _lm(v)
-            if mono[0] >= self.rank:
-                # pure tracking part: this is the certificate
-                break
-            red = None
-            for idx in self._by_pos.get(mono[0], ()):
-                bm = _lm(self._basis[idx])
-                if bm[1] <= mono[1] and bm[2] <= mono[2]:
-                    red = self._basis[idx]
-                    break
-            if red is None:
-                return None
-            bm = _lm(red)
-            coeff = v[mono] * red[bm].inverse()
-            _axpy(v, coeff, mono[1] - bm[1], mono[2] - bm[2], red)
-        for (pos, i, j), c in v.items():
-            if pos < self.rank:
-                return None
-            coeffs[(pos - self.rank, i, j)] = -c
+        rest = self._reduce(dict(vec), stop=self.rank)
+        if rest is None:
+            return None
+        coeffs = {(pos - self.rank, i, j): -c
+                  for (pos, i, j), c in rest.items()}
         return column_from_vec(coeffs, self.ncols, self.field)
 
     def lift(self, column):
@@ -202,9 +229,9 @@ class ModuleGB:
     def image_leading_monomials(self):
         """Per-position monomial generators of the leading-term module."""
         out = {}
-        for g in self.image_basis:
-            pos, i, j = _lm(g)
-            out.setdefault(pos, []).append((i, j))
+        for pos, i, j in self._lms:
+            if pos < self.rank:
+                out.setdefault(pos, []).append((i, j))
         return out
 
 
@@ -223,33 +250,31 @@ def matrix_kernel(matrix, field):
     return kernel(cols, nrows, field)
 
 
-def minimalize_columns(columns, rank, field, degrees=None):
-    """A minimal generating subset of the given (homogeneous) columns.
+def minimalize_columns(columns, rank, field, degrees):
+    """A minimal generating subset of the given homogeneous columns, whose
+    positions have the given degrees; ValueError on an inhomogeneous one.
 
-    Columns are processed by ascending generator degree (graded Nakayama);
-    a column already in the span of the kept ones is dropped.
+    Columns are taken by ascending degree (graded Nakayama): one is dropped
+    when it lies in the K_m-span of the monomial multiples of the kept
+    columns in its degree, one Echelon per degree.
     """
-    if not columns:
-        return []
-
-    def coldeg(col):
-        degs = set()
-        for pos, f in enumerate(col):
-            if f:
-                d = f.degree()
-                degs.add(d + (degrees[pos] if degrees else 0))
-        return min(degs) if degs else 0
-
-    order = sorted(range(len(columns)), key=lambda k: coldeg(columns[k]))
-    kept = []
-    for k in order:
-        if kept:
-            gb = ModuleGB(kept, rank, field)
-            if gb.contains(columns[k]):
-                continue
-        if any(columns[k]):
-            kept.append(columns[k])
-    return kept
+    degs = [column_degree(col, degrees) for col in columns]
+    kept, out, at = [], [], None
+    for k in sorted((k for k, d in enumerate(degs) if d is not None),
+                    key=degs.__getitem__):
+        d, vec = degs[k], vec_from_column(columns[k])
+        if d != at:
+            ech, at = Echelon(), d
+            for dk, kv in kept:
+                if (d - dk) % 2 == 0:
+                    e = (d - dk) // 2
+                    for a in range(e + 1):
+                        ech.insert({(p, i + a, j + e - a): c
+                                    for (p, i, j), c in kv.items()})
+        if ech.insert(dict(vec)):
+            kept.append((d, vec))
+            out.append(columns[k])
+    return out
 
 
 def column_degree(col, degrees):

@@ -87,12 +87,12 @@ def test_criterion_03_partial_trace_closed_forms(m):
                                 b_generator(m, "t", shift=ell - 1))
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_criterion_04_vanishing_suite(m):
     assert check_vanishing(m)["status"] == "pass"
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_criterion_05_pift_minimal_form(m):
     assert check_pift(m)["status"] == "pass"
 

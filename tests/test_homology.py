@@ -1,7 +1,10 @@
 """Tests for strand homology and the triply-graded series assembly."""
 
+import sys
+
 import pytest
 
+from dihedralcat import complexes, modules
 from dihedralcat.complexes import rouquier_braid
 from dihedralcat.field import field_for
 from dihedralcat.hecke import euler_check
@@ -81,3 +84,26 @@ def test_euler_characteristic_matches_homfly(word):
 def test_hhh_accepts_precomputed_complex():
     cplx = rouquier_braid(3, "s t", simplify=True, split=True)
     assert hhh("s t", 3, precomputed=cplx) == hhh("s t", 3)
+
+
+def test_whitehead_hhh_builds_few_groebner_bases(monkeypatch):
+    # From cold, the Whitehead hhh builds 119 ModuleGBs, all for syzygies,
+    # lifts and split complements (442 when minimalize_columns built one
+    # per candidate column); minimalize_columns builds none.
+    complexes.clear_caches()
+    calls = []
+    real = modules.ModuleGB.__init__
+    minimalize = modules.minimalize_columns.__code__
+
+    def counting(self, *args, **kwargs):
+        frame, inside = sys._getframe(1), False
+        while frame is not None and not inside:
+            inside = frame.f_code is minimalize
+            frame = frame.f_back
+        calls.append(inside)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(modules.ModuleGB, "__init__", counting)
+    hhh("s^-2 t s^-1 t", 3)
+    assert 0 < len(calls) <= 120
+    assert not any(calls)

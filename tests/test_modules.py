@@ -1,13 +1,20 @@
 """Oracle tests for module Groebner bases, syzygies and Hilbert series."""
 
-import pytest
+from fractions import Fraction
 
-from dihedralcat.field import field_for
-from dihedralcat.modules import (ModuleGB, PresentedModule, column_degree,
-                                 kernel, matrix_kernel, minimal_presentation,
-                                 minimalize_columns)
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dihedralcat.field import FieldScalar, field_for
+from dihedralcat.modules import (ModuleGB, PresentedModule, _key,
+                                 column_degree, kernel, matrix_kernel,
+                                 minimal_presentation, minimalize_columns,
+                                 vec_from_column)
 from dihedralcat.ring import RingElement
 from dihedralcat.series import QSeries
+
+FIELDS = (field_for(3), field_for(5))  # degree 1 (Q) and degree 2
 
 
 def _gens(m=3):
@@ -73,6 +80,14 @@ def test_minimalize_columns_drops_redundant():
         assert gb1.contains(col)
 
 
+def test_minimalize_columns_refuses_inhomogeneous_columns():
+    F, a, b = _gens()
+    with pytest.raises(ValueError):
+        minimalize_columns([[a, a * b]], 2, F, [0, 0])
+    with pytest.raises(ValueError):
+        minimalize_columns([[a + a * b]], 1, F, [0])
+
+
 def test_column_degree():
     F, a, b = _gens()
     assert column_degree([a * b, RingElement.zero(F)], [0, 5]) == 4
@@ -131,3 +146,143 @@ def test_kernel_wrapper_matches_syzygies():
             total = sum((vec[j] * cols[j][i] for j in range(2)),
                         RingElement.zero(F))
             assert not total
+
+
+def _old_minimalize_columns(columns, rank, field, degrees):
+    """The reference: one ModuleGB of the kept columns per candidate."""
+    def coldeg(col):
+        degs = {f.degree() + degrees[pos] for pos, f in enumerate(col) if f}
+        return min(degs) if degs else 0
+
+    kept = []
+    for col in sorted(columns, key=coldeg):
+        if kept and ModuleGB(kept, rank, field).contains(col):
+            continue
+        if any(col):
+            kept.append(col)
+    return kept
+
+
+@st.composite
+def homogeneous_columns(draw):
+    """(field, rank, degrees, columns): random homogeneous columns, some of
+    them R-combinations of earlier ones, some zero."""
+    field = draw(st.sampled_from(FIELDS))
+    rank = draw(st.integers(1, 3))
+    degrees = [draw(st.integers(0, 3)) for _ in range(rank)]
+
+    def scalar():
+        return FieldScalar(field, tuple(Fraction(draw(st.integers(-2, 2)))
+                                        for _ in range(field.degree)))
+
+    def poly(e):  # homogeneous of degree 2e, about half the terms zero
+        return RingElement(field, {(i, e - i): scalar() for i in range(e + 1)
+                                   if draw(st.booleans())})
+
+    def column(d):
+        return [poly((d - g) // 2) if d >= g and (d - g) % 2 == 0
+                else RingElement.zero(field) for g in degrees]
+
+    cols = [column(draw(st.integers(0, 6)))
+            for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 2))):
+        d = draw(st.integers(0, 8))
+        combo = [RingElement.zero(field)] * rank
+        for col in cols:
+            cd = column_degree(col, degrees)
+            if cd is not None and cd <= d and (d - cd) % 2 == 0:
+                f = poly((d - cd) // 2)
+                combo = [x + f * y for x, y in zip(combo, col)]
+        cols.insert(draw(st.integers(0, len(cols))), combo)
+    return field, rank, degrees, cols
+
+
+def _normal_form(vec, basis, field):
+    """Full reduction by the plain division algorithm, independent of
+    ModuleGB's own."""
+    vec, out = dict(vec), {}
+    while vec:
+        mono = max(vec, key=_key)
+        c = vec.pop(mono)
+        for b in basis:
+            lm = max(b, key=_key)
+            if lm[0] == mono[0] and lm[1] <= mono[1] and lm[2] <= mono[2]:
+                q = c / b[lm]
+                for (p, i, j), v in b.items():
+                    if (p, i, j) != lm:
+                        key = (p, i + mono[1] - lm[1], j + mono[2] - lm[2])
+                        new = vec.get(key, field.zero()) - q * v
+                        if new:
+                            vec[key] = new
+                        else:
+                            vec.pop(key, None)
+                break
+        else:
+            out[mono] = c
+    return out
+
+
+# (a_s^2, a_s, 1): the B criterion drops (a, b) wrongly here when it
+# skips its lcm(a, h) != lcm(a, b) and lcm(b, h) != lcm(a, b) guards
+_ONE, _A = RingElement.constant(FIELDS[0], 1), RingElement.gen(FIELDS[0], "s")
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(homogeneous_columns())
+@example((FIELDS[0], 1, [1], [[_A * _A], [_A], [_ONE]]))
+def test_module_gb_is_the_reduced_basis(data):
+    field, rank, degrees, cols = data
+    gb = ModuleGB(cols, rank, field)
+    basis = gb._basis
+    lms = [max(v, key=_key) for v in basis]
+    assert lms == gb._lms
+    for v, lm in zip(basis, lms):
+        assert v[lm] == field.one()  # monic
+    for k, v in enumerate(basis):
+        for l, lm in enumerate(lms):
+            if l == k:
+                continue
+            # minimal (lm divides no other lm) and reduced (no other term)
+            assert not any(m[0] == lm[0] and lm[1] <= m[1] and lm[2] <= m[2]
+                           for m in v)
+    ncols = len(cols)
+    gens = []
+    for jcol, col in enumerate(cols):
+        v = vec_from_column(col)
+        v[(rank + jcol, 0, 0)] = field.one()
+        gens.append(v)
+    for v in gens:
+        assert _normal_form(v, basis, field) == {}
+    for a, (pa, ai, aj) in enumerate(lms):
+        for b, (pb, bi, bj) in enumerate(lms[:a]):
+            if pa != pb:
+                continue
+            li, lj = max(ai, bi), max(aj, bj)
+            s = {}
+            for vec, di, dj, sign in ((basis[a], li - ai, lj - aj, 1),
+                                      (basis[b], li - bi, lj - bj, -1)):
+                for (p, i, j), c in vec.items():
+                    key = (p, i + di, j + dj)
+                    s[key] = s.get(key, field.zero()) + c * sign
+            s = {m: c for m, c in s.items() if c}
+            assert _normal_form(s, basis, field) == {}
+    zero = RingElement.zero(field)
+    for syz in gb.syzygies():
+        assert len(syz) == ncols
+        for pos in range(rank):
+            assert not sum((syz[k] * cols[k][pos] for k in range(ncols)),
+                           zero)
+    for col in cols:
+        lift = gb.lift(col)
+        assert lift is not None
+        for pos in range(rank):
+            assert sum((lift[k] * cols[k][pos] for k in range(ncols)),
+                       zero) == col[pos]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(homogeneous_columns())
+def test_minimalize_columns_keeps_the_reference_columns(data):
+    field, rank, degrees, cols = data
+    assert minimalize_columns(cols, rank, field, degrees) == \
+        _old_minimalize_columns(cols, rank, field, degrees)
