@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .hecke import Laurent, class_of_bimodule, hom_rank
@@ -30,10 +31,22 @@ def mat_identity(field, n):
     return [[one if i == j else z for j in range(n)] for i in range(n)]
 
 
+def _integer_terms(mats, field):
+    """The entries of some matrices over R as {exponent: integer K_m
+    element} dicts, all times one common denominator."""
+    den = lcm(*(c.den for mat in mats for row in mat for f in row
+                for c in f.terms.values()))
+    return [[[field.integer_row(f.terms, den) for f in row] for row in mat]
+            for mat in mats]
+
+
 def mat_mul(a, b, field):
-    """a times b over R.  Each entry is summed in one {exponent: scalar}
-    dict and wrapped once; zero rows of b are skipped."""
-    rows_b = [(p, [(j, y.terms.items()) for j, y in enumerate(row) if y])
+    """a times b over R.  Each coefficient of an entry is summed as one
+    integer numerator over a common denominator, and built as a reduced
+    FieldScalar once; zero rows of b are skipped."""
+    num, scalar = field.numerator, field.scalar
+    rows_b = [(p, [(j, [(e, num(x), x.den) for e, x in y.terms.items()])
+                   for j, y in enumerate(row) if y.terms])
               for p, row in enumerate(b)]
     rows_b = [(p, row) for p, row in rows_b if row]
     zero_row = [RingElement.zero(field)] * (len(b[0]) if b else 0)
@@ -41,21 +54,29 @@ def mat_mul(a, b, field):
     for row_a in a:
         acc = {}
         for p, row_b in rows_b:
-            xt = row_a[p].terms.items()
-            if not xt:
+            terms = row_a[p].terms
+            if not terms:
                 continue
+            xt = [(e, num(x), x.den) for e, x in terms.items()]
             for j, yt in row_b:
                 d = acc.get(j)
                 if d is None:
                     d = acc[j] = {}
-                for (i1, j1), c1 in xt:
-                    for (i2, j2), c2 in yt:
+                for (i1, j1), n1, d1 in xt:
+                    for (i2, j2), n2, d2 in yt:
                         e = (i1 + i2, j1 + j2)
-                        c = c1 * c2
-                        d[e] = d[e] + c if e in d else c
+                        n, den = n1 * n2, d1 * d2
+                        cur = d.get(e)
+                        if cur is not None:
+                            m, dm = cur
+                            n, den = ((m + n, den) if dm == den
+                                      else (m * den + n * dm, dm * den))
+                        d[e] = (n, den)
         row = list(zero_row)
         for j, d in acc.items():
-            row[j] = RingElement(field, d)
+            d = {e: scalar(n, den) for e, (n, den) in d.items() if n}
+            if d:
+                row[j] = RingElement.of_nonzero(field, d)
         out.append(row)
     return out
 
@@ -502,7 +523,7 @@ class HomSpace:
         gens = []  # (degree, morphism matrix)
         for d, want in sorted(hom_rank(dom, cod).items()):
             col_of = _unknowns(dom, cod, d)
-            span = linalg.Echelon()
+            span = linalg.Echelon(dom.field)
             for e, mat in gens:
                 half, odd = divmod(d - e, 2)
                 if odd:
@@ -578,13 +599,14 @@ def _unknowns(dom, cod, degree):
 
 
 def _coefficients(mat, col_of, p=0, q=0):
-    """mat times a_s^p a_t^q, as a sparse vector over the unknowns col_of."""
+    """mat times a_s^p a_t^q, as a sparse integer row over the unknowns
+    col_of."""
     vec = {}
     for (i, j, a, b), k in col_of.items():
         c = mat[i][j].terms.get((a - p, b - q))
         if c:
             vec[k] = c
-    return vec
+    return mat[0][0].field.integer_row(vec)
 
 
 def hom_degree_basis(dom, cod, degree=0):
@@ -598,23 +620,23 @@ def hom_degree_basis(dom, cod, degree=0):
     col_of = _unknowns(dom, cod, degree)
     if not col_of:
         return []
-    rows = {}  # (x, r, c, mono) -> {col: scalar}
+    rows = {}  # (x, r, c, mono) -> {col: integer K_m element}
 
     def bump(key, col, val):
         row = rows.setdefault(key, {})
-        row[col] = row.get(col, field.zero()) + val
+        row[col] = row[col] + val if col in row else val
 
-    for x in LETTERS:
+    lefts = _integer_terms([mod.left[x] for x in LETTERS
+                            for mod in (cod, dom)], field)
+    for x, cod_left, dom_left in zip(LETTERS, lefts[::2], lefts[1::2]):
         for (i, j, a, b), col in col_of.items():
             # term (cod.left[x] . Phi)[r][j] picks up left[x][r][i]*mono(a,b)
             for r in range(cod.rank):
-                f = cod.left[x][r][i]
-                for (p, q), cf in f.terms.items():
+                for (p, q), cf in cod_left[r][i].items():
                     bump((x, r, j, (p + a, q + b)), col, cf)
             # term (Phi . dom.left[x])[i][c] picks up mono(a,b)*left[x][j][c]
             for c in range(dom.rank):
-                f = dom.left[x][j][c]
-                for (p, q), cf in f.terms.items():
+                for (p, q), cf in dom_left[j][c].items():
                     bump((x, i, c, (p + a, q + b)), col, -cf)
     vecs = linalg.sparse_kernel_basis(
         (rows[key] for key in sorted(rows)), len(col_of), field)
@@ -653,8 +675,9 @@ def is_invertible(phi):
         return False
     if not phi.dom.same_graded_rank(phi.cod):
         return False
-    span = linalg.Echelon()
-    return all(span.insert(row) for row in scalar_part(phi))
+    field = phi.dom.field
+    span = linalg.Echelon(field)
+    return all(span.insert(field.integer_row(row)) for row in scalar_part(phi))
 
 
 def invert_morphism(phi):

@@ -12,13 +12,13 @@ import random
 from functools import lru_cache
 
 from . import bimodule, linalg
-from .bimodule import (Bimodule, BimoduleMorphism, b_generator, bott_samelson,
-                       direct_sum, dot_in, dot_out, hom_degree_basis,
-                       id_tensor_matrix, identity_morphism, invert_morphism,
-                       is_invertible, lift_columns, mat_identity, mat_mul,
-                       mat_neg, mat_sub, mat_zero, poly_from_json,
-                       poly_to_json, regular, split_summand, tensor,
-                       tensor_id_matrix)
+from .bimodule import (Bimodule, BimoduleMorphism, _integer_terms,
+                       b_generator, bott_samelson, direct_sum, dot_in,
+                       dot_out, hom_degree_basis, id_tensor_matrix,
+                       identity_morphism, invert_morphism, is_invertible,
+                       lift_columns, mat_identity, mat_mul, mat_neg, mat_sub,
+                       mat_zero, poly_from_json, poly_to_json, regular,
+                       split_summand, tensor, tensor_id_matrix)
 from .field import _minimal_poly_2cos, field_for
 from .hecke import (Laurent, class_of_bimodule, group_elements,
                     kl_multiplicities)
@@ -420,36 +420,31 @@ def chain_map_basis(c1, c2):
     if total == 0:
         return [], per_degree, offsets
     field = realization(c1.m).field
-    rows = {}
-
-    def bump(key, col, val):
-        row = rows.setdefault(key, {})
-        row[col] = row.get(col, field.zero()) + val
-
+    products = []  # (degree, column, f_{d+1} . d1 or d2 . f_d, sign)
     for d in degs:
         d1 = c1.sum_differential(d)
         d2 = c2.sum_differential(d)
         # f_{d+1} . d1 - d2 . f_d = 0
         if d1 is not None:
             for k, f in enumerate(per_degree.get(d + 1, [])):
-                mat = mat_mul(f.matrix, d1.matrix, field)
-                _accumulate_poly_rows(bump, ("sq", d), offsets[d + 1] + k,
-                                      mat, 1)
+                products.append((d, offsets[d + 1] + k,
+                                 mat_mul(f.matrix, d1.matrix, field), 1))
         if d2 is not None:
             for k, f in enumerate(per_degree.get(d, [])):
-                mat = mat_mul(d2.matrix, f.matrix, field)
-                _accumulate_poly_rows(bump, ("sq", d), offsets[d] + k,
-                                      mat, -1)
+                products.append((d, offsets[d] + k,
+                                 mat_mul(d2.matrix, f.matrix, field), -1))
+    imats = _integer_terms([mat for _, _, mat, _ in products], field)
+    rows = {}  # (degree, i, j, mono) -> {column: integer K_m element}
+    for (d, col, _, sign), imat in zip(products, imats):
+        for i, imat_row in enumerate(imat):
+            for j, terms in enumerate(imat_row):
+                for mono, cf in terms.items():
+                    row = rows.setdefault((d, i, j, mono), {})
+                    cf = cf if sign > 0 else -cf
+                    row[col] = row[col] + cf if col in row else cf
     vecs = linalg.sparse_kernel_basis((rows[key] for key in sorted(rows)),
                                       total, field)
     return vecs, per_degree, offsets
-
-
-def _accumulate_poly_rows(bump, tag, col, mat, sign):
-    for i, row in enumerate(mat):
-        for j, f in enumerate(row):
-            for mono, cf in f.terms.items():
-                bump((tag, i, j, mono), col, cf if sign > 0 else -cf)
 
 
 def _assemble_chain_map(vec, per_degree, offsets, c1, c2, field):
@@ -525,11 +520,12 @@ def _complement_of_idempotent(mod, incl, proj):
     ident = mat_identity(field, mod.rank)
     rest = mat_sub(ident, mat_mul(incl.matrix, proj.matrix, field))
     cols = [[rest[i][j] for i in range(mod.rank)] for j in range(mod.rank)]
-    span = linalg.Echelon()
+    span = linalg.Echelon(field)
     kept = []
     for j in sorted(range(mod.rank), key=lambda j: mod.degrees[j]):
-        if span.insert({i: f.terms[(0, 0)] for i, f in enumerate(cols[j])
-                        if (0, 0) in f.terms}):
+        if span.insert(field.integer_row(
+                {i: f.terms[(0, 0)] for i, f in enumerate(cols[j])
+                 if (0, 0) in f.terms})):
             kept.append(j)
     basis = [cols[j] for j in kept]
     degrees = [mod.degrees[j] for j in kept]

@@ -8,14 +8,24 @@ with integer coefficients, so a product is an integer convolution reduced
 through a precomputed table of x^n, ..., x^(2n-2) mod p_m; in the degree-1
 fields (m = 2, 3) it is a single product.  The public view `coeffs` is a
 tuple of Fractions.  No floating point anywhere.
+
+The hot loops (linalg.Echelon, modules.ModuleGB, bimodule.mat_mul) build
+no FieldScalar per operation: they run on integer K_m elements of
+Z[x]/(p_m), plain ints in a degree-1 field and otherwise _Integers tuples,
+whose product is FieldScalar's _mul_num.  FieldDescriptor.integer_row
+brings scalars in over a common denominator, and FieldDescriptor.scalar
+builds each reduced FieldScalar once, on the way out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
 from operator import add as _add, neg as _neg, sub as _sub
+
+from .linalg import Echelon
 
 MAX_M = 12
 
@@ -81,6 +91,8 @@ class FieldDescriptor:
         n = self.degree = len(self.minimal_polynomial) - 1
         self._low = tuple(int(c) for c in self.minimal_polynomial[:n])
         self._reduction = _reduction_rows(self._low)
+        self._ints = type("IntegersK%d" % m, (_Integers,),
+                          {"__slots__": (), "field": self})
         self._zero = _make(self, (0,) * n, 1)
         self._one = _make(self, (1,) + (0,) * (n - 1), 1)
 
@@ -113,6 +125,50 @@ class FieldDescriptor:
             return self.from_rational(-self.minimal_polynomial[0])
         return _make(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
+    def numerator(self, x):
+        """x * x.den as an integer K_m element."""
+        return x.num[0] if self.degree == 1 else self._ints(x.num)
+
+    def integer_row(self, row, den=None):
+        """A {key: FieldScalar} row times den, by default the lcm of its
+        denominators, as {key: integer K_m element}."""
+        if den is None:
+            den = lcm(*(x.den for x in row.values()))
+        num = self.numerator
+        return {k: num(x) * (den // x.den) for k, x in row.items()}
+
+    def scalar(self, num, den):
+        """num / den in lowest terms, for an integer K_m element num and an
+        int den > 0."""
+        if self.degree == 1:
+            return _rational(self, num, den)
+        return _reduced(self, tuple(num), den)
+
+    def content(self, values):
+        """The gcd of all numerators of some integer K_m elements."""
+        if self.degree == 1:
+            return gcd(*values)
+        return gcd(*chain.from_iterable(values))
+
+    def primitive(self, lead, row):
+        """(p, row * u) for an integer row and a nonzero integer K_m lead
+        (an entry of it, or one taken out), with u in K_m such that lead * u
+        is the positive int p and p and row * u have no common factor."""
+        if not isinstance(lead, int):
+            if any(lead[1:]):  # lead * (den * lead^-1) = den
+                inv = self.scalar(lead, 1).inverse()
+                row = {k: v * inv.num for k, v in row.items()}
+                lead = inv.den
+            else:
+                lead = lead[0]
+        if lead < 0:
+            row = {k: -v for k, v in row.items()}
+            lead = -lead
+        g = gcd(lead, self.content(row.values()))
+        if g != 1:
+            row = {k: v // g for k, v in row.items()}
+        return lead // g, row
+
     def quantum_number(self, k):
         """[k] via the Chebyshev recursion [k+1] = d*[k] - [k-1]."""
         if k < 0:
@@ -139,6 +195,54 @@ def _reduction_rows(low):
         row = _times_x(row, low)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def _mul_num(field, a, b):
+    """The integer K_m product of two numerator tuples, as a list: an
+    integer convolution reduced through the table of x^n, ..., x^(2n-2)
+    mod p_m."""
+    n = field.degree
+    prod = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                prod[j] += x * y
+    out = prod[:n]
+    for c, row in zip(prod[n:], field._reduction):
+        if c:
+            for j, r in enumerate(row):
+                out[j] += c * r
+    return out
+
+
+class _Integers(tuple):
+    """An element of Z[x]/(p_m), as its numerator tuple, with the ring
+    operators; each field of degree > 1 has a subclass whose field
+    attribute gives _mul_num its reduction table."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return type(self)(map(_add, self, other))
+
+    def __sub__(self, other):
+        return type(self)(map(_sub, self, other))
+
+    def __neg__(self):
+        return type(self)(map(_neg, self))
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return type(self)(other * a for a in self)
+        return type(self)(_mul_num(self.field, self, other))
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, g):
+        return type(self)(a // g for a in self)
+
+    def __bool__(self):
+        return any(self)
 
 
 @lru_cache(maxsize=None)
@@ -238,18 +342,8 @@ class FieldScalar:
         a, b = self.num, other.num
         if field.degree == 1:  # K_m = Q: one product of rationals
             return _rational(field, a[0] * b[0], self.den * other.den)
-        n = field.degree
-        prod = [0] * (2 * n - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    prod[j] += x * y
-        out = prod[:n]
-        for c, row in zip(prod[n:], field._reduction):
-            if c:
-                for j, r in enumerate(row):
-                    out[j] += c * r
-        return _reduced(field, tuple(out), self.den * other.den)
+        return _reduced(field, tuple(_mul_num(field, a, b)),
+                        self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -260,23 +354,18 @@ class FieldScalar:
             (a,), den = self.num, self.den
             return _make(self.field, (den,), a) if a > 0 \
                 else _make(self.field, (-den,), -a)
-        # Solve num * y = den over Q; column j of num's matrix is num * x^j.
+        # Solve num * y = den over Q = K_2: column j < n of num's matrix is
+        # num * x^j, and column n holds den.
         n, cols = self.field.degree, [list(self.num)]
         for _ in range(n - 1):
             cols.append(_times_x(cols[-1], self.field._low))
-        rows = [[Fraction(col[i]) for col in cols] + [Fraction(0)]
-                for i in range(n)]
-        rows[0][n] = Fraction(self.den)
-        for c in range(n):
-            k = next(r for r in range(c, n) if rows[r][c])
-            rows[c], rows[k] = rows[k], rows[c]
-            pivot = rows[c][c]
-            rows[c] = [v / pivot for v in rows[c]]
-            for r in range(n):
-                f = rows[r][c]
-                if r != c and f:
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
-        return FieldScalar(self.field, tuple(row[n] for row in rows))
+        cols.append([self.den] + [0] * (n - 1))
+        ech = Echelon(field_for(2))
+        for i in range(n):
+            ech.insert({j: col[i] for j, col in enumerate(cols) if col[i]})
+        y = ech.reduce().pivots
+        return FieldScalar(self.field, tuple(
+            y[j][n].coeffs[0] if n in y[j] else 0 for j in range(n)))
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()

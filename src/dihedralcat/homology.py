@@ -45,7 +45,7 @@ def presented_homology(degrees, relations, maps, field, at):
     for col in relations.get(at, []):
         if any(col):
             kgens.append(list(col))
-    kgens = minimalize_columns(kgens, n_at, field, degrees=list(deg_at))
+    kgens = minimalize_columns(kgens, list(deg_at))
     if not kgens:
         return PresentedModule([], [], field)
     lower = []

@@ -1,62 +1,84 @@
 """Sparse exact linear algebra over the coefficient field K_m.
 
-One elimination routine serves every caller: rows are {column: scalar}
-dicts, reduced one at a time against a {pivot column: row} map (Echelon).
-Kernels, ranks and inverses all read off that echelon form.
+One elimination routine serves every caller: rows are {column: integer
+K_m element} dicts (FieldDescriptor.integer_row), each known up to a
+nonzero factor, reduced one at a time against a {pivot column: row} map
+(Echelon).  Reduction is fraction-free, as in Bareiss (Math. Comp. 1968):
+row <- p*row - f*pivot row, with p the pivot row's int pivot entry, and a
+stored row is made primitive.  FieldScalars are built once, for the
+reduced row echelon form that kernels, ranks and inverses read off.
 """
 
 from __future__ import annotations
 
+from math import gcd
+
 
 class Echelon:
-    """Row echelon form built one row at a time.
+    """Row echelon form built one integer row at a time.
 
-    pivots maps each pivot column to its row, scaled so that the pivot
-    entry is 1 and stored without that entry; every other entry of the row
-    lies in a larger column.
+    rows maps each pivot column to (p, row) with p the row's pivot entry,
+    a positive int stored apart (FieldDescriptor.primitive); every other
+    entry lies in a larger column.  reduce() sets pivots to the reduced
+    row echelon form: {pivot column: {column: FieldScalar}}, the pivot
+    entry 1 left out.
     """
 
-    __slots__ = ("pivots",)
+    __slots__ = ("field", "rows", "pivots")
 
-    def __init__(self):
-        self.pivots = {}
+    def __init__(self, field):
+        self.field = field
+        self.rows = {}
+        self.pivots = None
 
     def insert(self, row):
-        """Reduce a {column: nonzero scalar} row (consumed) against the
-        pivots; store it and return True when it brings a new pivot."""
-        pivots = self.pivots
+        """Reduce a {column: nonzero integer K_m element} row (consumed)
+        against the pivot rows; store it and return True when it brings a
+        new pivot."""
+        rows = self.rows
         while row:
             c = min(row)
-            prow = pivots.get(c)
-            if prow is None:
-                inv = row.pop(c).inverse()
-                pivots[c] = {cc: v * inv for cc, v in row.items()}
+            hit = rows.get(c)
+            if hit is None:
+                rows[c] = self.field.primitive(row.pop(c), row)
                 return True
-            f = row.pop(c)
-            for cc, v in prow.items():
-                nv = row.get(cc)
-                nv = -(f * v) if nv is None else nv - f * v
-                if nv:
-                    row[cc] = nv
-                else:
-                    row.pop(cc, None)
+            self._eliminate(row, row.pop(c), *hit)
         return False
+
+    def _eliminate(self, row, f, p, prow):
+        """row <- k*row - (f/g)*prow with g = gcd(p, f) and k = p/g, f being
+        the entry row had (taken out) at the pivot of prow, whose pivot
+        entry is p; returns k."""
+        g = gcd(p, self.field.content((f,)))
+        k, f = p // g, f // g
+        if k != 1:
+            for cc, v in row.items():
+                row[cc] = k * v
+        for cc, v in prow.items():
+            cur = row.get(cc)
+            if cur is None:
+                row[cc] = -(f * v)
+            else:
+                cur = cur - f * v
+                if cur:
+                    row[cc] = cur
+                else:
+                    del row[cc]
+        return k
 
     def reduce(self):
         """Back-substitute, so that every pivot row involves only non-pivot
-        columns: the reduced row echelon form."""
-        pivots = self.pivots
-        for c in sorted(pivots, reverse=True):
-            prow = pivots[c]
-            for cc in [cc for cc in prow if cc in pivots]:
-                f = prow.pop(cc)
-                for c2, v in pivots[cc].items():
-                    nv = prow.get(c2)
-                    nv = -(f * v) if nv is None else nv - f * v
-                    if nv:
-                        prow[c2] = nv
-                    else:
-                        prow.pop(c2, None)
+        columns, and set pivots to the reduced row echelon form."""
+        rows, scalar = self.rows, self.field.scalar
+        self.pivots = {}
+        for c in sorted(rows, reverse=True):
+            p, prow = rows[c]
+            subs = [cc for cc in prow if cc in rows]
+            if subs:
+                for cc in subs:
+                    p *= self._eliminate(prow, prow.pop(cc), *rows[cc])
+                p, prow = rows[c] = self.field.primitive(p, prow)
+            self.pivots[c] = {cc: scalar(v, p) for cc, v in prow.items()}
         return self
 
 
@@ -64,9 +86,9 @@ def sparse_kernel_basis(rows, ncols, field):
     """Basis of the right kernel of a sparse system, one vector per
     non-pivot column of the reduced row echelon form.
 
-    rows: iterable of {column: FieldScalar} dicts.
+    rows: iterable of {column: integer K_m element} dicts.
     """
-    ech = Echelon()
+    ech = Echelon(field)
     # sparsest rows first: keeps fill-in during elimination down
     for row in sorted(({c: v for c, v in raw.items() if v} for raw in rows),
                       key=len):
@@ -86,15 +108,15 @@ def sparse_kernel_basis(rows, ncols, field):
 
 
 def inverse(rows, field):
-    """Inverse of a square matrix given as n sparse {column: scalar} rows
-    (left unchanged), as nested lists; None if singular."""
+    """Inverse of a square matrix given as n sparse {column: FieldScalar}
+    rows (left unchanged), as nested lists; None if singular."""
     n = len(rows)
-    ech = Echelon()
+    ech = Echelon(field)
     for i, row in enumerate(rows):
         row = dict(row)
         row[n + i] = field.one()
-        ech.insert(row)
-    if any(c not in ech.pivots for c in range(n)):
+        ech.insert(field.integer_row(row))
+    if any(c not in ech.rows for c in range(n)):
         return None
     pivots = ech.reduce().pivots
     return [[pivots[i].get(n + j, field.zero()) for j in range(n)]

@@ -4,13 +4,17 @@ Submodules of free modules are handled by Buchberger's algorithm with a
 position-over-term, degrevlex (a_s > a_t) order.  One augmented Groebner
 basis per matrix yields image membership, lifts, and syzygies (kernels).
 
-Internally vectors are flat sparse maps {(position, i, j): FieldScalar}.
+Vectors are flat sparse maps {(position, i, j): coefficient}.  Inside
+ModuleGB the coefficients are integer K_m elements, a vector being known up
+to a positive factor as linalg's rows are; FieldScalars are built only for
+what leaves it, syzygies and lifts.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from itertools import islice
+from math import gcd, lcm
 
 from .linalg import Echelon
 from .ring import RingElement
@@ -41,8 +45,9 @@ def _lm(vec):
 
 
 def _axpy(target, coeff, di, dj, items, heap=None):
-    """target -= coeff * x^di y^dj * (the (mono, c) items), in place.  A
-    monomial new to target is pushed on heap, when one is given."""
+    """target -= coeff * x^di y^dj * (the (mono, c) items), in place, for
+    integer K_m coefficients.  A monomial new to target is pushed on heap,
+    when one is given."""
     for (pos, i, j), c in items:
         key = (pos, i + di, j + dj)
         cur = target.get(key)
@@ -60,7 +65,7 @@ def _axpy(target, coeff, di, dj, items, heap=None):
 
 
 def _tail(vec):
-    """The items of a monic basis vector after its leading term."""
+    """The items of a basis vector after its leading term."""
     return islice(vec.items(), 1, None)
 
 
@@ -71,11 +76,12 @@ class ModuleGB:
     free: generator j is stored as (column_j, e_j) with the main block
     dominating the tracking block in the term order.
 
-    Basis vectors are monic, with their leading monomial stored as the
-    first key; S-pairs are formed within one position only and pruned by
-    the Gebauer-Moller criteria B, M and F (the product criterion does not
-    hold for modules).  The result is the reduced basis, sorted by leading
-    monomial, which is unique for the term order.
+    Basis vectors are integer vectors with their leading monomial stored
+    as the first key, a positive int leading coefficient (kept in _leads)
+    and coprime numerators; S-pairs are formed within one position only
+    and pruned by the Gebauer-Moller criteria B, M and F (the product
+    criterion does not hold for modules).  The result is the reduced
+    basis, sorted by leading monomial, which is unique for the term order.
     """
 
     def __init__(self, columns, rank, field):
@@ -86,39 +92,33 @@ class ModuleGB:
         for jcol, col in enumerate(columns):
             v = vec_from_column(col)
             v[(rank + jcol, 0, 0)] = field.one()
-            gens.append(v)
-        self._basis, self._lms, self._by_pos = [], [], {}
+            gens.append(field.integer_row(v))
+        self._basis, self._leads, self._lms, self._by_pos = [], [], [], {}
         self._run_buchberger(gens)
-        tops = list(zip(self._lms, self._basis))
-        self.image_basis = [g for lm, g in tops if lm[0] < rank]
-        self.syzygy_vectors = [
-            {(m[0] - rank, m[1], m[2]): c for m, c in g.items()}
-            for lm, g in tops if lm[0] >= rank]
 
     # -- construction ---------------------------------------------------
 
     def _add_basis(self, v):
-        """Store a normal form v (leading monomial first), made monic."""
+        """Store a normal form v (leading monomial first), made primitive
+        with a positive int leading coefficient."""
         lm = next(iter(v))
-        lc = v[lm]
-        if lc != self.field.one():
-            inv = lc.inverse()
-            v = {m: c * inv for m, c in v.items()}
+        p, v = self.field.primitive(v[lm], v)
         self._basis.append(v)
+        self._leads.append(p)
         self._lms.append(lm)
-        self._by_pos.setdefault(lm[0], []).append((lm[1], lm[2], v))
+        self._by_pos.setdefault(lm[0], []).append((lm[1], lm[2], p, v))
         return len(self._basis) - 1
 
     def _run_buchberger(self, gens):
         pairs = []  # heap of (degree, b, a, pos, lcm i, lcm j)
         live = {}   # position -> basis indices whose lm no later lm divides
         for g in sorted(gens, key=lambda v: _key(_lm(v)), reverse=True):
-            g = self._reduce(g)
+            g = self._reduce(g)[0]
             if g:
                 pairs = self._update(pairs, live, g)
         while pairs:
             _, ib, ia, _, li, lj = heappop(pairs)
-            s = self._reduce(self._spoly(ia, ib, li, lj))
+            s = self._reduce(self._spoly(ia, ib, li, lj))[0]
             if s:
                 pairs = self._update(pairs, live, s)
         lms = self._lms
@@ -157,15 +157,17 @@ class ModuleGB:
 
     def _spoly(self, ia, ib, li, lj):
         (_, ai, aj), (_, bi, bj) = self._lms[ia], self._lms[ib]
-        di, dj = li - ai, lj - aj
-        out = {(p, i + di, j + dj): c
+        pa, pb = self._leads[ia], self._leads[ib]
+        g = gcd(pa, pb)
+        ka, di, dj = pb // g, li - ai, lj - aj
+        out = {(p, i + di, j + dj): ka * c
                for (p, i, j), c in _tail(self._basis[ia])}
-        _axpy(out, self.field.one(), li - bi, lj - bj, _tail(self._basis[ib]))
+        _axpy(out, pa // g, li - bi, lj - bj, _tail(self._basis[ib]))
         return out
 
     def _reducer(self, mono):
-        """(i, j, vector) of the first basis vector whose leading monomial
-        x^i y^j e_pos divides mono, or None."""
+        """(i, j, leading coefficient, vector) of the first basis vector
+        whose leading monomial x^i y^j e_pos divides mono, or None."""
         _, i, j = mono
         for red in self._by_pos.get(mono[0], ()):
             if red[0] <= i and red[1] <= j:
@@ -173,13 +175,15 @@ class ModuleGB:
         return None
 
     def _reduce(self, v, stop=None):
-        """Normal form of v (consumed) against the basis, leading monomial
-        first.  With stop given, reduction ends at the first leading term
-        at a position >= stop and returns what is left of v; it returns
-        None at an irreducible term below stop."""
+        """Normal form of an integer vector v (consumed) against the basis,
+        leading monomial first, times a positive int factor: returns
+        (vector, factor).  With stop given, reduction ends at the first
+        leading term at a position >= stop and the vector is what is left
+        of v; the result is None at an irreducible term below stop."""
+        content = self.field.content
         heap = [(m[0], -m[1] - m[2], -m[1], m) for m in v]
         heapify(heap)
-        out = {}
+        out, factor = {}, 1
         while heap:
             mono = heappop(heap)[3]
             c = v.get(mono)
@@ -189,29 +193,39 @@ class ModuleGB:
                 break
             del v[mono]
             red = self._reducer(mono)
-            if red is not None:
-                bi, bj, b = red
-                _axpy(v, c, mono[1] - bi, mono[2] - bj, _tail(b), heap)
-            elif stop is None:
+            if red is None:
+                if stop is not None:
+                    return None
                 out[mono] = c
-            else:
-                return None
-        return out if stop is None else v
+                continue
+            # v <- k*v - (c/g) x^di y^dj b, with g = gcd(p, c), k = p/g
+            bi, bj, p, b = red
+            g = gcd(p, content((c,)))
+            k = p // g
+            if k != 1:
+                factor *= k
+                for w in (v, out):
+                    for m, x in w.items():
+                        w[m] = k * x
+            _axpy(v, c // g, mono[1] - bi, mono[2] - bj, _tail(b), heap)
+        return (out if stop is None else v), factor
 
     def _interreduce(self, basis):
         """Reduce the tails of a minimal basis sorted by leading monomial."""
-        self._basis, self._lms, self._by_pos = [], [], {}
+        self._basis, self._leads, self._lms, self._by_pos = [], [], [], {}
         for v in basis:
-            self._add_basis(self._reduce(v))
+            self._add_basis(self._reduce(v)[0])
 
     # -- queries --------------------------------------------------------
 
     def lift_vec(self, vec):
         """Coefficients c with M*c = vec, or None if vec is not in the span."""
-        rest = self._reduce(dict(vec), stop=self.rank)
-        if rest is None:
+        den = lcm(*(c.den for c in vec.values()))
+        found = self._reduce(self.field.integer_row(vec, den), stop=self.rank)
+        if found is None:
             return None
-        coeffs = {(pos - self.rank, i, j): -c
+        rest, factor = found
+        coeffs = {(pos - self.rank, i, j): self.field.scalar(-c, den * factor)
                   for (pos, i, j), c in rest.items()}
         return column_from_vec(coeffs, self.ncols, self.field)
 
@@ -222,9 +236,13 @@ class ModuleGB:
         return self.lift(column) is not None
 
     def syzygies(self):
-        """Columns generating ker(M) in R^ncols."""
-        return [column_from_vec(v, self.ncols, self.field)
-                for v in self.syzygy_vectors]
+        """Columns generating ker(M) in R^ncols: the basis vectors that
+        lead in the tracking block, made monic."""
+        rank, field = self.rank, self.field
+        return [column_from_vec({(m[0] - rank, m[1], m[2]): field.scalar(c, p)
+                                 for m, c in v.items()}, self.ncols, field)
+                for v, p, lm in zip(self._basis, self._leads, self._lms)
+                if lm[0] >= rank]
 
     def image_leading_monomials(self):
         """Per-position monomial generators of the leading-term module."""
@@ -250,7 +268,7 @@ def matrix_kernel(matrix, field):
     return kernel(cols, nrows, field)
 
 
-def minimalize_columns(columns, rank, field, degrees):
+def minimalize_columns(columns, degrees):
     """A minimal generating subset of the given homogeneous columns, whose
     positions have the given degrees; ValueError on an inhomogeneous one.
 
@@ -262,9 +280,10 @@ def minimalize_columns(columns, rank, field, degrees):
     kept, out, at = [], [], None
     for k in sorted((k for k, d in enumerate(degs) if d is not None),
                     key=degs.__getitem__):
-        d, vec = degs[k], vec_from_column(columns[k])
+        d, field = degs[k], columns[k][0].field
+        vec = field.integer_row(vec_from_column(columns[k]))
         if d != at:
-            ech, at = Echelon(), d
+            ech, at = Echelon(field), d
             for dk, kv in kept:
                 if (d - dk) % 2 == 0:
                     e = (d - dk) // 2

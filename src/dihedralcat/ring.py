@@ -23,6 +23,14 @@ class RingElement:
         self._hash = None
 
     @classmethod
+    def of_nonzero(cls, field, terms):
+        """The element with the given terms, none of them zero (not
+        checked); the dict is kept, not copied."""
+        x = object.__new__(cls)
+        x.field, x.terms, x._hash = field, terms, None
+        return x
+
+    @classmethod
     def zero(cls, field):
         return cls(field, {})
 

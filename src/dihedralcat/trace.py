@@ -71,8 +71,7 @@ def pi_minus(mod, letter):
     field = mod.field
     t_mat = rho_endomorphism(mod, letter)
     cols = matrix_kernel(t_mat, field)
-    cols = minimalize_columns(cols, mod.rank, field,
-                              degrees=list(mod.degrees))
+    cols = minimalize_columns(cols, list(mod.degrees))
     module, gb = _submodule_bimodule(mod, cols)
     return TracedBimodule("ker", letter, mod, module, generators=cols, gb=gb)
 
@@ -180,7 +179,7 @@ def hochschild(mod, k):
     d0, d1 = _koszul_maps(mod)
     if k == 0:
         cols = matrix_kernel(d0, field)
-        cols = minimalize_columns(cols, n, field, degrees=list(mod.degrees))
+        cols = minimalize_columns(cols, list(mod.degrees))
         degs = [column_degree(c, list(mod.degrees)) for c in cols]
         gb = ModuleGB(cols, n, field) if cols else None
         return HochschildResult(0, mod, PresentedModule(degs, [], field),
@@ -188,7 +187,7 @@ def hochschild(mod, k):
     if k == 1:
         degs2 = [d - 2 for d in mod.degrees] * 2
         cols = matrix_kernel(d1, field)
-        cols = minimalize_columns(cols, 2 * n, field, degrees=degs2)
+        cols = minimalize_columns(cols, degs2)
         degs = [column_degree(c, degs2) for c in cols]
         gb = ModuleGB(cols, 2 * n, field) if cols else None
         units = [row for j, row in enumerate(mat_identity(field, n))

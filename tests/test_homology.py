@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from dihedralcat import complexes, modules
+from dihedralcat import complexes, field, modules
 from dihedralcat.complexes import rouquier_braid
 from dihedralcat.field import field_for
 from dihedralcat.hecke import euler_check
@@ -107,3 +107,21 @@ def test_whitehead_hhh_builds_few_groebner_bases(monkeypatch):
     hhh("s^-2 t s^-1 t", 3)
     assert 0 < len(calls) <= 120
     assert not any(calls)
+
+
+def test_whitehead_hhh_multiplies_few_field_scalars(monkeypatch):
+    # Eliminations, Groebner reductions and matrix products run on integer
+    # K_m rows, so a cold Whitehead hhh makes a few hundred FieldScalar
+    # products; it made 125,638 when each of them built reduced scalars.
+    complexes.clear_caches()
+    calls = []
+    real = field.FieldScalar.__mul__
+
+    def counting(self, other):
+        calls.append(None)
+        return real(self, other)
+
+    monkeypatch.setattr(field.FieldScalar, "__mul__", counting)
+    monkeypatch.setattr(field.FieldScalar, "__rmul__", counting)
+    hhh("s^-2 t s^-1 t", 3)
+    assert 0 < len(calls) <= 125638 // 2

@@ -1,6 +1,4 @@
-"""Property tests for the sparse echelon routines over K_3 and K_5."""
-
-from fractions import Fraction
+"""Property tests for the sparse echelon routines over K_3, K_5 and K_7."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +9,7 @@ from dihedralcat.bimodule import (BimoduleMorphism, direct_sum, is_invertible,
 from dihedralcat.field import FieldScalar, field_for
 from dihedralcat.ring import RingElement
 
-FIELDS = (field_for(3), field_for(5))  # degree 1 (Q) and degree 2
+FIELDS = (field_for(3), field_for(5), field_for(7))  # degrees 1, 2, 3
 
 exact = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -26,7 +24,8 @@ def matrices(draw, square=False):
     def scalar():
         if draw(st.booleans()):
             return field.zero()
-        return FieldScalar(field, tuple(Fraction(draw(st.integers(-2, 2)))
+        return FieldScalar(field, tuple(draw(st.fractions(-3, 3,
+                                                          max_denominator=4))
                                         for _ in range(field.degree)))
 
     return field, [[scalar() for _ in range(ncols)] for _ in range(nrows)]
@@ -34,6 +33,10 @@ def matrices(draw, square=False):
 
 def sparse(rows):
     return [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
+def integer(rows, field):
+    return [field.integer_row(row) for row in sparse(rows)]
 
 
 def dense_rank(rows):
@@ -63,7 +66,7 @@ def mat_vec(rows, vec, field):
 def test_kernel_vectors_are_annihilated(case):
     field, rows = case
     ncols = len(rows[0])
-    for vec in linalg.sparse_kernel_basis(sparse(rows), ncols, field):
+    for vec in linalg.sparse_kernel_basis(integer(rows, field), ncols, field):
         assert not any(mat_vec(rows, vec, field))
 
 
@@ -72,7 +75,7 @@ def test_kernel_vectors_are_annihilated(case):
 def test_kernel_has_full_dimension_in_reduced_form(case):
     field, rows = case
     ncols = len(rows[0])
-    basis = linalg.sparse_kernel_basis(sparse(rows), ncols, field)
+    basis = linalg.sparse_kernel_basis(integer(rows, field), ncols, field)
     assert len(basis) == ncols - dense_rank(rows)
     # each vector ends in a 1 at its own free column, the free columns
     # increase, and no other vector touches them
@@ -110,3 +113,56 @@ def test_is_invertible_agrees_with_inverse(case):
                             for row in rows])
     assert is_invertible(phi) == \
         (linalg.inverse(sparse(rows), field) is not None)
+
+
+class ReferenceEchelon:
+    """The FieldScalar Gauss-Jordan elimination the integer Echelon
+    replaced: rows are {column: FieldScalar}, each pivot row is scaled to
+    pivot entry 1 on insertion and stored without it."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    def insert(self, row):
+        pivots = self.pivots
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                inv = row.pop(c).inverse()
+                pivots[c] = {cc: v * inv for cc, v in row.items()}
+                return True
+            f = row.pop(c)
+            for cc, v in prow.items():
+                nv = row.get(cc)
+                nv = -(f * v) if nv is None else nv - f * v
+                if nv:
+                    row[cc] = nv
+                else:
+                    row.pop(cc, None)
+        return False
+
+    def reduce(self):
+        pivots = self.pivots
+        for c in sorted(pivots, reverse=True):
+            prow = pivots[c]
+            for cc in [cc for cc in prow if cc in pivots]:
+                f = prow.pop(cc)
+                for c2, v in pivots[cc].items():
+                    nv = prow.get(c2)
+                    nv = -(f * v) if nv is None else nv - f * v
+                    if nv:
+                        prow[c2] = nv
+                    else:
+                        prow.pop(c2, None)
+        return self
+
+
+@exact
+@given(matrices())
+def test_echelon_matches_the_reference_rref(case):
+    field, rows = case
+    ech, ref = linalg.Echelon(field), ReferenceEchelon()
+    for row in sparse(rows):
+        assert ech.insert(field.integer_row(row)) == ref.insert(dict(row))
+    assert ech.reduce().pivots == ref.reduce().pivots
