@@ -110,19 +110,20 @@ def hhh_command(braid, m, as_json, strand):
     try:
         cplx = cached_simplified_complex(word, m)
         series = hhh(word, m, strands=strands, precomputed=cplx)
+        if as_json:
+            out = {"braid": braid, "m": m, "strands": list(strands),
+                   "series": series.to_json()}
+            if m != 3:
+                out["note"] = "experimental: non-type-A dihedral closure"
+            text = json.dumps(out, sort_keys=True)
+        else:
+            text = repr(series)
+            if m != 3:
+                text = ("# experimental: non-type-A dihedral closure "
+                        "(m=%d)\n%s" % (m, text))
     except Exception as exc:  # contract violations carry module provenance
         _fail("%s: %s" % (type(exc).__name__, exc))
-    if as_json:
-        out = {"braid": braid, "m": m, "strands": list(strands),
-               "series": series.to_json()}
-        if m != 3:
-            out["note"] = "experimental: non-type-A dihedral closure"
-        click.echo(json.dumps(out, sort_keys=True))
-    else:
-        if m != 3:
-            click.echo("# experimental: non-type-A dihedral closure (m=%d)"
-                       % m)
-        click.echo(repr(series))
+    click.echo(text)
 
 
 @main.command(name="minimal")

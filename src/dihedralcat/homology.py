@@ -11,15 +11,15 @@ from __future__ import annotations
 from .modules import (ModuleGB, PresentedModule, column_degree,
                       minimalize_columns)
 from .ring import RingElement, realization
-from .series import PoincareSeries, QSeries
+from .series import PoincareSeries
+
 
 def _syzygy_project(columns, rank, field, first):
     """Syzygies of the given columns, projected to the first `first`
-    coordinates."""
+    coordinates: only those carry tracking positions."""
     if not columns:
         return []
-    gb = ModuleGB(columns, rank, field)
-    return [vec[:first] for vec in gb.syzygies()]
+    return ModuleGB(columns, rank, field, first).syzygies()
 
 
 def presented_homology(degrees, relations, maps, field, at):
@@ -127,17 +127,3 @@ def hhh(braid, m=3, strands=(0, 1, 2), precomputed=None):
             series = series.add_piece(k, t_deg, module.hilbert_series())
     return series
 
-
-def euler_characteristic_check(degrees, relations, maps, field):
-    """Sum (-1)^i HS(C_i) == Sum (-1)^i HS(H_i), returns (bool, residual)."""
-    total_c = QSeries.zero()
-    for d in degrees:
-        pres = PresentedModule(degrees[d], relations.get(d, []), field)
-        hs = pres.hilbert_series()
-        total_c = total_c + (hs if d % 2 == 0 else -hs)
-    total_h = QSeries.zero()
-    for d, h in complex_homology(degrees, relations, maps, field).items():
-        hs = h.hilbert_series()
-        total_h = total_h + (hs if d % 2 == 0 else -hs)
-    resid = total_c - total_h
-    return (not resid), resid

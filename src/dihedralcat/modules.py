@@ -1,8 +1,10 @@
 """Graded module computations over R = K_m[a_s, a_t].
 
 Submodules of free modules are handled by Buchberger's algorithm with a
-position-over-term, degrevlex (a_s > a_t) order.  One augmented Groebner
-basis per matrix yields image membership, lifts, and syzygies (kernels).
+position-over-term, degrevlex (a_s > a_t) order.  One Groebner basis per
+matrix yields image membership and Hilbert series; with a tracking
+coordinate attached to some of its columns, it also yields syzygies
+(kernels) projected to those columns, and with one on every column, lifts.
 
 Vectors are flat sparse maps {(position, i, j): coefficient}.  Inside
 ModuleGB the coefficients are integer K_m elements, a vector being known up
@@ -72,9 +74,13 @@ def _tail(vec):
 class ModuleGB:
     """Groebner data for the column span of a matrix inside R^rank.
 
-    Augmented with tracking positions so that lifts and syzygies come for
-    free: generator j is stored as (column_j, e_j) with the main block
-    dominating the tracking block in the term order.
+    The first `tracked` columns (by default all) carry tracking
+    positions: generator j is stored as (column_j, e_j) for j < tracked and
+    as (column_j, 0) otherwise, the main block dominating the tracking block
+    in the term order.  The basis vectors leading in the main block are a
+    basis of the image; those leading in the tracking block generate the
+    syzygies projected to the tracked columns, {c : M[:, :tracked] c lies
+    in the span of the other columns}.  Lifts need every column tracked.
 
     Basis vectors are integer vectors with their leading monomial stored
     as the first key, a positive int leading coefficient (kept in _leads)
@@ -84,15 +90,18 @@ class ModuleGB:
     basis, sorted by leading monomial, which is unique for the term order.
     """
 
-    def __init__(self, columns, rank, field):
+    def __init__(self, columns, rank, field, tracked=None):
         self.rank = rank
         self.ncols = len(columns)
+        self.tracked = self.ncols if tracked is None else tracked
         self.field = field
         gens = []
         for jcol, col in enumerate(columns):
             v = vec_from_column(col)
-            v[(rank + jcol, 0, 0)] = field.one()
-            gens.append(field.integer_row(v))
+            if jcol < self.tracked:
+                v[(rank + jcol, 0, 0)] = field.one()
+            if v:
+                gens.append(field.integer_row(v))
         self._basis, self._leads, self._lms, self._by_pos = [], [], [], {}
         self._run_buchberger(gens)
 
@@ -220,6 +229,8 @@ class ModuleGB:
 
     def lift_vec(self, vec):
         """Coefficients c with M*c = vec, or None if vec is not in the span."""
+        if self.tracked < self.ncols:
+            raise ValueError("lift needs every column tracked")
         den = lcm(*(c.den for c in vec.values()))
         found = self._reduce(self.field.integer_row(vec, den), stop=self.rank)
         if found is None:
@@ -233,14 +244,16 @@ class ModuleGB:
         return self.lift_vec(vec_from_column(column))
 
     def contains(self, column):
-        return self.lift(column) is not None
+        """Membership in the image, decided by the main block alone."""
+        vec = self.field.integer_row(vec_from_column(column))
+        return self._reduce(vec, stop=self.rank) is not None
 
     def syzygies(self):
-        """Columns generating ker(M) in R^ncols: the basis vectors that
-        lead in the tracking block, made monic."""
+        """Columns generating the syzygies projected to R^tracked: the basis
+        vectors that lead in the tracking block, made monic."""
         rank, field = self.rank, self.field
         return [column_from_vec({(m[0] - rank, m[1], m[2]): field.scalar(c, p)
-                                 for m, c in v.items()}, self.ncols, field)
+                                 for m, c in v.items()}, self.tracked, field)
                 for v, p, lm in zip(self._basis, self._leads, self._lms)
                 if lm[0] >= rank]
 
@@ -323,8 +336,10 @@ class PresentedModule:
         return len(self.degrees)
 
     def gb(self):
+        """The untracked Groebner basis of the relations: membership and
+        leading monomials only."""
         if self._gb is None:
-            self._gb = ModuleGB(self.relations, self.rank, self.field)
+            self._gb = ModuleGB(self.relations, self.rank, self.field, 0)
         return self._gb
 
     def is_zero(self):
@@ -336,11 +351,6 @@ class PresentedModule:
         col = [RingElement.zero(self.field)] * self.rank
         col[i] = RingElement.constant(self.field, 1)
         return col
-
-    def is_free(self):
-        """True when the (minimalized) presentation has no relations left."""
-        mod = self.minimalize()
-        return not any(any(col) for col in mod.relations)
 
     def minimalize(self):
         degrees, relations, _, _ = minimal_presentation(

@@ -77,39 +77,70 @@ class QSeries:
         Negative numerator coefficients are resolved by peeling off a
         shallower layer: N/(1-Q^2)^e = P/(1-Q^2)^e + M/(1-Q^2)^(e-1) with
         P = N - (1-Q^2)M chosen coefficientwise nonnegative and M minimal.
+        Where that peel fails, each parity class is split by _top_terms.
         """
-        out = []
         canon = self.canonical()
-        num, e = dict(canon.num), canon.e
-        while num:
-            negs = [q for q, v in num.items() if v < 0]
-            if not negs:
-                out.extend((q, e, v) for q, v in num.items())
-                break
-            if e == 0:
+        out = _peel(dict(canon.num), canon.e)
+        if out is None:
+            parts = [_top_terms({q: c for q, c in canon.num.items()
+                                 if q % 2 == r}, canon.e) for r in (0, 1)]
+            if None in parts:
                 raise ValueError(
                     "not a graded-module series: %s/(1-Q^2)^%d"
                     % (self.num, self.e))
-            floor = min(num) - 2 * (len(num) + 4)
-            peel = {}
-            while negs:
-                q = max(negs)
-                if q < floor:
-                    raise ValueError(
-                    "not a graded-module series: %s/(1-Q^2)^%d"
-                    % (self.num, self.e))
-                v = -num[q]
-                peel[q - 2] = peel.get(q - 2, 0) + v
-                num[q] = 0
-                num[q - 2] = num.get(q - 2, 0) - v
-                num = {k: c for k, c in num.items() if c}
-                negs = [k for k, c in num.items() if c < 0]
-            out.extend((q, e, v) for q, v in num.items())
-            num, e = peel, e - 1
+            out = parts[0] + parts[1]
         return sorted(out)
 
     def __repr__(self):
         return format_qseries(self)
+
+
+def _peel(num, e):
+    """QSeries.terms' peel of num/(1-Q^2)^e, or None where it fails."""
+    out = []
+    while num:
+        negs = [q for q, v in num.items() if v < 0]
+        if not negs:
+            out.extend((q, e, v) for q, v in num.items())
+            break
+        if e == 0:
+            return None
+        floor = min(num) - 2 * (len(num) + 4)
+        peel = {}
+        while negs:
+            q = max(negs)
+            if q < floor:
+                return None
+            v = -num[q]
+            peel[q - 2] = peel.get(q - 2, 0) + v
+            num[q] = 0
+            num[q - 2] = num.get(q - 2, 0) - v
+            num = {k: c for k, c in num.items() if c}
+            negs = [k for k, c in num.items() if c < 0]
+        out.extend((q, e, v) for q, v in num.items())
+        num, e = peel, e - 1
+    return out
+
+
+def _top_terms(num, e):
+    """Positive terms adding up to num/(1-Q^2)^e for a numerator of one
+    parity, or None.  Each depth puts all its weight, the coefficient sum a
+    of its numerator N, at the top degree: a Q^top/(1-Q^2)^e, leaving
+    (N - a Q^top)/(1-Q^2) one depth lower.  For e <= 2 this succeeds
+    whenever the power series has no negative coefficient, that is,
+    whenever any positive decomposition exists."""
+    out = []
+    while num and e > 0:
+        a, top = sum(num.values()), max(num)
+        if a < 0:
+            return None
+        if a:
+            out.append((top, e, a))
+            num = {**num, top: num[top] - a}
+        num, e = _divide_once({q: c for q, c in num.items() if c}), e - 1
+    if any(c < 0 for c in num.values()):
+        return None
+    return out + [(q, 0, c) for q, c in num.items()]
 
 
 def _scale_denom(num, k):

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from dihedralcat import cli
 from dihedralcat.cli import cached_simplified_complex, main
 from dihedralcat.complexes import parse_braid
+from dihedralcat.series import QSeries
 
 
 @pytest.fixture()
@@ -35,6 +36,18 @@ def test_hhh_experimental_note_for_other_m(runner):
 def test_bad_braid_exits_one(runner):
     res = runner.invoke(main, ["hhh", "q u x"])
     assert res.exit_code == 1
+
+
+def test_hhh_formatting_error_exits_one(runner, monkeypatch):
+    def broken(self):
+        raise ValueError("not a graded-module series")
+
+    monkeypatch.setattr(QSeries, "terms", broken)
+    res = runner.invoke(main, ["hhh", "s t"])
+    assert res.exit_code == 1
+    assert "error: ValueError: not a graded-module series" in res.output
+    assert "Traceback" not in res.output
+    assert isinstance(res.exception, SystemExit)
 
 
 def test_overlong_braid_exits_one(runner):

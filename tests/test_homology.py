@@ -4,15 +4,33 @@ import sys
 
 import pytest
 
-from dihedralcat import complexes, field, modules
+from dihedralcat import complexes, field, homology, modules
 from dihedralcat.complexes import rouquier_braid
 from dihedralcat.field import field_for
 from dihedralcat.hecke import euler_check
-from dihedralcat.homology import (complex_homology,
-                                  euler_characteristic_check, hhh,
-                                  presented_homology, strand_homology)
+from dihedralcat.homology import (complex_homology, hhh, presented_homology,
+                                  strand_homology)
+from dihedralcat.modules import ModuleGB, PresentedModule
 from dihedralcat.ring import RingElement
 from dihedralcat.series import PoincareSeries, QSeries
+
+WHITEHEAD = "s^-2 t s^-1 t"
+BORROMEAN = "s t^-1 s t^-1 s t^-1"
+
+
+def euler_characteristic_check(degrees, relations, maps, field):
+    """Sum (-1)^i HS(C_i) == Sum (-1)^i HS(H_i), returns (bool, residual)."""
+    total_c = QSeries.zero()
+    for d in degrees:
+        pres = PresentedModule(degrees[d], relations.get(d, []), field)
+        hs = pres.hilbert_series()
+        total_c = total_c + (hs if d % 2 == 0 else -hs)
+    total_h = QSeries.zero()
+    for d, h in complex_homology(degrees, relations, maps, field).items():
+        hs = h.hilbert_series()
+        total_h = total_h + (hs if d % 2 == 0 else -hs)
+    resid = total_c - total_h
+    return (not resid), resid
 
 
 def _two_term_data():
@@ -89,9 +107,11 @@ def test_hhh_accepts_precomputed_complex():
 def test_whitehead_hhh_builds_few_groebner_bases(monkeypatch):
     # From cold, the Whitehead hhh builds 119 ModuleGBs, all for syzygies,
     # lifts and split complements (442 when minimalize_columns built one
-    # per candidate column); minimalize_columns builds none.
+    # per candidate column); minimalize_columns builds none.  Homology
+    # bases track only the syzygy coordinates they read and Hilbert series
+    # bases none: 1,141 basis vectors in all when every column was tracked.
     complexes.clear_caches()
-    calls = []
+    calls, sizes = [], []
     real = modules.ModuleGB.__init__
     minimalize = modules.minimalize_columns.__code__
 
@@ -102,11 +122,13 @@ def test_whitehead_hhh_builds_few_groebner_bases(monkeypatch):
             frame = frame.f_back
         calls.append(inside)
         real(self, *args, **kwargs)
+        sizes.append(len(self._basis))
 
     monkeypatch.setattr(modules.ModuleGB, "__init__", counting)
-    hhh("s^-2 t s^-1 t", 3)
+    hhh(WHITEHEAD, 3)
     assert 0 < len(calls) <= 120
     assert not any(calls)
+    assert 0 < sum(sizes) <= 950
 
 
 def test_whitehead_hhh_multiplies_few_field_scalars(monkeypatch):
@@ -123,5 +145,38 @@ def test_whitehead_hhh_multiplies_few_field_scalars(monkeypatch):
 
     monkeypatch.setattr(field.FieldScalar, "__mul__", counting)
     monkeypatch.setattr(field.FieldScalar, "__rmul__", counting)
-    hhh("s^-2 t s^-1 t", 3)
+    hhh(WHITEHEAD, 3)
     assert 0 < len(calls) <= 125638 // 2
+
+
+def _full_syzygy_project(columns, rank, field, first):
+    """The reference: every column tracked, syzygies cut to the first
+    `first` coordinates, zero vectors dropped."""
+    if not columns:
+        return []
+    cut = [vec[:first] for vec in ModuleGB(columns, rank, field).syzygies()]
+    return [vec for vec in cut if any(vec)]
+
+
+@pytest.mark.parametrize("word", [WHITEHEAD, BORROMEAN])
+def test_strand_homology_matches_fully_tracked_syzygies(word, monkeypatch):
+    cplx = rouquier_braid(3, word, simplify=True, split=True)
+
+    def presentations():
+        return {(k, d): (mod.degrees, mod.relations)
+                for k in (0, 1, 2)
+                for d, mod in strand_homology(cplx, k).items()}
+
+    got = presentations()
+    monkeypatch.setattr(homology, "_syzygy_project", _full_syzygy_project)
+    assert got == presentations()
+    assert got
+
+
+def test_borromean_hhh_passes_the_euler_check():
+    # HH^2 at T^0 is {-6: 2, -4: -3, -2: 2}/(1-Q^2)^2, which the peel of
+    # QSeries.terms cannot decompose on its own
+    series = hhh(BORROMEAN, 3)
+    assert QSeries({-6: 2, -4: -3, -2: 2}, 2) == series.strata[(2, 0)]
+    ok, residual = euler_check(series, BORROMEAN)
+    assert ok, residual

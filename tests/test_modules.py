@@ -126,13 +126,18 @@ def test_minimal_presentation_projector_identity():
     assert gb.contains([a * b])
 
 
+def _is_free(mod):
+    """True when the minimalized presentation has no relations left."""
+    return not any(any(col) for col in mod.minimalize().relations)
+
+
 def test_presented_module_is_zero_and_free():
     F, a, b = _gens()
     one = RingElement.constant(F, 1)
     assert PresentedModule([0], [[one]], F).is_zero()
     assert not PresentedModule([0], [[a]], F).is_zero()
-    assert PresentedModule([0, 2], [], F).is_free()
-    assert not PresentedModule([0], [[a]], F).is_free()
+    assert _is_free(PresentedModule([0, 2], [], F))
+    assert not _is_free(PresentedModule([0], [[a]], F))
 
 
 def test_kernel_wrapper_matches_syzygies():
@@ -288,3 +293,20 @@ def test_minimalize_columns_keeps_the_reference_columns(data):
     field, rank, degrees, cols = data
     assert minimalize_columns(cols, degrees) == \
         _old_minimalize_columns(cols, rank, field, degrees)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(homogeneous_columns(), st.integers(0, 6))
+def test_partly_tracked_basis_projects_the_syzygies(data, tracked):
+    field, rank, degrees, cols = data
+    tracked = min(tracked, len(cols))
+    full = ModuleGB(cols, rank, field)
+    part = ModuleGB(cols, rank, field, tracked)
+    cut = [syz[:tracked] for syz in full.syzygies()]
+    assert part.syzygies() == [syz for syz in cut if any(syz)]
+    assert part.image_leading_monomials() == full.image_leading_monomials()
+    for col in cols:
+        assert part.contains(col)
+    if tracked < len(cols):
+        with pytest.raises(ValueError):
+            part.lift(cols[0])

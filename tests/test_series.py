@@ -1,6 +1,8 @@
 """Tests for exact graded-rank series."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dihedralcat.series import PoincareSeries, QSeries
 
@@ -21,6 +23,27 @@ def test_qseries_terms_peels_negative_numerators():
 def test_qseries_terms_rejects_non_module():
     with pytest.raises(ValueError):
         QSeries({0: -1}, 0).terms()
+
+
+def test_qseries_terms_decomposes_what_the_peel_cannot():
+    # the Borromean rings' HH^2 at T^0, also 2Q^-6 + Q^-4/(1-Q^2)^2
+    s = QSeries({-6: 2, -4: -3, -2: 2}, 2)
+    assert s.terms() == [(-6, 0, 2), (-4, 1, 1), (-2, 2, 1)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(-8, 8),
+                          st.integers(0, 2)), min_size=1, max_size=6))
+def test_qseries_terms_of_positive_sums(parts):
+    s = QSeries.zero()
+    for c, q, e in parts:
+        s = s + QSeries({q: c}, e)
+    terms = s.terms()
+    assert all(c > 0 for _, _, c in terms)
+    total = QSeries.zero()
+    for q, e, c in terms:
+        total = total + QSeries({q: c}, e)
+    assert total == s
 
 
 def test_qseries_arithmetic_and_shift():
