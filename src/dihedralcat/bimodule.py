@@ -135,12 +135,13 @@ class Bimodule:
     """Free right R-module with commuting left-action matrices.
 
     word tags a Bott-Samelson bimodule BS(word), kl an indecomposable
-    B_kl; either is None when absent.  product_class is the Hecke class,
-    before the shift, of an untagged tensor product (set by tensor).
+    B_kl; either is None when absent.  tensor sets, on an untagged
+    product a (x) b, product_class to its Hecke class before the shift,
+    and factors to (a, b) when b has a Bott-Samelson word of >= 2 letters.
     """
 
     __slots__ = ("real", "rank", "degrees", "left", "word", "shift", "kl",
-                 "product_class")
+                 "product_class", "factors")
 
     def __init__(self, real, degrees, left_s, left_t, word=None, shift=0,
                  kl=None, check=True):
@@ -152,7 +153,7 @@ class Bimodule:
         self.word = tuple(word) if word is not None else None
         self.shift = shift
         self.kl = tuple(kl) if kl is not None else None
-        self.product_class = None
+        self.product_class = self.factors = None
         if check:
             self._validate()
 
@@ -212,7 +213,7 @@ class Bimodule:
                        self.left["s"], self.left["t"],
                        word=self.word, shift=self.shift + k, kl=self.kl,
                        check=False)
-        out.product_class = self.product_class
+        out.product_class, out.factors = self.product_class, self.factors
         return out
 
     def graded_rank(self):
@@ -344,6 +345,8 @@ def tensor(mod_a, mod_b):
         if class_a is not None and class_b is not None:
             out.product_class = (class_a * class_b).scale(
                 Laurent.monomial(-out.shift))
+        if mod_b.word is not None and len(mod_b.word) >= 2:
+            out.factors = (mod_a, mod_b)
     return out
 
 
@@ -352,14 +355,6 @@ def bott_samelson(m, word, shift=0):
     for letter in word:
         out = tensor(out, b_generator(m, letter))
     return out.shifted(shift) if shift else out
-
-
-def dualize_D(mod):
-    """D(M): degrees negated, left action transposed."""
-    return Bimodule(mod.real, [-d for d in mod.degrees],
-                    mat_transpose(mod.left["s"]),
-                    mat_transpose(mod.left["t"]),
-                    word=None, shift=-mod.shift, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -437,25 +432,6 @@ class BimoduleMorphism:
 def identity_morphism(mod):
     return BimoduleMorphism(mod, mod, mat_identity(mod.field, mod.rank),
                             0, check=False)
-
-
-def zero_morphism(dom, cod, degree=0):
-    return BimoduleMorphism(dom, cod,
-                            mat_zero(dom.field, cod.rank, dom.rank),
-                            degree, check=False)
-
-
-def tensor_morphism(f, g):
-    """f (x) g between the tensor bimodules."""
-    return BimoduleMorphism(tensor(f.dom, g.dom), tensor(f.cod, g.cod),
-                            tensor_matrix(f, g), f.degree + g.degree,
-                            check=False)
-
-
-def tensor_matrix(f, g):
-    """f (x) g = (f (x) id) . (id (x) g), for callers holding its endpoints."""
-    return mat_mul(tensor_id_matrix(f, g.cod), id_tensor_matrix(f.dom, g),
-                   f.dom.field)
 
 
 def tensor_id_matrix(f, mod):
@@ -729,15 +705,3 @@ def split_summand(mod, cand):
             if is_invertible(comp):
                 return f.compose(invert_morphism(comp)), g
     return None
-
-
-def find_isomorphism(mod_a, mod_b):
-    """A degree-0 isomorphism mod_a -> mod_b, or None.
-
-    Exact when mod_b is indecomposable (see split_summand), as every
-    R(k), B_s(k) and B_t(k) is.
-    """
-    if not mod_a.same_graded_rank(mod_b):
-        return None
-    hit = split_summand(mod_a, mod_b)
-    return hit[1] if hit else None

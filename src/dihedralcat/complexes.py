@@ -594,20 +594,35 @@ def decompose_bimodule(mod):
     low = min(mod.degrees, default=0)
     key = (mod.m, tuple(d - low for d in mod.degrees),
            mod.left["s"], mod.left["t"])
-    if key in _SPLITTINGS:
-        low0, cls0, pieces = _SPLITTINGS[key]
-        if cls == cls0.scale(Laurent.monomial(low0 - low)):
-            atoms = [atom.shifted(low0 - low) for atom, _, _ in pieces]
-            return [(atom, BimoduleMorphism(atom, mod, incl, 0, check=False),
-                     BimoduleMorphism(mod, atom, proj, 0, check=False))
-                    for atom, (_, incl, proj) in zip(atoms, pieces)]
+    hit = _SPLITTINGS.get(key)
+    if hit is None or cls != hit[1].scale(Laurent.monomial(hit[0] - low)):
+        hit = _SPLITTINGS[key] = (low, cls, _split(mod, cls))
+    low0, _, pieces = hit
+    out = []
+    for atom, incl, proj in pieces:
+        atom = atom.shifted(low0 - low) if low0 != low else atom
+        out.append((atom, BimoduleMorphism(atom, mod, incl, 0, check=False),
+                    BimoduleMorphism(mod, atom, proj, 0, check=False)))
+    return out
+
+
+def _split(mod, cls):
+    """[(atom, incl matrix, proj matrix)] in decompose_bimodule's order:
+    through the factors where mod names them, else by hom solves that
+    split off one summand at a time."""
     mults = kl_multiplicities(cls)
-    summands = [indecomposable_b(mod.m, w).shifted(k)
-                for w in sorted(group_elements(mod.m), key=len, reverse=True)
+    order = sorted(group_elements(mod.m), key=len, reverse=True)
+    summands = [indecomposable_b(mod.m, w).shifted(k) for w in order
                 if w in mults for k, n in sorted(mults[w].terms.items())
                 for _ in range(n)]
     if sorted(d for b in summands for d in b.degrees) != sorted(mod.degrees):
         raise ValueError("%r does not match its class %r" % (mod, cls))
+    pieces = _split_through_factors(mod)
+    if pieces is not None:
+        pieces.sort(key=lambda p: (order.index(p[0].kl or ()), p[0].shift))
+        if [(a.kl, a.shift) for a, _, _ in pieces] == \
+                [(b.kl, b.shift) for b in summands]:
+            return pieces
     out = []
     current = mod
     incl_cur = proj_cur = identity_morphism(mod)
@@ -616,16 +631,44 @@ def decompose_bimodule(mod):
         if found is None:
             raise ValueError("%r does not split off %r" % (mod, cand))
         incl, proj = found
-        out.append((cand, incl_cur.compose(incl), proj.compose(proj_cur)))
+        out.append((cand, incl_cur.compose(incl).matrix,
+                    proj.compose(proj_cur).matrix))
         if cand.rank == current.rank:
             break
         current, rest_incl, rest_proj = _complement_of_idempotent(
             current, incl, proj)
         incl_cur = incl_cur.compose(rest_incl)
         proj_cur = rest_proj.compose(proj_cur)
-    _SPLITTINGS[key] = (low, cls, [(atom, incl.matrix, proj.matrix)
-                                   for atom, incl, proj in out])
     return out
+
+
+def _split_through_factors(mod):
+    """Pieces of mod = a (x) BS(w y) from those of a (x) BS(w), each piece
+    P split as P (x) B_y through the memo (associativity of the pair
+    basis); None when mod names no such factorization (a plain BS(w y)
+    with l(w) >= 2, or tensor's factors) or it does not hold exactly."""
+    if mod.word is not None and len(mod.word) >= 3:
+        head, y = bott_samelson(mod.m, mod.word[:-1]), mod.word[-1]
+    elif mod.factors is not None:
+        a, b = mod.factors
+        head, y = tensor(a, bott_samelson(mod.m, b.word[:-1])), b.word[-1]
+    else:
+        return None
+    gen = b_generator(mod.m, y)
+    whole = tensor(head, gen)
+    k = whole.degrees[0] - mod.degrees[0]
+    if whole.left != mod.left or \
+            [d - k for d in whole.degrees] != list(mod.degrees):
+        return None
+    field = mod.field
+    pieces = []
+    for atom, incl, proj in decompose_bimodule(head.shifted(k)):
+        outer_incl = tensor_id_matrix(incl, gen)
+        outer_proj = tensor_id_matrix(proj, gen)
+        for sub, sub_incl, sub_proj in decompose_bimodule(tensor(atom, gen)):
+            pieces.append((sub, mat_mul(outer_incl, sub_incl.matrix, field),
+                           mat_mul(sub_proj.matrix, outer_proj, field)))
+    return pieces
 
 
 def split_atoms(cplx):

@@ -1,0 +1,45 @@
+"""Bimodule constructions that only the tests use, built on the library."""
+
+from dihedralcat.bimodule import (Bimodule, BimoduleMorphism,
+                                  id_tensor_matrix, mat_mul, mat_transpose,
+                                  mat_zero, split_summand, tensor,
+                                  tensor_id_matrix)
+
+
+def dualize_D(mod):
+    """D(M): degrees negated, left action transposed."""
+    return Bimodule(mod.real, [-d for d in mod.degrees],
+                    mat_transpose(mod.left["s"]),
+                    mat_transpose(mod.left["t"]),
+                    word=None, shift=-mod.shift, check=False)
+
+
+def zero_morphism(dom, cod, degree=0):
+    return BimoduleMorphism(dom, cod,
+                            mat_zero(dom.field, cod.rank, dom.rank),
+                            degree, check=False)
+
+
+def tensor_matrix(f, g):
+    """f (x) g = (f (x) id) . (id (x) g), for callers holding its endpoints."""
+    return mat_mul(tensor_id_matrix(f, g.cod), id_tensor_matrix(f.dom, g),
+                   f.dom.field)
+
+
+def tensor_morphism(f, g):
+    """f (x) g between the tensor bimodules."""
+    return BimoduleMorphism(tensor(f.dom, g.dom), tensor(f.cod, g.cod),
+                            tensor_matrix(f, g), f.degree + g.degree,
+                            check=False)
+
+
+def find_isomorphism(mod_a, mod_b):
+    """A degree-0 isomorphism mod_a -> mod_b, or None.
+
+    Exact when mod_b is indecomposable (see split_summand), as every
+    R(k), B_s(k) and B_t(k) is.
+    """
+    if not mod_a.same_graded_rank(mod_b):
+        return None
+    hit = split_summand(mod_a, mod_b)
+    return hit[1] if hit else None

@@ -11,8 +11,7 @@ import pytest
 import sympy as sp
 
 from dihedralcat.bimodule import (b_generator, bott_samelson,
-                                  find_isomorphism, hom_degree_basis,
-                                  hom_space, regular)
+                                  hom_degree_basis, hom_space, regular)
 from dihedralcat.complexes import (indecomposable_b, rouquier_braid)
 from dihedralcat.hecke import (canonical_word, class_of_complex,
                                delta_product, euler_check, group_elements,
@@ -24,6 +23,7 @@ from dihedralcat.serre import (check_pift, check_relative_serre, check_serre,
                                homology_series, serre_test_objects,
                                tensor_complex, _simplify_split)
 from dihedralcat.trace import pi_minus, pi_plus
+from helpers import find_isomorphism
 
 WHITEHEAD = "s^-2 t s^-1 t"
 
@@ -97,7 +97,7 @@ def test_criterion_05_pift_minimal_form(m):
     assert check_pift(m)["status"] == "pass"
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_criterion_06_relative_serre_duality(m):
     for name, cplx in serre_test_objects(m).items():
         rep = check_relative_serre(cplx, m)

@@ -15,7 +15,7 @@ import dihedralcat
 from dihedralcat import bimodule, complexes, serre
 from dihedralcat.bimodule import (Bimodule, b_generator, bott_samelson,
                                   direct_sum, hom_degree_basis,
-                                  identity_morphism, tensor)
+                                  identity_morphism, split_summand, tensor)
 from dihedralcat.complexes import (MAX_WORD_LENGTH, ChainComplex,
                                    chain_map_basis, complexes_isomorphic,
                                    decompose_bimodule, indecomposable_b,
@@ -24,7 +24,7 @@ from dihedralcat.complexes import (MAX_WORD_LENGTH, ChainComplex,
                                    tensor_complex)
 from dihedralcat.hecke import (Laurent, bs_class, class_of_bimodule,
                                class_of_complex, delta_product,
-                               group_elements, kl_basis)
+                               group_elements, kl_basis, kl_multiplicities)
 from dihedralcat.homology import hhh
 from dihedralcat.serre import homology_series
 
@@ -262,16 +262,103 @@ def _assert_complete_orthogonal_idempotents(mod, pieces):
     assert total == identity_morphism(mod)
 
 
+def _hom_solve_pieces(mod):
+    """Reference split by hom solves alone: each summand the class names,
+    in decompose_bimodule's order, split off the complement of those
+    before it."""
+    mults = kl_multiplicities(class_of_bimodule(mod))
+    summands = [indecomposable_b(mod.m, w).shifted(k)
+                for w in sorted(group_elements(mod.m), key=len, reverse=True)
+                if w in mults for k, n in sorted(mults[w].terms.items())
+                for _ in range(n)]
+    out, current = [], mod
+    incl_cur = proj_cur = identity_morphism(mod)
+    for cand in summands:
+        incl, proj = split_summand(current, cand)
+        out.append((cand, incl_cur.compose(incl), proj.compose(proj_cur)))
+        if cand.rank == current.rank:
+            break
+        current, rest_incl, rest_proj = \
+            complexes._complement_of_idempotent(current, incl, proj)
+        incl_cur = incl_cur.compose(rest_incl)
+        proj_cur = rest_proj.compose(proj_cur)
+    return out
+
+
+def _assert_intertwines(pieces):
+    for _, incl, proj in pieces:
+        incl._validate()
+        proj._validate()
+
+
+def _assert_splits_bott_samelson_class(mod, pieces, word):
+    atoms = [atom for atom, _, _ in pieces]
+    total = class_of_complex(ChainComplex(mod.m, {0: atoms}, {}, check=False))
+    assert total == bs_class(mod.m, word).scale(Laurent.monomial(mod.shift))
+    _assert_complete_orthogonal_idempotents(mod, pieces)
+
+
 @pytest.mark.parametrize("m, word", [(3, "stst"), (3, "ss"), (4, "ststs"),
                                      (5, "ststs")])
 def test_decomposition_matches_bott_samelson_class(m, word, monkeypatch):
+    # With every B_v (x) B_x split memoized, BS(w) = BS(w') (x) B_x splits
+    # through its factors and solves no hom system.
+    complexes.clear_caches()
+    for v in group_elements(m):
+        for x in "st":
+            decompose_bimodule(tensor(indecomposable_b(m, v),
+                                      b_generator(m, x)))
     mod = bott_samelson(m, word)
-    pieces, splits = _decompose_counting_splits(mod, monkeypatch)
-    atoms = [atom for atom, _, _ in pieces]
-    assert len(atoms) > 1 and splits == len(atoms)
-    total = class_of_complex(ChainComplex(m, {0: atoms}, {}, check=False))
-    assert total == bs_class(m, word)
-    _assert_complete_orthogonal_idempotents(mod, pieces)
+    calls = []
+    monkeypatch.setattr(complexes, "split_summand",
+                        lambda *args: calls.append(args))
+    pieces = decompose_bimodule(mod)
+    monkeypatch.undo()
+    assert len(pieces) > 1 and calls == []
+    _assert_splits_bott_samelson_class(mod, pieces, word)
+
+
+def test_rank_64_bott_samelson_splits_through_its_factors():
+    m, word = 5, "ststst"
+    complexes.clear_caches()
+    for w in group_elements(m):
+        indecomposable_b(m, w)
+    mod = bott_samelson(m, word).shifted(1)
+    assert mod.rank == 64
+    pieces = decompose_bimodule(mod)
+    assert [repr(atom) for atom, _, _ in pieces] == \
+        ["B_ststs", "B_ststs(2)"] + ["B_stst(1)"] * 3 + ["B_st(1)"] * 5
+    _assert_intertwines(pieces)
+    _assert_splits_bott_samelson_class(mod, pieces, word)
+
+
+def test_product_with_a_shifted_bott_samelson_factor(monkeypatch):
+    a = indecomposable_b(3, "sts").shifted(2)
+    b = bott_samelson(3, "st").shifted(-1)
+    mod = tensor(a, b)
+    assert mod.factors == (a, b) and mod.shifted(3).factors == (a, b)
+    complexes.clear_caches()
+    want = _hom_solve_pieces(mod)
+    assert len(want) == 4
+    _assert_complete_orthogonal_idempotents(mod, want)
+    # wrong factors fail the associativity check and take the hom-solve
+    # path; the true ones split through the factors
+    for factors in ((a, bott_samelson(3, "ts")), (a, b)):
+        complexes.clear_caches()
+        mod.factors = factors
+        pieces = decompose_bimodule(mod)
+        assert [repr(x) for x, _, _ in pieces] == \
+            [repr(x) for x, _, _ in want]
+        _assert_complete_orthogonal_idempotents(mod, pieces)
+        _assert_intertwines(pieces)
+    calls = []
+    monkeypatch.setattr(complexes, "split_summand",
+                        lambda *args: calls.append(args))
+    pieces = decompose_bimodule(mod.shifted(-2))
+    assert [repr(x) for x, _, _ in pieces] == \
+        [repr(x.shifted(-2)) for x, _, _ in want]
+    _assert_complete_orthogonal_idempotents(mod.shifted(-2), pieces)
+    assert calls == []
 
 
 def test_untagged_tensor_splits_by_its_class(monkeypatch):

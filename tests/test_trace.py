@@ -2,12 +2,12 @@
 
 import pytest
 
-from dihedralcat.bimodule import (b_generator, bott_samelson, mat_mul,
-                                  find_isomorphism, regular)
+from dihedralcat.bimodule import b_generator, bott_samelson, mat_mul, regular
 from dihedralcat.complexes import indecomposable_b, rouquier_braid
 from dihedralcat.series import QSeries
 from dihedralcat.trace import (hochschild, hochschild_on_complex, pi_minus,
                                pi_on_complex, pi_plus, rho_endomorphism)
+from helpers import find_isomorphism
 
 
 def _rank_series(mod):
