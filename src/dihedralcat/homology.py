@@ -8,18 +8,11 @@ Koszul twists M(2), M(4) already carry the internal-degree normalization.
 
 from __future__ import annotations
 
-from .modules import (ModuleGB, PresentedModule, column_degree,
-                      minimalize_columns)
+from .bimodule import mat_transpose
+from .modules import PresentedModule, column_degree, kernel, minimalize_columns
 from .ring import RingElement, realization
 from .series import PoincareSeries
-
-
-def _syzygy_project(columns, rank, field, first):
-    """Syzygies of the given columns, projected to the first `first`
-    coordinates: only those carry tracking positions."""
-    if not columns:
-        return []
-    return ModuleGB(columns, rank, field, first).syzygies()
+from .trace import hochschild_on_complex
 
 
 def presented_homology(degrees, relations, maps, field, at):
@@ -33,10 +26,8 @@ def presented_homology(degrees, relations, maps, field, at):
     zero = RingElement.zero(field)
     amat = maps.get(at)
     if amat is not None and len(amat) and n_at:
-        acols = [[amat[i][j] for i in range(len(amat))] for j in range(n_at)]
         relq = [c for c in relations.get(at + 1, []) if any(c)]
-        combined = acols + relq
-        syz = _syzygy_project(combined, len(amat), field, n_at)
+        syz = kernel(mat_transpose(amat) + relq, len(amat), field, n_at)
         kgens = [c for c in syz if any(c)]
     else:
         kgens = [[zero] * n_at for _ in range(n_at)]
@@ -48,19 +39,11 @@ def presented_homology(degrees, relations, maps, field, at):
     kgens = minimalize_columns(kgens, list(deg_at))
     if not kgens:
         return PresentedModule([], [], field)
-    lower = []
     bmat = maps.get(at - 1)
-    if bmat is not None and len(bmat) == n_at:
-        ncols = len(bmat[0]) if bmat else 0
-        for j in range(ncols):
-            col = [bmat[i][j] for i in range(n_at)]
-            if any(col):
-                lower.append(col)
-    for col in relations.get(at, []):
-        if any(col):
-            lower.append(list(col))
-    combined = kgens + lower
-    rels = _syzygy_project(combined, n_at, field, len(kgens))
+    lower = mat_transpose(bmat) if bmat is not None and len(bmat) == n_at \
+        else []
+    lower = [c for c in lower + relations.get(at, []) if any(c)]
+    rels = kernel(kgens + lower, n_at, field, len(kgens))
     rels = [c for c in rels if any(c)]
     kdegs = [column_degree(c, list(deg_at)) for c in kgens]
     return PresentedModule(kdegs, rels, field).minimalize()
@@ -76,42 +59,10 @@ def complex_homology(degrees, relations, maps, field):
     return out
 
 
-def _concat_strand(results):
-    """Concatenate per-atom HochschildResults of one cohomological degree."""
-    degs = []
-    rels = []
-    off = 0
-    field = None
-    for res in results:
-        pres = res.presentation
-        field = pres.field
-        degs.extend(pres.degrees)
-        for col in pres.relations:
-            rels.append([RingElement.zero(field)] * off + list(col))
-        off += pres.rank
-    total = off
-    rels = [col + [RingElement.zero(field)] * (total - len(col))
-            for col in rels]
-    return degs, rels
-
-
-def strand_data(cplx, k):
-    """Presented-complex data (degrees, relations, maps) for HH^k(cplx)."""
-    from .trace import hochschild_on_complex
-    results, maps = hochschild_on_complex(cplx, k)
-    degrees = {}
-    relations = {}
-    for d, lst in results.items():
-        degs, rels = _concat_strand(lst)
-        degrees[d] = degs
-        relations[d] = rels
-    return degrees, relations, maps
-
-
 def strand_homology(cplx, k):
     """{cohom degree: minimal PresentedModule} for the HH^k strand."""
     field = realization(cplx.m).field
-    degrees, relations, maps = strand_data(cplx, k)
+    degrees, relations, maps = hochschild_on_complex(cplx, k)
     return complex_homology(degrees, relations, maps, field)
 
 

@@ -266,19 +266,12 @@ class ModuleGB:
         return out
 
 
-def kernel(columns, rank, field):
-    """Columns generating the kernel of the matrix with the given columns."""
+def kernel(columns, rank, field, tracked=None):
+    """Columns generating the kernel of the matrix with the given columns,
+    projected to its first `tracked` coordinates (by default all)."""
     if not columns:
         return []
-    return ModuleGB(columns, rank, field).syzygies()
-
-
-def matrix_kernel(matrix, field):
-    """Kernel of a matrix given as rows x cols nested lists."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    cols = [[matrix[i][j] for i in range(nrows)] for j in range(ncols)]
-    return kernel(cols, nrows, field)
+    return ModuleGB(columns, rank, field, tracked).syzygies()
 
 
 def minimalize_columns(columns, degrees):
@@ -395,74 +388,51 @@ def minimal_presentation(degrees, relations, field):
 
     Returns (new_degrees, new_relations, incl, proj) where incl maps new
     generator coordinates into old ones and proj the other way; both are
-    nested row x col lists over R.
+    nested row x col lists over R.  The pivot is the first relation with a
+    constant entry at a live generator, at the lowest such generator.
     """
     n = len(degrees)
-    degrees = list(degrees)
     cols = [list(c) for c in relations]
     zero = RingElement.zero(field)
     one = RingElement.constant(field, 1)
-    # incl: rows = original gens, cols = surviving gens (as expressions)
     live = list(range(n))
-    # proj rows grow as substitutions are recorded; represent proj as
-    # substitution of each original generator by a column over surviving ones.
-    subst = {i: None for i in range(n)}  # None: still its own generator
-
-    changed = True
-    while changed:
-        changed = False
-        for ci, col in enumerate(cols):
-            unit_at = None
-            for ri in live:
-                f = col[ri]
-                if f and f.is_constant():
-                    unit_at = ri
-                    break
-            if unit_at is None:
-                continue
-            u = col[unit_at].constant_coefficient()
-            inv = u.inverse()
-            # gen_unit = -(1/u) * sum_{k != unit} col[k] gen_k
-            expr = {k: col[k].scale(-inv) for k in live
-                    if k != unit_at and col[k]}
-            subst[unit_at] = expr
-            live.remove(unit_at)
-            del cols[ci]
-            new_cols = []
-            for c2 in cols:
-                f = c2[unit_at]
-                if f:
-                    c2 = list(c2)
-                    for k, coef in expr.items():
-                        c2[k] = c2[k] + f * coef
-                    c2[unit_at] = zero
-                if any(c2[k] for k in live):
-                    new_cols.append(c2)
-            cols = new_cols
-            changed = True
+    # each old generator as a combination of the live ones
+    proj = [{i: one} for i in range(n)]
+    while True:
+        pivot = next(((ci, ri) for ci, col in enumerate(cols) for ri in live
+                      if col[ri] and col[ri].is_constant()), None)
+        if pivot is None:
             break
-
-    # resolve chained substitutions
-    def resolve(i):
-        if subst[i] is None:
-            return {i: one}
-        out = {}
-        for k, coef in subst[i].items():
-            if subst[k] is None:
-                out[k] = out.get(k, zero) + coef
-            else:
-                for k2, coef2 in resolve(k).items():
-                    out[k2] = out.get(k2, zero) + coef * coef2
-        return {k: v for k, v in out.items() if v}
-
+        ci, unit_at = pivot
+        col = cols.pop(ci)
+        live.remove(unit_at)
+        # gen_unit = -(1/u) * sum_{k != unit} col[k] gen_k
+        inv = col[unit_at].constant_coefficient().inverse()
+        expr = {k: col[k].scale(-inv) for k in live if col[k]}
+        new_cols = []
+        for c2 in cols:
+            f = c2[unit_at]
+            if f:
+                for k, coef in expr.items():
+                    c2[k] = c2[k] + f * coef
+                c2[unit_at] = zero
+            if any(c2[k] for k in live):
+                new_cols.append(c2)
+        cols = new_cols
+        for p in proj:
+            f = p.pop(unit_at, None)
+            if f is not None:
+                for k, coef in expr.items():
+                    p[k] = p.get(k, zero) + f * coef
+                    if not p[k]:
+                        del p[k]
     new_index = {g: a for a, g in enumerate(live)}
-    new_degrees = [degrees[g] for g in live]
-    new_relations = [[col[g] for g in live] for col in cols]
     incl = [[zero] * len(live) for _ in range(n)]
     for a, g in enumerate(live):
         incl[g][a] = one
-    proj = [[zero] * n for _ in range(len(live))]
-    for i in range(n):
-        for k, coef in resolve(i).items():
-            proj[new_index[k]][i] = proj[new_index[k]][i] + coef
-    return new_degrees, new_relations, incl, proj
+    proj_mat = [[zero] * n for _ in live]
+    for i, p in enumerate(proj):
+        for k, coef in p.items():
+            proj_mat[new_index[k]][i] = coef
+    new_relations = [[col[g] for g in live] for col in cols]
+    return [degrees[g] for g in live], new_relations, incl, proj_mat

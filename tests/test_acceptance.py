@@ -169,8 +169,8 @@ def test_criterion_09_hochschild_corner_identities(word):
     from dihedralcat.trace import hochschild
     m = 3
     mod = bott_samelson(m, word) if word else regular(m)
-    hh0 = hochschild(mod, 0).presentation.hilbert_series()
-    hh2 = hochschild(mod, 2).presentation.hilbert_series()
+    hh0 = hochschild(mod, 0).module.hilbert_series()
+    hh2 = hochschild(mod, 2).module.hilbert_series()
 
     def rank_series(bim):
         out = QSeries.zero()

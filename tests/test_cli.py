@@ -99,12 +99,68 @@ def test_minimal_lists_degrees(runner):
     assert "deg 0" in res.output and "deg 1" in res.output
 
 
+# The trace command on the Whitehead link, pinned to the outputs of the
+# kernel/cokernel code before the trace layer shared one kernel helper.
+WHITEHEAD = "s^-2 t s^-1 t"
+WHITEHEAD_HH = {
+    "hh0": {"1": {"degrees": [-1], "series": "Q^-1"},
+            "2": {"degrees": [-3], "series": "Q^-3"}},
+    "hh1": {"-1": {"degrees": [-1], "series": "Q^-1"},
+            "0": {"degrees": [-3, -3], "series": "Q^-3 + Q^-3/(1-Q^2)"},
+            "1": {"degrees": [-5], "series": "Q^-5"},
+            "2": {"degrees": [-7], "series": "Q^-7"}},
+    "hh2": {"-1": {"degrees": [-5], "series": "Q^-5"},
+            "0": {"degrees": [-7], "series": "Q^-7/(1-Q^2)"}},
+}
+
+
+WHITEHEAD_PI = {
+    "pi_s_minus":
+        "ChainComplex{-1: Bimodule(rank=2, degrees=[1, 3]); "
+        "0: Bimodule(rank=1, degrees=[1]) + "
+        "Bimodule(rank=2, degrees=[-1, 1]) + "
+        "Bimodule(rank=2, degrees=[-1, 1]); "
+        "1: Bimodule(rank=1, degrees=[-1]) + "
+        "Bimodule(rank=1, degrees=[-1]) + "
+        "Bimodule(rank=2, degrees=[-3, -1]); "
+        "2: Bimodule(rank=1, degrees=[-3])}\n",
+    "pi_s_plus":
+        "ChainComplex{-3: Bimodule(rank=2, degrees=[3, 5]); "
+        "-2: Bimodule(rank=2, degrees=[1, 3]) + "
+        "Bimodule(rank=2, degrees=[1, 3]) + "
+        "Bimodule(rank=2, degrees=[1, 3]); "
+        "-1: Bimodule(rank=2, degrees=[-1, 1]) + "
+        "Bimodule(rank=1, degrees=[1]) + "
+        "Bimodule(rank=2, degrees=[-1, 1]) + "
+        "Bimodule(rank=2, degrees=[-1, 1]) + "
+        "Bimodule(rank=2, degrees=[-1, 1]); "
+        "0: Bimodule(rank=1, degrees=[-1]) + "
+        "Bimodule(rank=1, degrees=[-1]) + "
+        "Bimodule(rank=2, degrees=[-3, -1]) + "
+        "Bimodule(rank=2, degrees=[-3, -1]) + "
+        "Bimodule(rank=2, degrees=[-3, -1]); "
+        "1: Bimodule(rank=1, degrees=[-3]) + "
+        "Bimodule(rank=1, degrees=[-3]) + "
+        "Bimodule(rank=2, degrees=[-5, -3]); "
+        "2: Bimodule(rank=1, degrees=[-5])}\n",
+}
+
+
 def test_trace_functor_output(runner):
     res = runner.invoke(main, ["trace", "s", "--functor", "pi_s_plus"])
     assert res.exit_code == 0
     res = runner.invoke(main, ["trace", "s t", "--functor", "hh0", "--json"])
     assert res.exit_code == 0
     assert "homology" in json.loads(res.output)
+    for functor, payload in WHITEHEAD_HH.items():
+        res = runner.invoke(main, ["trace", WHITEHEAD, "--functor", functor,
+                                   "--json"])
+        assert res.exit_code == 0
+        assert json.loads(res.output)["homology"] == payload
+    for functor, text in WHITEHEAD_PI.items():
+        res = runner.invoke(main, ["trace", WHITEHEAD, "--functor", functor])
+        assert res.exit_code == 0
+        assert res.output == text
 
 
 def test_homfly_command(runner):

@@ -168,7 +168,7 @@ def test_strand_homology_matches_fully_tracked_syzygies(word, monkeypatch):
                 for d, mod in strand_homology(cplx, k).items()}
 
     got = presentations()
-    monkeypatch.setattr(homology, "_syzygy_project", _full_syzygy_project)
+    monkeypatch.setattr(homology, "kernel", _full_syzygy_project)
     assert got == presentations()
     assert got
 

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dihedralcat.bimodule import mat_transpose
 from dihedralcat.field import FieldScalar, field_for
 from dihedralcat.modules import (ModuleGB, PresentedModule, _key,
-                                 column_degree, kernel, matrix_kernel,
-                                 minimal_presentation, minimalize_columns,
-                                 vec_from_column)
+                                 column_degree, kernel, minimal_presentation,
+                                 minimalize_columns, vec_from_column)
 from dihedralcat.ring import RingElement
 from dihedralcat.series import QSeries
 
@@ -49,7 +49,7 @@ def test_syzygies_are_exact():
 def test_kernel_of_map():
     # kernel of R^2 -> R, (f, g) -> a f + b g is generated by (b, -a)
     F, a, b = _gens()
-    ker = matrix_kernel([[a, b]], F)
+    ker = kernel(mat_transpose([[a, b]]), 1, F)
     assert ker
     for col in ker:
         assert not a * col[0] + b * col[1]
@@ -61,7 +61,7 @@ def test_free_module_kernel_is_zero():
     F, a, b = _gens()
     one = RingElement.constant(F, 1)
     zero = RingElement.zero(F)
-    ker = matrix_kernel([[one, zero], [a, one]], F)
+    ker = kernel(mat_transpose([[one, zero], [a, one]]), 2, F)
     assert not [c for c in ker if any(c)]
 
 
@@ -293,6 +293,114 @@ def test_minimalize_columns_keeps_the_reference_columns(data):
     field, rank, degrees, cols = data
     assert minimalize_columns(cols, degrees) == \
         _old_minimalize_columns(cols, rank, field, degrees)
+
+
+def _old_minimal_presentation(degrees, relations, field):
+    """The reference: substitutions recorded per eliminated generator and
+    resolved through their chains at the end."""
+    n = len(degrees)
+    degrees = list(degrees)
+    cols = [list(c) for c in relations]
+    zero = RingElement.zero(field)
+    one = RingElement.constant(field, 1)
+    # incl: rows = original gens, cols = surviving gens (as expressions)
+    live = list(range(n))
+    # proj rows grow as substitutions are recorded; represent proj as
+    # substitution of each original generator by a column over surviving ones.
+    subst = {i: None for i in range(n)}  # None: still its own generator
+
+    changed = True
+    while changed:
+        changed = False
+        for ci, col in enumerate(cols):
+            unit_at = None
+            for ri in live:
+                f = col[ri]
+                if f and f.is_constant():
+                    unit_at = ri
+                    break
+            if unit_at is None:
+                continue
+            u = col[unit_at].constant_coefficient()
+            inv = u.inverse()
+            # gen_unit = -(1/u) * sum_{k != unit} col[k] gen_k
+            expr = {k: col[k].scale(-inv) for k in live
+                    if k != unit_at and col[k]}
+            subst[unit_at] = expr
+            live.remove(unit_at)
+            del cols[ci]
+            new_cols = []
+            for c2 in cols:
+                f = c2[unit_at]
+                if f:
+                    c2 = list(c2)
+                    for k, coef in expr.items():
+                        c2[k] = c2[k] + f * coef
+                    c2[unit_at] = zero
+                if any(c2[k] for k in live):
+                    new_cols.append(c2)
+            cols = new_cols
+            changed = True
+            break
+
+    # resolve chained substitutions
+    def resolve(i):
+        if subst[i] is None:
+            return {i: one}
+        out = {}
+        for k, coef in subst[i].items():
+            if subst[k] is None:
+                out[k] = out.get(k, zero) + coef
+            else:
+                for k2, coef2 in resolve(k).items():
+                    out[k2] = out.get(k2, zero) + coef * coef2
+        return {k: v for k, v in out.items() if v}
+
+    new_index = {g: a for a, g in enumerate(live)}
+    new_degrees = [degrees[g] for g in live]
+    new_relations = [[col[g] for g in live] for col in cols]
+    incl = [[zero] * len(live) for _ in range(n)]
+    for a, g in enumerate(live):
+        incl[g][a] = one
+    proj = [[zero] * n for _ in range(len(live))]
+    for i in range(n):
+        for k, coef in resolve(i).items():
+            proj[new_index[k]][i] = proj[new_index[k]][i] + coef
+    return new_degrees, new_relations, incl, proj
+
+
+@st.composite
+def presentations(draw):
+    """(field, degrees, relations): generators in degrees 0 and 2 only, so
+    that many relation entries are units and eliminations chain."""
+    field = draw(st.sampled_from(FIELDS))
+    degrees = draw(st.lists(st.sampled_from((0, 2)), min_size=1, max_size=5))
+
+    def poly(e):
+        return RingElement(field, {(i, e - i): FieldScalar(field, tuple(
+            draw(st.integers(-2, 2)) for _ in range(field.degree)))
+            for i in range(e + 1)})
+
+    relations = [[poly((d - g) // 2) if d >= g else RingElement.zero(field)
+                  for g in degrees]
+                 for d in draw(st.lists(st.sampled_from((0, 2, 4)),
+                                        max_size=5))]
+    return field, degrees, relations
+
+
+_F, _Z = FIELDS[0], RingElement.zero(FIELDS[0])
+
+
+# g0 = -g1, then g1 = -g2: the first expression names a later pivot; and
+# g2 = -a_s g0, then g0 = -g1: the chain passes through a polynomial
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(presentations())
+@example((_F, [0, 0, 0], [[_ONE, _ONE, _Z], [_Z, _ONE, _ONE]]))
+@example((_F, [0, 0, 2], [[_A, _Z, _ONE], [_ONE, _ONE, _Z]]))
+def test_minimal_presentation_matches_the_substitution_chains(data):
+    field, degrees, relations = data
+    assert minimal_presentation(degrees, relations, field) == \
+        _old_minimal_presentation(degrees, relations, field)
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from dihedralcat import complexes, modules
 from dihedralcat.bimodule import b_generator, regular
 from dihedralcat.complexes import rouquier_braid, single_object
 from dihedralcat.series import QSeries
@@ -79,6 +80,23 @@ def test_run_suite_full_m2():
     assert rep["status"] == "pass"
     assert {p["suite"] for p in rep["parts"]} == {
         "vanishing", "pift", "relative", "semiorthogonality", "equivalence"}
+
+
+def test_relative_suite_builds_few_groebner_bases(monkeypatch):
+    # From cold, run_suite("relative", 3) builds 31 ModuleGBs: 11 pi_minus
+    # kernels, 11 bases of their generators for lifts, and 9 complements
+    # of split idempotents.
+    complexes.clear_caches()
+    calls = []
+    real = modules.ModuleGB.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(modules.ModuleGB, "__init__", counting)
+    assert run_suite("relative", 3)["status"] == "pass"
+    assert 0 < len(calls) <= 31
 
 
 def test_run_suite_rejects_unknown():

@@ -2,11 +2,14 @@
 
 import pytest
 
-from dihedralcat.bimodule import b_generator, bott_samelson, mat_mul, regular
+from dihedralcat.bimodule import (Bimodule, b_generator, bott_samelson,
+                                  mat_mul, regular)
 from dihedralcat.complexes import indecomposable_b, rouquier_braid
+from dihedralcat.ring import realization
 from dihedralcat.series import QSeries
-from dihedralcat.trace import (hochschild, hochschild_on_complex, pi_minus,
-                               pi_on_complex, pi_plus, rho_endomorphism)
+from dihedralcat.trace import (TraceError, hochschild, hochschild_on_complex,
+                               pi_minus, pi_on_complex, pi_plus,
+                               rho_endomorphism)
 from helpers import find_isomorphism
 
 
@@ -69,8 +72,8 @@ def test_hochschild_corner_identities(word):
     # HH^2(M) = (pi_t^+ pi_s^+ M)(4) (x) R  (the Koszul twist is -4)
     m = 3
     mod = bott_samelson(m, word) if word else regular(m)
-    hh0 = hochschild(mod, 0).presentation.hilbert_series()
-    hh2 = hochschild(mod, 2).presentation.hilbert_series()
+    hh0 = hochschild(mod, 0).module.hilbert_series()
+    hh2 = hochschild(mod, 2).module.hilbert_series()
     pmm = _rank_series(pi_minus(pi_minus(mod, "s").module, "t").module)
     ppp = _rank_series(pi_plus(pi_plus(mod, "s").module, "t").module)
     assert hh0 == QSeries(dict(pmm.num), 2)
@@ -79,8 +82,26 @@ def test_hochschild_corner_identities(word):
 
 def test_hochschild_one_has_relations_for_bs():
     res = hochschild(bott_samelson(3, ("s", "t")), 1)
-    assert res.presentation.rank > 0
-    assert res.presentation.relations  # HH^1 is not free here
+    assert res.module.rank > 0
+    assert res.module.relations  # HH^1 is not free here
+
+
+def test_twisted_rank_one_bimodule():
+    # R_s: R with its left action twisted by s.  The rho-differences are
+    # s(rho_s) - rho_s = -a_s and s(rho_t) - rho_t = 0, so pi_s^+ keeps the
+    # relation a_s (not free), pi_s^- is zero, and HH^k is the Koszul
+    # homology of (-a_s, 0): zero, then R/(a_s) on a generator of degree
+    # -2, then of degree -4.
+    real = realization(3)
+    alpha = real.alpha
+    mod = Bimodule(real, (0,), [[real.reflect(alpha["s"], "s")]],
+                   [[real.reflect(alpha["t"], "s")]])
+    with pytest.raises(TraceError, match="relations persist"):
+        pi_plus(mod, "s")
+    assert pi_minus(mod, "s").module.rank == 0
+    series = [hochschild(mod, k).module.hilbert_series() for k in (0, 1, 2)]
+    assert series == [QSeries.zero(), QSeries({-2: 1}, 1),
+                      QSeries({-4: 1}, 1)]
 
 
 def test_pi_on_complex_preserves_d2_and_drops_zeros():
@@ -94,7 +115,7 @@ def test_pi_on_complex_preserves_d2_and_drops_zeros():
 def test_hochschild_on_complex_shapes():
     cplx = rouquier_braid(3, "s", simplify=True, split=True)
     for k in (0, 1, 2):
-        results, maps = hochschild_on_complex(cplx, k)
-        assert sorted(results) == sorted(cplx.degrees())
+        degrees, relations, maps = hochschild_on_complex(cplx, k)
+        assert sorted(degrees) == sorted(cplx.degrees())
         for d in cplx.diffs:
             assert d in maps
