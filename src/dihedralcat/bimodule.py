@@ -93,8 +93,11 @@ def mat_neg(a):
     return [[-x for x in row] for row in a]
 
 
-def mat_scale(a, f):
-    return [[x * f for x in row] for row in a]
+def mat_scale(a, c):
+    """a times c in K_m; c = 1 or -1 takes no field arithmetic."""
+    one = c.field.one()
+    return a if c == one else mat_neg(a) if c == -one else \
+        [[x.scale(c) for x in row] for row in a]
 
 
 def mat_transpose(a):
@@ -330,7 +333,12 @@ def _tensor_left(mod_a, mod_b):
 
 
 def tensor(mod_a, mod_b):
-    """mod_a (x)_R mod_b with lexicographic pair basis (a-index major)."""
+    """mod_a (x)_R mod_b with lexicographic pair basis (a-index major).
+
+    A product with some R(l) keeps the other factor's KL tag: B_x(k) (x) R(l)
+    and R(l) (x) B_x(k) have the left matrices of B_x(k) and its degrees
+    lowered by l, so they are B_x(k + l) and need no splitting.
+    """
     if mod_a.m != mod_b.m:
         raise ValueError("tensor over different m")
     degrees = [da + db for da in mod_a.degrees for db in mod_b.degrees]
@@ -338,9 +346,11 @@ def tensor(mod_a, mod_b):
     word = None
     if mod_a.word is not None and mod_b.word is not None:
         word = mod_a.word + mod_b.word
-    out = Bimodule(mod_a.real, degrees, left["s"], left["t"],
-                   word=word, shift=mod_a.shift + mod_b.shift, check=False)
-    if word is None:
+    kl = mod_a.kl if mod_b.word == () else \
+        mod_b.kl if mod_a.word == () else None
+    out = Bimodule(mod_a.real, degrees, left["s"], left["t"], word=word,
+                   shift=mod_a.shift + mod_b.shift, kl=kl, check=False)
+    if word is None and kl is None:
         class_a, class_b = class_of_bimodule(mod_a), class_of_bimodule(mod_b)
         if class_a is not None and class_b is not None:
             out.product_class = (class_a * class_b).scale(
@@ -357,18 +367,32 @@ def bott_samelson(m, word, shift=0):
     return out.shifted(shift) if shift else out
 
 
+def sub_bimodule(mod, gb, columns, degrees, error):
+    """The sub-bimodule of mod whose right basis is columns (of the given
+    degrees) with ModuleGB gb: each left action of mod lifted through gb.
+    Raises error when the columns' span is not stable."""
+    left = [lift_columns(gb, mod.left[x], columns, mod.field, error)
+            for x in LETTERS]
+    return Bimodule(mod.real, degrees, *left, check=False)
+
+
 # ---------------------------------------------------------------------------
 # morphisms
 
 
 class BimoduleMorphism:
-    __slots__ = ("dom", "cod", "matrix", "degree")
+    """A map dom -> cod by its matrix over R.  origin, when set (see
+    complexes.tensor_complex), is a key fixing the matrix and the splits
+    of dom and cod up to shift; no composite, sum or multiple keeps it."""
+
+    __slots__ = ("dom", "cod", "matrix", "degree", "origin")
 
     def __init__(self, dom, cod, matrix, degree=0, check=True):
         self.dom = dom
         self.cod = cod
         self.matrix = tuple(tuple(row) for row in matrix)
         self.degree = degree
+        self.origin = None
         if check:
             self._validate()
 
@@ -418,10 +442,8 @@ class BimoduleMorphism:
                                 self.degree, check=False)
 
     def scale(self, c):
-        field = self.dom.field
-        f = RingElement.constant(field, 0) + c if not isinstance(c, RingElement) else c
-        return BimoduleMorphism(self.dom, self.cod,
-                                mat_scale(self.matrix, f),
+        """self times c in K_m."""
+        return BimoduleMorphism(self.dom, self.cod, mat_scale(self.matrix, c),
                                 self.degree, check=False)
 
     def __repr__(self):
@@ -656,10 +678,29 @@ def is_invertible(phi):
     return all(span.insert(field.integer_row(row)) for row in scalar_part(phi))
 
 
+def _scalar_of(matrix):
+    """c when the matrix is c times the identity for a nonzero c in K_m,
+    else None."""
+    c = matrix[0][0] if matrix and len(matrix) == len(matrix[0]) else None
+    if not c or list(c.terms) != [(0, 0)]:
+        return None
+    for i, row in enumerate(matrix):
+        for j, x in enumerate(row):
+            if (x != c) if i == j else x:
+                return None
+    return c.terms[(0, 0)]
+
+
 def invert_morphism(phi):
-    """Inverse of a degree-0 isomorphism via the graded Neumann series."""
+    """Inverse of a degree-0 isomorphism: c^-1 id for a scalar c id, as
+    every isomorphism between indecomposables is (End^0(B_x) = K_m), and
+    otherwise the graded Neumann series."""
     field = phi.dom.field
     n = phi.dom.rank
+    c = _scalar_of(phi.matrix)
+    if c is not None:
+        return BimoduleMorphism(phi.cod, phi.dom, mat_scale(
+            mat_identity(field, n), c.inverse()), 0, check=False)
     spart = scalar_part(phi)
     sinv = linalg.inverse(spart, field)
     if sinv is None:

@@ -10,20 +10,22 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import accumulate
 
 from . import bimodule, linalg
 from .bimodule import (Bimodule, BimoduleMorphism, _integer_terms,
-                       b_generator, bott_samelson, direct_sum, dot_in,
-                       dot_out, hom_degree_basis, id_tensor_matrix,
+                       _scalar_of, b_generator, bott_samelson, direct_sum,
+                       dot_in, dot_out, hom_degree_basis, id_tensor_matrix,
                        identity_morphism, invert_morphism, is_invertible,
                        lift_columns, mat_identity, mat_mul, mat_neg, mat_sub,
-                       mat_zero, poly_from_json, poly_to_json, regular,
-                       split_summand, tensor, tensor_id_matrix)
+                       mat_scale, mat_zero, poly_from_json, poly_to_json,
+                       regular, split_summand, sub_bimodule, tensor,
+                       tensor_id_matrix)
 from .field import _minimal_poly_2cos, field_for
 from .hecke import (Laurent, class_of_bimodule, group_elements,
                     kl_multiplicities)
 from .modules import ModuleGB
-from .ring import LETTERS, realization
+from .ring import realization
 
 MAX_WORD_LENGTH = 24
 
@@ -82,10 +84,6 @@ class ChainComplex:
                 for blk in row:
                     if blk is not None and blk:
                         raise ValueError("d^2 != 0 at degree %d" % d)
-
-    def check_d2(self):
-        self.validate()
-        return True
 
     # -- direct-sum views --------------------------------------------------
 
@@ -267,8 +265,20 @@ def parse_braid(text):
     return letters
 
 
+def _tag(mod):
+    """What determines mod up to shift: its KL tag or Bott-Samelson word."""
+    return ("kl", mod.kl) if mod.kl is not None else \
+        ("word", mod.word) if mod.word is not None else None
+
+
 def tensor_complex(c1, c2):
-    """Totalization of c1 (x) c2 with the Koszul sign (-1)^p on d_{c2}."""
+    """Totalization of c1 (x) c2 with the Koszul sign (-1)^p on d_{c2}.
+
+    Each block f (x) id_b or +-id_a (x) g between tagged atoms gets as its
+    origin m, the kind of block, the three atoms' tags and the factor's
+    matrix, which determine the block and its endpoints' splittings up to
+    shift; split_atoms memoizes on it.
+    """
     m = c1.m
     objects = {}
     index = {}
@@ -291,23 +301,31 @@ def tensor_complex(c1, c2):
         if n not in diffs:
             continue
         blocks = diffs[n]
+        a, b = c1.objects[p][i], c2.objects[q][j]
         terms = []
         if p in c1.diffs:
             for r, row in enumerate(c1.diffs[p]):
-                if row[i] is not None:
-                    terms.append((index[(p + 1, r, q, j)][1], row[i].degree,
-                                  tensor_id_matrix(row[i], c2.objects[q][j])))
+                f = row[i]
+                if f is not None:
+                    terms.append((index[(p + 1, r, q, j)][1], f.degree,
+                                  tensor_id_matrix(f, b),
+                                  (m, "f", _tag(a), _tag(f.cod), _tag(b),
+                                   f.matrix)))
         if q in c2.diffs:
             for r, row in enumerate(c2.diffs[q]):
-                if row[j] is not None:
-                    mat = id_tensor_matrix(c1.objects[p][i], row[j])
+                g = row[j]
+                if g is not None:
+                    mat = id_tensor_matrix(a, g)
                     if p % 2:  # Koszul sign
                         mat = mat_neg(mat)
-                    terms.append((index[(p, i, q + 1, r)][1], row[j].degree,
-                                  mat))
-        for tgt, degree, mat in terms:
+                    terms.append((index[(p, i, q + 1, r)][1], g.degree, mat,
+                                  (m, "-g" if p % 2 else "g", _tag(a),
+                                   _tag(b), _tag(g.cod), g.matrix)))
+        for tgt, degree, mat, origin in terms:
             term = BimoduleMorphism(objects[n][col], objects[n + 1][tgt], mat,
                                     degree, check=False)
+            if None not in origin[2:5]:
+                term.origin = origin
             blocks[tgt][col] = term if blocks[tgt][col] is None \
                 else blocks[tgt][col] + term
     return ChainComplex(m, objects, diffs, check=False)
@@ -319,11 +337,14 @@ def rouquier_braid(m, braid, simplify=True, split=False):
     out = single_object(m, regular(m, 0))
     for letter, sign in braid:
         out = tensor_complex(out, rouquier(m, letter, sign))
-        if simplify:
+        # X (x) F has no invertible block when X is minimal and split: an
+        # id (x) dot block joins atoms of different rank, f (x) id_R is f,
+        # and f (x) id_B_s invertible would give [B_x(k) B_s] = [B_y(l) B_s],
+        # so x = y, k = l (the dihedral KL rule) and f = 0 in End^0(B_x).
+        if split and simplify:
+            out = minimal_form(split_atoms(out))
+        elif simplify:
             out = minimal_form(out)
-            if split:
-                out = split_atoms(out)
-                out = minimal_form(out)
     return out
 
 
@@ -333,34 +354,40 @@ def rouquier_braid(m, braid, simplify=True, split=False):
 
 def gaussian_eliminate(cplx, deg, row, col):
     """Remove objects[deg][col] -> objects[deg+1][row] along an invertible
-    block, with the correction delta - gamma psi^{-1} beta."""
+    block psi, with the correction delta - gamma psi^{-1} beta.
+
+    -gamma psi^{-1} is formed once per row; when psi^{-1} is a scalar c id,
+    as between indecomposables, by scaling gamma with -c."""
     psi = cplx.block(deg, row, col)
     if psi is None:
         raise ValueError("selected block is zero")
     psi_inv = invert_morphism(psi)
     if psi_inv is None:
         raise ValueError("selected block is not invertible")
+    c_inv = _scalar_of(psi_inv.matrix)
     objects = {d: list(obs) for d, obs in cplx.objects.items()}
     diffs = {d: [list(r) for r in blocks] for d, blocks in cplx.diffs.items()}
 
     old = diffs[deg]
-    nrows = len(objects[deg + 1])
-    ncols = len(objects[deg])
+    # (column once col is gone, beta)
+    betas = [(c - (c > col), beta) for c, beta in enumerate(old[row])
+             if c != col and beta is not None]
     new_blocks = []
-    for r in range(nrows):
+    for r, old_row in enumerate(old):
         if r == row:
             continue
-        new_row = []
-        for c in range(ncols):
-            if c == col:
-                continue
-            blk = old[r][c]
-            gamma = old[r][col]
-            beta = old[row][c]
-            if gamma is not None and beta is not None:
-                corr = gamma.compose(psi_inv).compose(beta)
-                blk = (-corr) if blk is None else blk + (-corr)
-            new_row.append(blk if (blk is not None and blk) else None)
+        new_row = [blk if blk is not None and blk else None
+                   for blk in old_row[:col] + old_row[col + 1:]]
+        gamma = old_row[col]
+        if gamma is not None and betas:
+            neg = -gamma.compose(psi_inv) if c_inv is None else \
+                BimoduleMorphism(psi.cod, gamma.cod, mat_scale(
+                    gamma.matrix, -c_inv), 0, check=False)
+            for c, beta in betas:
+                corr = neg.compose(beta)
+                blk = new_row[c]
+                blk = corr if blk is None else blk + corr
+                new_row[c] = blk if blk else None
         new_blocks.append(new_row)
     objects[deg].pop(col)
     objects[deg + 1].pop(row)
@@ -374,11 +401,14 @@ def gaussian_eliminate(cplx, deg, row, col):
 
 
 def minimal_form(cplx, check=False):
-    """Eliminate invertible blocks until none remain (deterministic scan)."""
-    cur = cplx
+    """Eliminate invertible blocks until none remain (deterministic scan:
+    the first invertible block by degree, column, row).  An elimination in
+    degree d changes no block of a lower degree, so the next scan starts at
+    d."""
+    cur, start = cplx, float("-inf")
     while True:
         found = None
-        for d in sorted(cur.diffs):
+        for d in sorted(d for d in cur.diffs if d >= start):
             blocks = cur.diffs[d]
             for c in range(len(cur.objects[d])):
                 for r in range(len(cur.objects[d + 1])):
@@ -393,6 +423,7 @@ def minimal_form(cplx, check=False):
         if not found:
             break
         cur = gaussian_eliminate(cur, *found)
+        start = found[0]
     if check:
         cur.validate()
     return cur
@@ -530,9 +561,7 @@ def _complement_of_idempotent(mod, incl, proj):
     basis = [cols[j] for j in kept]
     degrees = [mod.degrees[j] for j in kept]
     gb = ModuleGB(basis, mod.rank, field)
-    left = {x: lift_columns(gb, mod.left[x], basis, field, ValueError)
-            for x in LETTERS}
-    summand = Bimodule(mod.real, degrees, left["s"], left["t"], check=False)
+    summand = sub_bimodule(mod, gb, basis, degrees, ValueError)
     incl_mat = [[col[i] for col in basis] for i in range(mod.rank)]
     proj_mat = lift_columns(gb, ident, cols, field, ValueError)
     return (summand,
@@ -571,13 +600,18 @@ def indecomposable_b(m, word):
 # matrices of M, so its summands are those of M shifted by k (Krull-Schmidt).
 _SPLITTINGS = {}
 
+# Split blocks of tensor_complex: origin -> {(row piece, column piece):
+# proj . block . incl matrix}, its nonzero ones.  The origin fixes the block's
+# matrix and, through _SPLITTINGS, the pieces of its endpoints.
+_SPLIT_BLOCKS = {}
+
 
 def clear_caches():
     """Empty every memo and lru_cache of the package.  No answer depends on
     them; this gives tests and benchmarks a cold start."""
     from . import serre  # serre imports this module
     for memo in (bimodule._LEFT_ACTION, bimodule._TENSOR_LEFT, _SPLITTINGS,
-                 serre._HOM_BLOCKS):
+                 _SPLIT_BLOCKS, serre._HOM_BLOCKS):
         memo.clear()
     for cached in (indecomposable_b, rouquier, serre.full_twist,
                    serre.full_twist_inverse, serre.ft_over_t, realization,
@@ -672,32 +706,53 @@ def _split_through_factors(mod):
 
 
 def split_atoms(cplx):
-    """Replace every atom by its indecomposable summands (KL-tagged)."""
-    pieces = {}  # degree -> [(source index, atom, incl, proj)], None: id
+    """Replace every atom by its indecomposable summands (KL-tagged).
+
+    A block between atoms with pieces becomes the blocks proj . blk . incl
+    between the pieces; a block with an origin (see tensor_complex) takes
+    them from the _SPLIT_BLOCKS memo, any other block computes them.
+    """
+    pieces = {}  # degree -> per atom [(piece, incl, proj)], None: id
     for d, obs in cplx.objects.items():
-        lst = []
-        for src, mod in enumerate(obs):
-            if mod.kl is not None or (mod.word is not None
-                                      and len(mod.word) <= 1):
-                lst.append((src, mod, None, None))
-                continue
-            for atom, incl, proj in decompose_bimodule(mod):
-                lst.append((src, atom, incl, proj))
-        pieces[d] = lst
-    objects = {d: [p[1] for p in lst] for d, lst in pieces.items()}
+        pieces[d] = [[(mod, None, None)] if mod.kl is not None or (
+            mod.word is not None and len(mod.word) <= 1)
+            else decompose_bimodule(mod) for mod in obs]
+    objects = {d: [p[0] for lst in per_atom for p in lst]
+               for d, per_atom in pieces.items()}
+    offsets = {d: list(accumulate(map(len, per_atom), initial=0))
+               for d, per_atom in pieces.items()}
     diffs = {}
     for d, blocks in cplx.diffs.items():
-        rows = []
-        for (ro, _, _, prj) in pieces[d + 1]:
-            # prj . blk once per source atom, then . inc once per piece
-            left = [blk if blk is None or prj is None else prj.compose(blk)
-                    for blk in blocks[ro]]
-            row = []
-            for (co, _, inc, _) in pieces[d]:
-                comp = left[co]
-                if comp is not None and inc is not None:
-                    comp = comp.compose(inc)
-                row.append(comp if comp else None)
-            rows.append(row)
-        diffs[d] = rows
+        rows = diffs[d] = [[None] * len(objects[d]) for _ in objects[d + 1]]
+        for ro, blk_row in enumerate(blocks):
+            rps = pieces[d + 1][ro]
+            for co, blk in enumerate(blk_row):
+                if not blk:
+                    continue
+                cps = pieces[d][co]
+                for (i, j), mat in _split_block(blk, rps, cps).items():
+                    rows[offsets[d + 1][ro] + i][offsets[d][co] + j] = \
+                        BimoduleMorphism(cps[j][0], rps[i][0], mat,
+                                         blk.degree, check=False)
     return ChainComplex(cplx.m, objects, diffs, check=False)
+
+
+def _split_block(blk, rps, cps):
+    """{(i, j): matrix of proj_i . blk . incl_j} over the row pieces rps and
+    column pieces cps of blk's endpoints, nonzero ones only; memoized on
+    blk's origin."""
+    if rps[0][2] is None and cps[0][1] is None:  # both endpoints kept
+        return {(0, 0): blk.matrix}
+    out = _SPLIT_BLOCKS.get(blk.origin) if blk.origin is not None else None
+    if out is not None:
+        return out
+    out = {}
+    for i, (_, _, prj) in enumerate(rps):
+        left = blk if prj is None else prj.compose(blk)
+        for j, (_, inc, _) in enumerate(cps):
+            comp = left if inc is None else left.compose(inc)
+            if comp:
+                out[i, j] = comp.matrix
+    if blk.origin is not None:
+        _SPLIT_BLOCKS[blk.origin] = out
+    return out

@@ -303,13 +303,6 @@ def class_of_complex(cplx):
     return total
 
 
-def soergel_pairing(m, w_word, u_word):
-    """epsilon(b_{reverse(w)} b_u): the graded rank of hom(BS(w), BS(u))
-    under v -> Q."""
-    prod = bs_class(m, tuple(reversed(tuple(w_word)))) * bs_class(m, u_word)
-    return prod.coefficient(())
-
-
 # ---------------------------------------------------------------------------
 # HOMFLY via the Jones-Ocneanu trace on H(S_3)
 

@@ -206,13 +206,6 @@ class Realization:
                 imgs[u] = self.alpha[u] - self.alpha[x].scale(self.cartan[xi][ui])
             self._reflected_gens[x] = imgs
 
-    def pairing(self, f, letter):
-        """<f, alpha_letter_check> for a linear f = c1 a_s + c2 a_t."""
-        li = LETTERS.index(letter)
-        cs = f.terms.get((1, 0), self.field.zero())
-        ct = f.terms.get((0, 1), self.field.zero())
-        return cs * self.cartan[li][0] + ct * self.cartan[li][1]
-
     def reflect(self, f, letter):
         imgs = self._reflected_gens[letter]
         out = RingElement.zero(self.field)

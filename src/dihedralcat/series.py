@@ -46,13 +46,6 @@ class QSeries:
     def scale(self, c):
         return QSeries({q: v * c for q, v in self.num.items()}, self.e)
 
-    def invert_q(self):
-        """Q -> 1/Q as a rational function: numerator flips, (1-Q^-2) = -Q^-2(1-Q^2)."""
-        num = {-q: c for q, c in self.num.items()}
-        sign = (-1) ** self.e
-        num = {q + 2 * self.e: sign * c for q, c in num.items()}
-        return QSeries(num, self.e)
-
     def canonical(self):
         num, e = dict(self.num), self.e
         while num and e > 0:

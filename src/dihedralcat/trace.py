@@ -18,7 +18,8 @@ Traced record per atom; and the map each differential block induces
 from __future__ import annotations
 
 from .bimodule import (Bimodule, BimoduleMorphism, lift_columns,
-                       mat_identity, mat_mul, mat_transpose, mat_zero)
+                       mat_identity, mat_mul, mat_transpose, mat_zero,
+                       sub_bimodule)
 from .complexes import ChainComplex
 from .modules import (ModuleGB, PresentedModule, column_degree, kernel,
                       minimal_presentation, minimalize_columns)
@@ -80,18 +81,11 @@ def _induced(fmat, dom, cod, field):
     return fmat
 
 
-def _with_left_action(mod, traced, degrees):
-    """traced with its module set to the traced Bimodule of mod."""
-    left = [_induced(mod.left[x], traced, traced, mod.field) for x in LETTERS]
-    traced.module = Bimodule(mod.real, degrees, *left, check=False)
-    return traced
-
-
 def pi_minus(mod, letter):
     """Kernel of the rho-difference action, as a Traced bimodule."""
     cols, degrees, gb = _kernel(rho_endomorphism(mod, letter), mod.degrees,
                                 mod.field)
-    return _with_left_action(mod, Traced(None, cols, gb), degrees)
+    return Traced(sub_bimodule(mod, gb, cols, degrees, TraceError), cols, gb)
 
 
 def pi_plus(mod, letter):
@@ -101,7 +95,10 @@ def pi_plus(mod, letter):
         list(mod.degrees), rel, mod.field)
     if any(any(c) for c in rel):
         raise TraceError("traced cokernel is not free (relations persist)")
-    return _with_left_action(mod, Traced(None, incl=incl, proj=proj), degrees)
+    traced = Traced(None, incl=incl, proj=proj)
+    traced.module = Bimodule(mod.real, degrees, *[_induced(
+        mod.left[x], traced, traced, mod.field) for x in LETTERS], check=False)
+    return traced
 
 
 def pi_on_complex(cplx, letter, sign, shift=0):

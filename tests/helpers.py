@@ -1,9 +1,35 @@
-"""Bimodule constructions that only the tests use, built on the library."""
+"""Constructions that only the tests use, built on the library."""
 
 from dihedralcat.bimodule import (Bimodule, BimoduleMorphism,
                                   id_tensor_matrix, mat_mul, mat_transpose,
                                   mat_zero, split_summand, tensor,
                                   tensor_id_matrix)
+from dihedralcat.hecke import bs_class
+from dihedralcat.ring import LETTERS
+from dihedralcat.series import QSeries
+
+
+def soergel_pairing(m, w_word, u_word):
+    """epsilon(b_{reverse(w)} b_u): the graded rank of hom(BS(w), BS(u))
+    under v -> Q."""
+    prod = bs_class(m, tuple(reversed(tuple(w_word)))) * bs_class(m, u_word)
+    return prod.coefficient(())
+
+
+def pairing(real, f, letter):
+    """<f, alpha_letter_check> for a linear f = c1 a_s + c2 a_t."""
+    li = LETTERS.index(letter)
+    cs = f.terms.get((1, 0), real.field.zero())
+    ct = f.terms.get((0, 1), real.field.zero())
+    return cs * real.cartan[li][0] + ct * real.cartan[li][1]
+
+
+def invert_q(series):
+    """Q -> 1/Q as a rational function: numerator flips,
+    (1-Q^-2) = -Q^-2(1-Q^2)."""
+    sign = (-1) ** series.e
+    return QSeries({2 * series.e - q: sign * c
+                    for q, c in series.num.items()}, series.e)
 
 
 def dualize_D(mod):

@@ -12,10 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dihedralcat
-from dihedralcat import bimodule, complexes, serre
-from dihedralcat.bimodule import (Bimodule, b_generator, bott_samelson,
-                                  direct_sum, hom_degree_basis,
-                                  identity_morphism, split_summand, tensor)
+from dihedralcat import bimodule, complexes, linalg, serre
+from dihedralcat.bimodule import (Bimodule, BimoduleMorphism, b_generator,
+                                  bott_samelson, direct_sum, hom_degree_basis,
+                                  id_tensor_matrix, identity_morphism,
+                                  is_invertible, mat_add, mat_identity,
+                                  mat_mul, mat_neg, mat_sub, regular,
+                                  scalar_part, split_summand, tensor,
+                                  tensor_id_matrix)
 from dihedralcat.complexes import (MAX_WORD_LENGTH, ChainComplex,
                                    chain_map_basis, complexes_isomorphic,
                                    decompose_bimodule, indecomposable_b,
@@ -26,6 +30,7 @@ from dihedralcat.hecke import (Laurent, bs_class, class_of_bimodule,
                                class_of_complex, delta_product,
                                group_elements, kl_basis, kl_multiplicities)
 from dihedralcat.homology import hhh
+from dihedralcat.ring import RingElement
 from dihedralcat.serre import homology_series
 
 
@@ -38,8 +43,8 @@ def test_rouquier_generator_shapes():
     assert sorted(neg.objects) == [-1, 0]
     assert list(neg.objects[-1][0].degrees) == [1]  # R(-1)
     assert neg.objects[0][0].word == ("s",)
-    pos.check_d2()
-    neg.check_d2()
+    pos.validate()
+    neg.validate()
 
 
 def test_parse_braid_grammar():
@@ -68,7 +73,7 @@ def test_parse_braid_bounds_expanded_length():
 @pytest.mark.parametrize("word", ["s t", "s t^-1", "s^2"])
 def test_tensor_complex_d_squared(word):
     raw = rouquier_braid(3, word, simplify=False)
-    raw.check_d2()
+    raw.validate()
 
 
 def test_tensor_complex_reuses_its_atoms(monkeypatch):
@@ -121,7 +126,7 @@ def test_half_twist_powers_atom_counts(m):
     for k in (1, 2):
         word = " ".join(["s t"] * k)
         cplx = rouquier_braid(m, word, simplify=True, split=True)
-        cplx.check_d2()
+        cplx.validate()
         assert cplx.atom_count() >= 1
         # top cohomological degree object is R(2k)
         top = max(cplx.degrees())
@@ -145,7 +150,7 @@ def test_random_words_minimal_forms_stable():
     for _ in range(8):
         word = " ".join(rng.choice(tokens) for _ in range(rng.randint(1, 4)))
         cplx = rouquier_braid(3, word, simplify=True, split=True)
-        cplx.check_d2()
+        cplx.validate()
         assert minimal_form(cplx).graded_atom_profile() == \
             cplx.graded_atom_profile()
 
@@ -506,7 +511,8 @@ def test_clear_caches_empties_every_memo():
     indecomposable_b(2, "st")
     before = _package_memos()
     assert {"bimodule._LEFT_ACTION", "bimodule._TENSOR_LEFT",
-            "complexes._SPLITTINGS", "serre._HOM_BLOCKS", "complexes.rouquier",
+            "complexes._SPLITTINGS", "complexes._SPLIT_BLOCKS",
+            "serre._HOM_BLOCKS", "complexes.rouquier",
             "serre.full_twist", "serre.ft_over_t"} <= set(before)
     assert all(before.values()), before
     complexes.clear_caches()
@@ -532,3 +538,220 @@ def test_rouquier_braids_agree_cold_and_warm():
     for word, want in zip(words, warm):
         complexes.clear_caches()
         assert summary(word) == want, word
+
+
+# ---------------------------------------------------------------------------
+# The split Rouquier step against its earlier form: products with R split
+# by a hom solve, every block split as proj . blk . incl, elimination by the
+# Neumann series per (row, column), a full rescan after every elimination,
+# and minimal_form both before and after split_atoms.
+
+
+def _ref_tensor(a, b):
+    """tensor, with a product of B_x and R untagged and split by its class."""
+    out = tensor(a, b)
+    if out.kl is None:
+        return out
+    plain = Bimodule(out.real, out.degrees, out.left["s"], out.left["t"],
+                     shift=out.shift, check=False)
+    plain.product_class = (class_of_bimodule(a) * class_of_bimodule(b)).scale(
+        Laurent.monomial(-out.shift))
+    return plain
+
+
+def _ref_tensor_complex(c1, c2):
+    objects, index = {}, {}
+    for p in c1.degrees():
+        for q in c2.degrees():
+            lst = objects.setdefault(p + q, [])
+            for i, a in enumerate(c1.objects[p]):
+                for j, b in enumerate(c2.objects[q]):
+                    index[(p, i, q, j)] = (p + q, len(lst))
+                    lst.append(_ref_tensor(a, b))
+    diffs = {n: [[None] * len(objects[n]) for _ in objects[n + 1]]
+             for n in objects if n + 1 in objects}
+    for (p, i, q, j), (n, col) in index.items():
+        if n not in diffs:
+            continue
+        terms = []
+        for r, row in enumerate(c1.diffs.get(p, [])):
+            if row[i] is not None:
+                terms.append((index[(p + 1, r, q, j)][1],
+                              tensor_id_matrix(row[i], c2.objects[q][j])))
+        for r, row in enumerate(c2.diffs.get(q, [])):
+            if row[j] is not None:
+                mat = id_tensor_matrix(c1.objects[p][i], row[j])
+                terms.append((index[(p, i, q + 1, r)][1],
+                              mat_neg(mat) if p % 2 else mat))
+        for tgt, mat in terms:
+            term = BimoduleMorphism(objects[n][col], objects[n + 1][tgt], mat,
+                                    0, check=False)
+            old = diffs[n][tgt][col]
+            diffs[n][tgt][col] = term if old is None else old + term
+    return ChainComplex(c1.m, objects, diffs, check=False)
+
+
+def _ref_split_atoms(cplx):
+    pieces = {}
+    for d, obs in cplx.objects.items():
+        lst = []
+        for src, mod in enumerate(obs):
+            if mod.kl is not None or (mod.word is not None
+                                      and len(mod.word) <= 1):
+                lst.append((src, mod, None, None))
+                continue
+            for atom, incl, proj in decompose_bimodule(mod):
+                lst.append((src, atom, incl, proj))
+        pieces[d] = lst
+    objects = {d: [p[1] for p in lst] for d, lst in pieces.items()}
+    diffs = {}
+    for d, blocks in cplx.diffs.items():
+        rows = []
+        for (ro, _, _, prj) in pieces[d + 1]:
+            left = [blk if blk is None or prj is None else prj.compose(blk)
+                    for blk in blocks[ro]]
+            row = []
+            for (co, _, inc, _) in pieces[d]:
+                comp = left[co]
+                if comp is not None and inc is not None:
+                    comp = comp.compose(inc)
+                row.append(comp if comp else None)
+            rows.append(row)
+        diffs[d] = rows
+    return ChainComplex(cplx.m, objects, diffs, check=False)
+
+
+def _ref_invert_morphism(phi):
+    field, n = phi.dom.field, phi.dom.rank
+    spart = scalar_part(phi)
+    sinv = linalg.inverse(spart, field)
+    zero = RingElement.zero(field)
+    sinv_r = [[RingElement(field, {(0, 0): c}) for c in row] for row in sinv]
+    smat = [[RingElement(field, {(0, 0): row[j]}) if j in row else zero
+             for j in range(n)] for row in spart]
+    nmat = mat_mul(sinv_r, mat_sub(phi.matrix, smat), field)
+    acc = term = mat_identity(field, n)
+    for _ in range(n + 1):
+        term = mat_neg(mat_mul(term, nmat, field))
+        if not any(any(row) for row in term):
+            break
+        acc = mat_add(acc, term)
+    return BimoduleMorphism(phi.cod, phi.dom, mat_mul(acc, sinv_r, field), 0,
+                            check=False)
+
+
+def _ref_gaussian_eliminate(cplx, deg, row, col):
+    psi_inv = _ref_invert_morphism(cplx.block(deg, row, col))
+    objects = {d: list(obs) for d, obs in cplx.objects.items()}
+    diffs = {d: [list(r) for r in blocks] for d, blocks in cplx.diffs.items()}
+    old = diffs[deg]
+    new_blocks = []
+    for r in range(len(objects[deg + 1])):
+        if r == row:
+            continue
+        new_row = []
+        for c in range(len(objects[deg])):
+            if c == col:
+                continue
+            blk, gamma, beta = old[r][c], old[r][col], old[row][c]
+            if gamma is not None and beta is not None:
+                corr = gamma.compose(psi_inv).compose(beta)
+                blk = (-corr) if blk is None else blk + (-corr)
+            new_row.append(blk if (blk is not None and blk) else None)
+        new_blocks.append(new_row)
+    objects[deg].pop(col)
+    objects[deg + 1].pop(row)
+    diffs[deg] = new_blocks
+    if deg - 1 in diffs:
+        diffs[deg - 1].pop(col)
+    if deg + 1 in diffs:
+        for r_row in diffs[deg + 1]:
+            r_row.pop(row)
+    return ChainComplex(cplx.m, objects, diffs, check=False)
+
+
+def _ref_minimal_form(cplx):
+    cur = cplx
+    while True:
+        found = next(((d, r, c) for d in sorted(cur.diffs)
+                      for c in range(len(cur.objects[d]))
+                      for r in range(len(cur.objects[d + 1]))
+                      if cur.diffs[d][r][c] is not None
+                      and is_invertible(cur.diffs[d][r][c])), None)
+        if found is None:
+            return cur
+        cur = _ref_gaussian_eliminate(cur, *found)
+
+
+def _ref_simplify_split(cplx):
+    return _ref_minimal_form(_ref_split_atoms(_ref_minimal_form(cplx)))
+
+
+def _ref_rouquier_braid(m, word):
+    out = single_object(m, regular(m, 0))
+    for letter, sign in parse_braid(word):
+        out = _ref_simplify_split(_ref_tensor_complex(
+            out, rouquier(m, letter, sign)))
+    return out
+
+
+def _summary(cplx):
+    return repr(cplx), json.dumps(cplx.to_json(), sort_keys=True)
+
+
+def _criterion_08a_words():
+    rng = random.Random(20240401)
+    tokens = ["s", "t", "s^-1", "t^-1"]
+    return [" ".join(rng.choice(tokens) for _ in range(rng.randint(1, 6)))
+            for _ in range(50)]
+
+
+@pytest.mark.parametrize("m, words", [
+    (3, "08a"),
+    (3, ["s t " * 7, "s t " * 3 + "t^-1 t^-1"]),  # T(3,7), ft_over_t(3)
+    (4, ["s t " * 5, "t^-1 s^-1 " * 5]),
+    (5, ["s t " * 4]),
+], ids=["08a", "m3", "m4", "m5"])
+def test_split_step_matches_its_reference(m, words):
+    words = _criterion_08a_words() if words == "08a" else words
+    complexes.clear_caches()
+    cold = [_summary(rouquier_braid(m, w, split=True)) for w in words]
+    warm = [_summary(rouquier_braid(m, w, split=True)) for w in words]
+    ref = [_summary(_ref_rouquier_braid(m, w)) for w in words]
+    for word, a, b, c in zip(words, cold, warm, ref):
+        assert a == b == c, word
+
+
+def test_serre_simplify_split_matches_its_reference():
+    complexes.clear_caches()
+    for name, x in serre.serre_test_objects(3).items():
+        prod = tensor_complex(serre.ft_over_t(3), x)
+        want = _summary(_ref_simplify_split(_ref_tensor_complex(
+            serre.ft_over_t(3), x)))
+        assert _summary(serre._simplify_split(prod)) == want, name
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_products_with_r_keep_the_kl_tag(m):
+    for x in group_elements(m):
+        b_x = indecomposable_b(m, x)
+        for k, l in ((0, 0), (0, 1), (2, -1), (-1, -3)):
+            want = b_x.shifted(k + l)
+            for prod in (tensor(b_x.shifted(k), regular(m, l)),
+                         tensor(regular(m, l), b_x.shifted(k))):
+                assert prod.degrees == want.degrees
+                assert prod.left == want.left
+                assert repr(prod) == repr(want)
+                assert prod.to_json() == want.to_json()
+
+
+def test_split_block_memo_keeps_fields_apart():
+    # One memo for m = 3, 4, 5 gives each m its cold complexes.
+    words = ["s t s", "t^-1 s^-1 t^-1"]
+    complexes.clear_caches()
+    shared = {(m, w): _summary(rouquier_braid(m, w, split=True))
+              for m in (3, 4, 5) for w in words}
+    assert {key[0] for key in complexes._SPLIT_BLOCKS} == {3, 4, 5}
+    for (m, w), want in shared.items():
+        complexes.clear_caches()
+        assert _summary(rouquier_braid(m, w, split=True)) == want, (m, w)

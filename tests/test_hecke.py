@@ -9,7 +9,9 @@ from dihedralcat.complexes import parse_braid, rouquier_braid
 from dihedralcat.hecke import (HeckeElement, Laurent, bs_class, canonical_word,
                                class_of_complex, delta_product, group_elements,
                                homfly, kl_basis, kl_multiplicities,
-                               soergel_pairing, standard_in_kl)
+                               standard_in_kl)
+
+from helpers import soergel_pairing
 
 
 def test_laurent_arithmetic():

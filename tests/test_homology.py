@@ -180,3 +180,32 @@ def test_borromean_hhh_passes_the_euler_check():
     assert QSeries({-6: 2, -4: -3, -2: 2}, 2) == series.strata[(2, 0)]
     ok, residual = euler_check(series, BORROMEAN)
     assert ok, residual
+
+
+def _braid_text(letters):
+    return " ".join(x if sign > 0 else x + "^-1" for x, sign in letters)
+
+
+# HHH of a braid closure is a conjugacy invariant (HH is a trace), and the
+# s <-> t swap is an automorphism of the Coxeter system.  One fixed list,
+# its words kept short so that every rotation stays cheap.
+CONJUGATION_WORDS = [
+    (2, "s t^-1 s s t"),
+    (3, "s^2 t^-1 s t"),
+    (3, "s t^-1 s^-1 t"),
+    (4, "s t^-1 s t"),
+    (4, "s^2 t s^-1"),
+    (5, "s^2 t s^-1"),
+    (5, "s t s t^-1"),
+]
+
+
+@pytest.mark.parametrize("m, word", CONJUGATION_WORDS)
+def test_hhh_is_a_conjugation_invariant(m, word):
+    letters = complexes.parse_braid(word)
+    want = hhh(word, m)
+    rotations = [letters[k:] + letters[:k] for k in range(1, len(letters))]
+    swapped = [("t" if x == "s" else "s", sign) for x, sign in letters]
+    padded = letters[:1] + [("t", 1), ("t", -1)] + letters[1:]
+    for other in rotations + [swapped, padded]:
+        assert hhh(_braid_text(other), m) == want, _braid_text(other)

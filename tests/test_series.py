@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dihedralcat.series import PoincareSeries, QSeries
+from helpers import invert_q
 
 
 def test_qseries_canonical_divides_out():
@@ -57,11 +58,11 @@ def test_qseries_arithmetic_and_shift():
 def test_invert_q_is_rational_substitution():
     # 1/(1-Q^2) -> 1/(1-Q^-2) = -Q^2/(1-Q^2)
     s = QSeries({0: 1}, 1)
-    assert s.invert_q() == QSeries({2: -1}, 1)
+    assert invert_q(s) == QSeries({2: -1}, 1)
     # involution
-    assert s.invert_q().invert_q() == s
+    assert invert_q(invert_q(s)) == s
     free = QSeries({0: 1}, 2)
-    assert free.invert_q() == QSeries({4: 1}, 2)
+    assert invert_q(free) == QSeries({4: 1}, 2)
 
 
 def test_poincare_series_round_trip_and_repr():

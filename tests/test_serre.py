@@ -15,12 +15,12 @@ from dihedralcat.serre import (check_equivalence_instance, check_pift,
 
 def test_full_twist_shapes():
     ft = full_twist(2)
-    ft.check_d2()
+    ft.validate()
     fti = full_twist_inverse(2)
-    fti.check_d2()
+    fti.validate()
     assert max(ft.degrees()) >= 0 >= min(fti.degrees())
     ft_t = ft_over_t(3)
-    ft_t.check_d2()
+    ft_t.validate()
 
 
 def test_vanishing_suite_m2_and_m3():
