@@ -38,8 +38,8 @@ def test_required_counters_are_nonzero(name):
     # before install: the tracer's wrapper of an lru_cache has no cache_clear
     complexes.clear_caches()
     tracer = Tracer()
-    tracer.install()
     try:
+        tracer.install()
         answers = [workload.run(job) for job in JOBS[name]]
     finally:
         tracer.uninstall()
