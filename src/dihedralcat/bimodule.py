@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import count
 from math import lcm
 
 from . import linalg
@@ -144,7 +145,7 @@ class Bimodule:
     """
 
     __slots__ = ("real", "rank", "degrees", "left", "word", "shift", "kl",
-                 "product_class", "factors")
+                 "product_class", "factors", "_left_id")
 
     def __init__(self, real, degrees, left_s, left_t, word=None, shift=0,
                  kl=None, check=True):
@@ -156,7 +157,7 @@ class Bimodule:
         self.word = tuple(word) if word is not None else None
         self.shift = shift
         self.kl = tuple(kl) if kl is not None else None
-        self.product_class = self.factors = None
+        self.product_class = self.factors = self._left_id = None
         if check:
             self._validate()
 
@@ -185,9 +186,17 @@ class Bimodule:
     def m(self):
         return self.real.m
 
+    @property
+    def left_id(self):
+        """The memos' key: the interned id of (m, left_s, left_t)."""
+        if self._left_id is None:
+            self._left_id = _intern_left(self.m, self.left["s"],
+                                         self.left["t"])
+        return self._left_id
+
     def left_action_of(self, f):
         """Matrix of left multiplication by f in R, as fresh lists."""
-        key = (self.left["s"], self.left["t"], f)
+        key = (self.left_id, f)
         rows = _LEFT_ACTION.get(key)
         if rows is None:
             rows = _LEFT_ACTION[key] = self._left_action(f)
@@ -196,7 +205,10 @@ class Bimodule:
     def _left_action(self, f):
         """The sum of c s^i t^j over the terms c a_s^i a_t^j of f."""
         field, n = self.field, self.rank
-        pows = {x: [mat_identity(field, n), self.left[x]] for x in LETTERS}
+        pows = _LEFT_POWERS.get(self.left_id)
+        if pows is None:
+            pows = _LEFT_POWERS[self.left_id] = {
+                x: [mat_identity(field, n), self.left[x]] for x in LETTERS}
         monos = []
         for i, j in f.terms:
             for x, k in (("s", i), ("t", j)):
@@ -217,6 +229,7 @@ class Bimodule:
                        word=self.word, shift=self.shift + k, kl=self.kl,
                        check=False)
         out.product_class, out.factors = self.product_class, self.factors
+        out._left_id = self._left_id
         return out
 
     def graded_rank(self):
@@ -315,21 +328,48 @@ def b_generator(m, letter, shift=0):
                     word=(letter,), shift=shift, check=False)
 
 
-# Left actions of f in R, keyed on (left_s, left_t, f): shifts change none.
+# Interned left actions: (m, left_s, left_t) -> id.  clear_caches empties
+# it but _LEFT_COUNTER runs on, so an id is never reused: a module made
+# before a clear keeps an id that no other left actions can get.
+_LEFT_IDS = {}
+_LEFT_COUNTER = count()
+
+
+def _intern_left(m, left_s, left_t):
+    return _LEFT_IDS.setdefault((m, left_s, left_t), next(_LEFT_COUNTER))
+
+
+# Memos on left ids, which no grading shift changes.  Left actions of f in
+# R, keyed on (left id, f).
 _LEFT_ACTION = {}
 
-# {x: left_x} of tensor products, keyed on the factors' left actions: a
-# grading shift of either factor changes its degrees, not these matrices.
+# {x: [1, left_x, left_x^2, ...]} per left id, as far as computed.
+_LEFT_POWERS = {}
+
+# (left_s, left_t, left id) of tensor products, keyed on the factors' ids.
 _TENSOR_LEFT = {}
+
+# Hecke classes before the shift of untagged products of tagged factors,
+# keyed on (m, the factors' tags).
+_PRODUCT_CLASS = {}
 
 
 def _tensor_left(mod_a, mod_b):
     """left_x of mod_a (x) mod_b is left_x of mod_a tensored with id."""
-    key = (mod_a.left["s"], mod_a.left["t"], mod_b.left["s"], mod_b.left["t"])
-    if key not in _TENSOR_LEFT:
-        _TENSOR_LEFT[key] = {x: tensor_id_matrix(BimoduleMorphism(
-            mod_a, mod_a, mod_a.left[x], check=False), mod_b) for x in LETTERS}
-    return _TENSOR_LEFT[key]
+    key = (mod_a.left_id, mod_b.left_id)
+    hit = _TENSOR_LEFT.get(key)
+    if hit is None:
+        left = [tuple(map(tuple, tensor_id_matrix(BimoduleMorphism(
+            mod_a, mod_a, mod_a.left[x], check=False), mod_b)))
+            for x in LETTERS]
+        hit = _TENSOR_LEFT[key] = (*left, _intern_left(mod_a.m, *left))
+    return hit
+
+
+def _tag(mod):
+    """What determines mod up to shift: its KL tag or Bott-Samelson word."""
+    return ("kl", mod.kl) if mod.kl is not None else \
+        ("word", mod.word) if mod.word is not None else None
 
 
 def tensor(mod_a, mod_b):
@@ -342,19 +382,26 @@ def tensor(mod_a, mod_b):
     if mod_a.m != mod_b.m:
         raise ValueError("tensor over different m")
     degrees = [da + db for da in mod_a.degrees for db in mod_b.degrees]
-    left = _tensor_left(mod_a, mod_b)
+    left_s, left_t, left_id = _tensor_left(mod_a, mod_b)
     word = None
     if mod_a.word is not None and mod_b.word is not None:
         word = mod_a.word + mod_b.word
     kl = mod_a.kl if mod_b.word == () else \
         mod_b.kl if mod_a.word == () else None
-    out = Bimodule(mod_a.real, degrees, left["s"], left["t"], word=word,
+    out = Bimodule(mod_a.real, degrees, left_s, left_t, word=word,
                    shift=mod_a.shift + mod_b.shift, kl=kl, check=False)
+    out._left_id = left_id
     if word is None and kl is None:
-        class_a, class_b = class_of_bimodule(mod_a), class_of_bimodule(mod_b)
-        if class_a is not None and class_b is not None:
-            out.product_class = (class_a * class_b).scale(
-                Laurent.monomial(-out.shift))
+        key = (mod_a.m, _tag(mod_a), _tag(mod_b))
+        out.product_class = _PRODUCT_CLASS.get(key)
+        if out.product_class is None:
+            class_a = class_of_bimodule(mod_a)
+            class_b = class_of_bimodule(mod_b)
+            if class_a is not None and class_b is not None:
+                out.product_class = (class_a * class_b).scale(
+                    Laurent.monomial(-out.shift))
+            if None not in key:
+                _PRODUCT_CLASS[key] = out.product_class
         if mod_b.word is not None and len(mod_b.word) >= 2:
             out.factors = (mod_a, mod_b)
     return out

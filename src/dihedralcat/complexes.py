@@ -14,13 +14,13 @@ from itertools import accumulate
 
 from . import bimodule, linalg
 from .bimodule import (Bimodule, BimoduleMorphism, _integer_terms,
-                       _scalar_of, b_generator, bott_samelson, direct_sum,
-                       dot_in, dot_out, hom_degree_basis, id_tensor_matrix,
-                       identity_morphism, invert_morphism, is_invertible,
-                       lift_columns, mat_identity, mat_mul, mat_neg, mat_sub,
-                       mat_scale, mat_zero, poly_from_json, poly_to_json,
-                       regular, split_summand, sub_bimodule, tensor,
-                       tensor_id_matrix)
+                       _scalar_of, _tag, b_generator, bott_samelson,
+                       direct_sum, dot_in, dot_out, hom_degree_basis,
+                       id_tensor_matrix, identity_morphism, invert_morphism,
+                       is_invertible, lift_columns, mat_identity, mat_mul,
+                       mat_neg, mat_sub, mat_scale, mat_zero, poly_from_json,
+                       poly_to_json, regular, split_summand, sub_bimodule,
+                       tensor, tensor_id_matrix)
 from .field import _minimal_poly_2cos, field_for
 from .hecke import (Laurent, class_of_bimodule, group_elements,
                     kl_multiplicities)
@@ -263,12 +263,6 @@ def parse_braid(text):
     if not letters:
         raise ValueError("empty braid word")
     return letters
-
-
-def _tag(mod):
-    """What determines mod up to shift: its KL tag or Bott-Samelson word."""
-    return ("kl", mod.kl) if mod.kl is not None else \
-        ("word", mod.word) if mod.word is not None else None
 
 
 def tensor_complex(c1, c2):
@@ -579,7 +573,8 @@ def indecomposable_b(m, word):
     when l(w) <= 2, and otherwise the complement of B_w'' in
     B_s (x) B_w', split off once at shift 0.
     """
-    word = tuple(word)
+    if not isinstance(word, tuple):
+        return indecomposable_b(m, tuple(word))
     if not word:
         return regular(m, 0)
     if len(word) > m or any(a == b for a, b in zip(word, word[1:])):
@@ -591,13 +586,16 @@ def indecomposable_b(m, word):
         mod = tensor(b_generator(m, word[0]), indecomposable_b(m, word[1:]))
         incl, proj = split_summand(mod, indecomposable_b(m, word[2:]))
         mod, _, _ = _complement_of_idempotent(mod, incl, proj)
-    return Bimodule(mod.real, mod.degrees, mod.left["s"], mod.left["t"],
-                    shift=mod.shift, kl=word, check=False)
+    out = Bimodule(mod.real, mod.degrees, mod.left["s"], mod.left["t"],
+                   shift=mod.shift, kl=word, check=False)
+    out._left_id = mod._left_id
+    return out
 
 
-# Splittings up to shift: (m, degrees - min, left_s, left_t) ->
-# (min degree, class, [(atom, incl matrix, proj matrix)]).  M(k) has the
-# matrices of M, so its summands are those of M shifted by k (Krull-Schmidt).
+# Splittings up to shift: (left id, degrees - min) -> (min degree, (tag or
+# product class, shift + min degree), class, [(atom, incl matrix, proj
+# matrix)]).  M(k) has the matrices of M, so its summands are those of M
+# shifted by k (Krull-Schmidt).
 _SPLITTINGS = {}
 
 # Split blocks of tensor_complex: origin -> {(row piece, column piece):
@@ -609,9 +607,11 @@ _SPLIT_BLOCKS = {}
 def clear_caches():
     """Empty every memo and lru_cache of the package.  No answer depends on
     them; this gives tests and benchmarks a cold start."""
-    from . import serre  # serre imports this module
-    for memo in (bimodule._LEFT_ACTION, bimodule._TENSOR_LEFT, _SPLITTINGS,
-                 _SPLIT_BLOCKS, serre._HOM_BLOCKS):
+    from . import serre, trace  # both import this module
+    for memo in (bimodule._LEFT_IDS, bimodule._LEFT_ACTION,
+                 bimodule._LEFT_POWERS, bimodule._TENSOR_LEFT,
+                 bimodule._PRODUCT_CLASS, _SPLITTINGS, _SPLIT_BLOCKS,
+                 serre._HOM_BLOCKS, trace._TRACED):
         memo.clear()
     for cached in (indecomposable_b, rouquier, serre.full_twist,
                    serre.full_twist_inverse, serre.ft_over_t, realization,
@@ -622,16 +622,19 @@ def clear_caches():
 def decompose_bimodule(mod):
     """[(atom, incl, proj)] over the summands B_w(k) that the Hecke class
     names (Soergel 2007): longest w first, group_elements order, k up."""
-    cls = class_of_bimodule(mod)
-    if cls is None:
-        raise ValueError("%r has no Hecke class to split by" % (mod,))
     low = min(mod.degrees, default=0)
-    key = (mod.m, tuple(d - low for d in mod.degrees),
-           mod.left["s"], mod.left["t"])
+    # the class is v^shift times a base that the tag or product class fixes,
+    # so a hit with the same base and shift + low has the same class
+    source = (_tag(mod) or mod.product_class, mod.shift + low)
+    if source[0] is None:
+        raise ValueError("%r has no Hecke class to split by" % (mod,))
+    key = (mod.left_id, tuple(d - low for d in mod.degrees))
     hit = _SPLITTINGS.get(key)
-    if hit is None or cls != hit[1].scale(Laurent.monomial(hit[0] - low)):
-        hit = _SPLITTINGS[key] = (low, cls, _split(mod, cls))
-    low0, _, pieces = hit
+    if hit is None or hit[1] != source and class_of_bimodule(mod) != \
+            hit[2].scale(Laurent.monomial(hit[0] - low)):
+        cls = class_of_bimodule(mod)
+        hit = _SPLITTINGS[key] = (low, source, cls, _split(mod, cls))
+    low0, _, _, pieces = hit
     out = []
     for atom, incl, proj in pieces:
         atom = atom.shifted(low0 - low) if low0 != low else atom

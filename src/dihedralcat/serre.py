@@ -207,10 +207,9 @@ _HOM_BLOCKS = {}
 
 def _hom_block(dom, cod):
     """(generators, degrees) of hom_space(dom, cod), solved once per pair
-    of left actions and degrees relative to each module's lowest."""
+    of left ids and degrees relative to each module's lowest."""
     lo_d, lo_c = min(dom.degrees), min(cod.degrees)
-    key = (dom.left["s"], dom.left["t"], cod.left["s"], cod.left["t"],
-           tuple(d - lo_d for d in dom.degrees),
+    key = (dom.left_id, cod.left_id, tuple(d - lo_d for d in dom.degrees),
            tuple(d - lo_c for d in cod.degrees))
     if key not in _HOM_BLOCKS:
         hs = hom_space(dom, cod)

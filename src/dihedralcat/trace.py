@@ -17,6 +17,8 @@ Traced record per atom; and the map each differential block induces
 
 from __future__ import annotations
 
+from functools import wraps
+
 from .bimodule import (Bimodule, BimoduleMorphism, lift_columns,
                        mat_identity, mat_mul, mat_transpose, mat_zero,
                        sub_bimodule)
@@ -55,6 +57,32 @@ class Traced:
         self.proj = proj
 
 
+# Traced atoms up to shift: (functor, k or letter, left id, degrees - min)
+# -> (min degree, Traced).  Calls share its parts and only read them.
+_TRACED = {}
+
+
+def _up_to_shift(functor):
+    """functor(mod, arg) memoized on _TRACED: a fresh Traced per call, its
+    module's degrees moved by the shift and its shift 0 (to_json prints it)."""
+    @wraps(functor)
+    def memoized(mod, arg):
+        low = min(mod.degrees, default=0)
+        key = (functor.__name__, arg, mod.left_id,
+               tuple(d - low for d in mod.degrees))
+        hit = _TRACED.get(key)
+        if hit is None:
+            hit = _TRACED[key] = (low, functor(mod, arg))
+        low0, t = hit
+        degrees = [d + low - low0 for d in t.module.degrees]
+        module = Bimodule(mod.real, degrees, t.module.left["s"],
+                          t.module.left["t"], check=False) \
+            if isinstance(t.module, Bimodule) else \
+            PresentedModule(degrees, t.module.relations, mod.field)
+        return Traced(module, t.generators, t.gb, t.incl, t.proj)
+    return memoized
+
+
 def _kernel(matrix, degrees, field):
     """(generators, their degrees, their ModuleGB or None when there are
     none) of the kernel of a matrix over R whose columns have the given
@@ -81,6 +109,7 @@ def _induced(fmat, dom, cod, field):
     return fmat
 
 
+@_up_to_shift
 def pi_minus(mod, letter):
     """Kernel of the rho-difference action, as a Traced bimodule."""
     cols, degrees, gb = _kernel(rho_endomorphism(mod, letter), mod.degrees,
@@ -88,6 +117,7 @@ def pi_minus(mod, letter):
     return Traced(sub_bimodule(mod, gb, cols, degrees, TraceError), cols, gb)
 
 
+@_up_to_shift
 def pi_plus(mod, letter):
     """Cokernel of the rho-difference action, as a Traced bimodule."""
     rel = [c for c in mat_transpose(rho_endomorphism(mod, letter)) if any(c)]
@@ -147,6 +177,7 @@ def _koszul_maps(mod):
     return d0, d1
 
 
+@_up_to_shift
 def hochschild(mod, k):
     """HH^k(M) as a Traced PresentedModule."""
     field = mod.field

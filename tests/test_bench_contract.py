@@ -1,8 +1,10 @@
 """The benchmark's traced-run contract, on one cheap job per workload.
 
 perfbench/run.py judges a traced pass incorrect when a per-layer counter it
-requires of the workload reads 0.  This installs perfbench's tracer, runs
-a few of the workload's own jobs and checks those counters; it reads
+requires of the workload reads 0, or when the traced answers' digests differ
+from an untraced pass's.  This installs perfbench's tracer, runs a few of
+the workload's own jobs, checks those counters and compares the answers by
+the workload's digest with a cold untraced run of the same jobs; it reads
 perfbench/ and changes nothing there.
 """
 
@@ -24,8 +26,8 @@ from tracer import Tracer  # noqa: E402
 JOBS = {
     "whitehead-hhh": [workloads.WHITEHEAD],
     "braid-sweep-m3": workloads.sweep_words(1)[:3],
-    # the recursion calls indecomposable_b on tuples: B_tsts reads B_ts,
-    # which B_sts computed
+    # a word is keyed by its letters: B_tsts reads B_sts and B_ts, which
+    # the first job built
     "indecomposables-m5": ["sts", "tsts"],
     "serre-relative-m3": [("[R]", workloads.serre.serre_test_objects(3)[
         "[R]"])],
@@ -49,3 +51,7 @@ def test_required_counters_are_nonzero(name):
     required = run.REQUIRED["*"] + run.REQUIRED[name]
     assert {key: counters.get(key, 0) for key in required
             if not counters.get(key)} == {}
+    complexes.clear_caches()
+    untraced = [workload.run(job) for job in JOBS[name]]
+    assert [workload.digest(a) for a in answers] == \
+        [workload.digest(a) for a in untraced]

@@ -1,12 +1,17 @@
 """Tests for partial-trace functors and Hochschild cohomology."""
 
+import json
+
 import pytest
 
+from dihedralcat import trace
 from dihedralcat.bimodule import (Bimodule, b_generator, bott_samelson,
                                   mat_mul, regular)
-from dihedralcat.complexes import indecomposable_b, rouquier_braid
-from dihedralcat.ring import realization
+from dihedralcat.complexes import (clear_caches, indecomposable_b,
+                                   rouquier_braid, tensor_complex)
+from dihedralcat.ring import LETTERS, realization
 from dihedralcat.series import QSeries
+from dihedralcat.serre import _simplify_split, ft_over_t, serre_test_objects
 from dihedralcat.trace import (TraceError, hochschild, hochschild_on_complex,
                                pi_minus, pi_on_complex, pi_plus,
                                rho_endomorphism)
@@ -119,3 +124,81 @@ def test_hochschild_on_complex_shapes():
         assert sorted(degrees) == sorted(cplx.degrees())
         for d in cplx.diffs:
             assert d in maps
+
+
+# ---------------------------------------------------------------------------
+# the trace memo: each atom traced once per shift class
+
+
+def _traced_summary(cplx):
+    """Every trace of cplx as text: pi_on_complex repr and to_json for each
+    letter and sign, and the hochschild_on_complex data for k = 0, 1, 2."""
+    out = []
+    for letter in LETTERS:
+        for sign in (-1, 1):
+            try:
+                traced = pi_on_complex(cplx, letter, sign)
+                out.append([repr(traced), traced.to_json()])
+            except TraceError as err:
+                out.append(str(err))
+    out.extend(hochschild_on_complex(cplx, k) for k in (0, 1, 2))
+    return json.dumps(out, sort_keys=True, default=repr)
+
+
+def _memo_complexes():
+    """Whitehead, T(3,5) and the complexes check_relative_serre traces for
+    the six test objects at m = 3."""
+    out = {"whitehead": rouquier_braid(3, "s^-2 t s^-1 t", split=True),
+           "T(3,5)": rouquier_braid(3, " ".join(["s t"] * 5), split=True)}
+    for name, x in serre_test_objects(3).items():
+        out[name] = _simplify_split(x)
+        out["FT (x) " + name] = _simplify_split(
+            tensor_complex(ft_over_t(3), x))
+    return out
+
+
+class _NoMemo(dict):
+    """A memo that keeps nothing: every trace is computed afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_trace_memo_agrees_cold_warm_and_without_it(monkeypatch):
+    cplxs = _memo_complexes()
+    clear_caches()
+    for cplx in cplxs.values():
+        _traced_summary(cplx)
+    warm = {name: _traced_summary(cplx) for name, cplx in cplxs.items()}
+    for name, cplx in cplxs.items():
+        clear_caches()
+        assert _traced_summary(cplx) == warm[name], name
+    monkeypatch.setattr(trace, "_TRACED", _NoMemo())
+    for name, cplx in cplxs.items():
+        assert _traced_summary(cplx) == warm[name], name
+    assert not trace._TRACED
+
+
+@pytest.mark.parametrize("functor, arg", [
+    (pi_minus, "s"), (pi_plus, "s"), (hochschild, 0), (hochschild, 1),
+    (hochschild, 2)])
+def test_trace_memo_hit_at_a_shift(functor, arg):
+    mod = indecomposable_b(3, "st")
+    clear_caches()
+    cold = functor(mod.shifted(3), arg)
+    clear_caches()
+    base = functor(mod, arg)
+    size = len(trace._TRACED)
+    warm = functor(mod.shifted(3), arg)
+    assert len(trace._TRACED) == size  # answered from the memo
+    assert list(warm.module.degrees) == [d - 3 for d in base.module.degrees]
+    if isinstance(warm.module, Bimodule):
+        assert warm.module.to_json() == cold.module.to_json()
+        assert warm.module.to_json()["shift"] == 0
+        assert repr(warm.module) == repr(cold.module)
+    else:
+        assert warm.module.degrees == cold.module.degrees
+        assert warm.module.relations == cold.module.relations
+    for attr in ("generators", "incl", "proj"):
+        assert getattr(warm, attr) == getattr(cold, attr)
+    assert warm is not base and warm.module is not base.module
