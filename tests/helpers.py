@@ -1,11 +1,12 @@
 """Constructions that only the tests use, built on the library."""
 
-from dihedralcat.bimodule import (Bimodule, BimoduleMorphism,
+from dihedralcat import linalg
+from dihedralcat.bimodule import (Bimodule, BimoduleMorphism, _unknowns,
                                   id_tensor_matrix, mat_mul, mat_transpose,
                                   mat_zero, split_summand, tensor,
                                   tensor_id_matrix)
 from dihedralcat.hecke import bs_class
-from dihedralcat.ring import LETTERS
+from dihedralcat.ring import LETTERS, RingElement
 from dihedralcat.series import QSeries
 
 
@@ -69,3 +70,40 @@ def find_isomorphism(mod_a, mod_b):
         return None
     hit = split_summand(mod_a, mod_b)
     return hit[1] if hit else None
+
+
+def reference_hom_basis(dom, cod, degree=0, letters=LETTERS):
+    """The reference for hom_degree_basis: the degree-`degree` maps
+    dom -> cod that commute with left a_x for every x in letters.  An
+    unknown is a matrix unit E_ij times a monomial, so its column in the
+    system is left[x] . E_ij - E_ij . left[x], times the monomial."""
+    field = dom.field
+    col_of = _unknowns(dom, cod, degree)
+    cells = {}  # (i, j) -> [(a, b, unknown)]
+    for (i, j, a, b), k in col_of.items():
+        cells.setdefault((i, j), []).append((a, b, k))
+    eqs = {}  # (x, row, column, monomial) -> {unknown: FieldScalar}
+    for (i, j), monos in cells.items():
+        unit = mat_zero(field, cod.rank, dom.rank)
+        unit[i][j] = RingElement.constant(field, 1)
+        for x in letters:
+            for sign, prod in ((1, mat_mul(cod.left[x], unit, field)),
+                               (-1, mat_mul(unit, dom.left[x], field))):
+                for r, row in enumerate(prod):
+                    for c, entry in enumerate(row):
+                        for (p, q), cf in entry.terms.items():
+                            cf = cf if sign > 0 else -cf
+                            for a, b, k in monos:
+                                eq = eqs.setdefault((x, r, c, (p + a, q + b)),
+                                                    {})
+                                eq[k] = eq[k] + cf if k in eq else cf
+    vecs = linalg.sparse_kernel_basis(
+        [field.integer_row(eq) for eq in eqs.values()], len(col_of), field)
+    out = []
+    for vec in vecs:
+        mat = mat_zero(field, cod.rank, dom.rank)
+        for (i, j, a, b), k in col_of.items():
+            if vec[k]:
+                mat[i][j] = mat[i][j] + RingElement(field, {(a, b): vec[k]})
+        out.append(BimoduleMorphism(dom, cod, mat, degree, check=False))
+    return out

@@ -6,19 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dihedralcat import bimodule, complexes
 from dihedralcat.bimodule import (Bimodule, b_generator, bott_samelson,
                                   direct_sum, dot_in, dot_out,
                                   hom_degree_basis, hom_space,
                                   id_tensor_matrix, identity_morphism,
                                   invert_morphism, is_invertible, mat_mul,
                                   regular, tensor, tensor_id_matrix)
+from dihedralcat.complexes import decompose_bimodule, indecomposable_b
 from dihedralcat.field import FieldScalar, field_for
-from dihedralcat.hecke import hom_rank, kl_basis
+from dihedralcat.hecke import group_elements, hom_rank, kl_basis
 from dihedralcat.ring import LETTERS, RingElement, realization
 from dihedralcat.series import QSeries
 from dihedralcat.trace import rho_endomorphism
-from helpers import (dualize_D, find_isomorphism, tensor_matrix,
-                     tensor_morphism, zero_morphism)
+from helpers import (dualize_D, find_isomorphism, reference_hom_basis,
+                     tensor_matrix, tensor_morphism, zero_morphism)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -113,6 +115,71 @@ def test_hom_rank_of_shifted_atoms(m):
                 assert len(hom_degree_basis(dom_k, cod_l, d)) == \
                     _slice_dim(want, d)
     assert hom_rank(regular(m, 3), regular(m, 1)) == {2: 1}
+
+
+def _matrices(maps):
+    return [repr(phi.matrix) for phi in maps]
+
+
+def test_hom_degree_basis_at_m3_equals_the_two_letter_solve():
+    # At m = 3 hom_degree_basis solves the equations of left a_s alone; a
+    # map that commutes with left a_s is then a bimodule map, so the basis
+    # is the reduced echelon basis of both letters' equations.
+    atoms = [indecomposable_b(3, w) for w in group_elements(3)]
+    for dom in atoms:
+        for cod in atoms:
+            for d in range(-2, 5):
+                assert _matrices(hom_degree_basis(dom, cod, d)) == \
+                    _matrices(reference_hom_basis(dom, cod, d)), (dom, cod, d)
+
+
+def test_split_solves_at_m3_equal_the_two_letter_solve(monkeypatch):
+    # the hom solves that split every product B_x (x) B_y at m = 3
+    calls = []
+    real = bimodule.hom_degree_basis
+
+    def recording(dom, cod, degree=0):
+        out = real(dom, cod, degree)
+        calls.append((dom, cod, degree, out))
+        return out
+
+    monkeypatch.setattr(bimodule, "hom_degree_basis", recording)
+    complexes.clear_caches()
+    atoms = [indecomposable_b(3, w) for w in group_elements(3) if w]
+    for mod_x in atoms:
+        for mod_y in atoms[:4]:
+            decompose_bimodule(tensor(mod_x, mod_y))
+    assert len(calls) > 20
+    for dom, cod, degree, got in calls:
+        assert _matrices(got) == \
+            _matrices(reference_hom_basis(dom, cod, degree)), (dom, cod)
+
+
+def test_m5_keeps_both_letters_for_cost_only():
+    # At m = 5 too no root is perpendicular to alpha_s, so the equations of
+    # left a_s alone give the same dimensions; hom_degree_basis keeps both
+    # letters there because the solves are faster with them.
+    atoms = [indecomposable_b(5, w) for w in group_elements(5)
+             if len(w) <= 3]
+    for dom in atoms:
+        for cod in atoms:
+            for d in range(-1, 3):
+                assert len(reference_hom_basis(dom, cod, d, ("s",))) == \
+                    len(hom_degree_basis(dom, cod, d)), (dom, cod, d)
+
+
+@pytest.mark.parametrize("m, dom, cod, degree, want", [
+    (2, (), ("t",), -1, 0),
+    (4, ("s",), ("t", "s", "t"), 2, 1),
+    (6, ("t", "s", "t"), ("t", "s", "t"), 2, 4),
+])
+def test_even_m_needs_both_letters(m, dom, cod, degree, want):
+    # At even m the reflection in the root perpendicular to alpha_s fixes
+    # it, and the equations of left a_s alone let through one map too many.
+    dom, cod = indecomposable_b(m, dom), indecomposable_b(m, cod)
+    assert len(hom_degree_basis(dom, cod, degree)) == want
+    assert len(reference_hom_basis(dom, cod, degree)) == want
+    assert len(reference_hom_basis(dom, cod, degree, ("s",))) == want + 1
 
 
 def test_hom_space_refuses_a_missing_or_wrong_class():

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from dihedralcat import complexes, field, homology, modules
+from dihedralcat import complexes, field, homology, linalg, modules
 from dihedralcat.complexes import rouquier_braid
 from dihedralcat.field import field_for
 from dihedralcat.hecke import euler_check
@@ -105,11 +105,12 @@ def test_hhh_accepts_precomputed_complex():
 
 
 def test_whitehead_hhh_builds_few_groebner_bases(monkeypatch):
-    # From cold, the Whitehead hhh builds 119 ModuleGBs, all for syzygies,
-    # lifts and split complements (442 when minimalize_columns built one
-    # per candidate column); minimalize_columns builds none.  Homology
-    # bases track only the syzygy coordinates they read and Hilbert series
-    # bases none: 1,141 basis vectors in all when every column was tracked.
+    # From cold, the Whitehead hhh builds 71 ModuleGBs with 636 basis
+    # vectors: 32 syzygy bases of the strand homology, 12 of HH kernels and
+    # 12 bases of their generators for lifts, 8 for Hilbert series and 7
+    # split complements; minimalize_columns builds none.  Homology bases
+    # track only the syzygy coordinates they read and Hilbert series bases
+    # none.
     complexes.clear_caches()
     calls, sizes = [], []
     real = modules.ModuleGB.__init__
@@ -126,9 +127,29 @@ def test_whitehead_hhh_builds_few_groebner_bases(monkeypatch):
 
     monkeypatch.setattr(modules.ModuleGB, "__init__", counting)
     hhh(WHITEHEAD, 3)
-    assert 0 < len(calls) <= 120
+    assert 0 < len(calls) <= 71
     assert not any(calls)
-    assert 0 < sum(sizes) <= 950
+    assert 0 < sum(sizes) <= 636
+
+
+def test_whitehead_hhh_solves_small_hom_systems(monkeypatch):
+    # At m = 3 hom_degree_basis builds only the equations of left a_s (a
+    # map that commutes with it is a bimodule map), so the cold Whitehead
+    # hhh hands 1,310 nonzero rows to its hom solves, 2,621 with both
+    # letters.  This path solves no chain maps, so every kernel here is a
+    # hom solve.
+    complexes.clear_caches()
+    rows = []
+    real = linalg.sparse_kernel_basis
+
+    def counting(raw, ncols, field):
+        raw = list(raw)
+        rows.extend(row for row in raw if any(row.values()))
+        return real(raw, ncols, field)
+
+    monkeypatch.setattr(linalg, "sparse_kernel_basis", counting)
+    hhh(WHITEHEAD, 3)
+    assert 0 < len(rows) <= 1400
 
 
 def test_whitehead_hhh_multiplies_few_field_scalars(monkeypatch):

@@ -83,9 +83,9 @@ def test_run_suite_full_m2():
 
 
 def test_relative_suite_builds_few_groebner_bases(monkeypatch):
-    # From cold, run_suite("relative", 3) builds 31 ModuleGBs: 11 pi_minus
-    # kernels, 11 bases of their generators for lifts, and 9 complements
-    # of split idempotents.
+    # From cold, run_suite("relative", 3) builds 17 ModuleGBs: 4 pi_minus
+    # kernels, 4 bases of their generators for lifts, and 9 complements of
+    # split idempotents (each atom is traced once per shift class).
     complexes.clear_caches()
     calls = []
     real = modules.ModuleGB.__init__
@@ -96,7 +96,7 @@ def test_relative_suite_builds_few_groebner_bases(monkeypatch):
 
     monkeypatch.setattr(modules.ModuleGB, "__init__", counting)
     assert run_suite("relative", 3)["status"] == "pass"
-    assert 0 < len(calls) <= 31
+    assert 0 < len(calls) <= 17
 
 
 def test_run_suite_rejects_unknown():
