@@ -3,18 +3,22 @@
 Scalars are represented by their residue mod the minimal polynomial p_m,
 stored as a tuple of integer numerators over one positive integer
 denominator in lowest terms (Cohen, A Course in Computational Algebraic
-Number Theory, 1993, 4.2), so the arithmetic runs on ints.  p_m is monic
-with integer coefficients, so a product is an integer convolution reduced
-through a precomputed table of x^n, ..., x^(2n-2) mod p_m; in the degree-1
-fields (m = 2, 3) it is a single product.  The public view `coeffs` is a
-tuple of Fractions.  No floating point anywhere.
+Number Theory, 1993, 4.2), so the arithmetic runs on ints.  The public view
+`coeffs` is a tuple of Fractions.  No floating point anywhere.
 
 The hot loops (linalg.Echelon, modules.ModuleGB, bimodule.mat_mul) build
 no FieldScalar per operation: they run on integer K_m elements of
-Z[x]/(p_m), plain ints in a degree-1 field and otherwise _Integers tuples,
-whose product is FieldScalar's _mul_num.  FieldDescriptor.integer_row
-brings scalars in over a common denominator, and FieldDescriptor.scalar
-builds each reduced FieldScalar once, on the way out.
+Z[x]/(p_m), plain ints in a degree-1 field (m = 2, 3) and otherwise
+_Integers tuples.  p_m is monic with integer coefficients, so each field of
+degree n >= 2 generates its product once, when it is created, as
+straight-line code read off the table of x^n, ..., x^(2n-2) mod p_m (at
+m = 5, (a0*b0 + c2, a0*b1 + a1*b0 + c2) with c2 = a1*b1); _Integers and
+FieldScalar multiply through it.  Inverses use the adjugate: for a nonzero
+integer a, a * adj(a) = N(a) is a nonzero int, and adj(a) comes from one
+fraction-free (Bareiss) solve on the integer matrix of multiplication by
+a.  FieldDescriptor.integer_row brings scalars in over a common
+denominator, and FieldDescriptor.scalar builds each reduced FieldScalar
+once, on the way out.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 from operator import add as _add, neg as _neg, sub as _sub
-
-from .linalg import Echelon
 
 MAX_M = 12
 
@@ -90,9 +92,10 @@ class FieldDescriptor:
         self.minimal_polynomial = _minimal_poly_2cos(m)
         n = self.degree = len(self.minimal_polynomial) - 1
         self._low = tuple(int(c) for c in self.minimal_polynomial[:n])
-        self._reduction = _reduction_rows(self._low)
-        self._ints = type("IntegersK%d" % m, (_Integers,),
-                          {"__slots__": (), "field": self})
+        if n > 1:
+            mul = self._mul = _product(m, _reduction_rows(self._low))
+            self._ints = type("IntegersK%d" % m, (_Integers,),
+                              {"__slots__": (), "_mul": staticmethod(mul)})
         self._zero = _make(self, (0,) * n, 1)
         self._one = _make(self, (1,) + (0,) * (n - 1), 1)
 
@@ -155,10 +158,10 @@ class FieldDescriptor:
         (an entry of it, or one taken out), with u in K_m such that lead * u
         is the positive int p and p and row * u have no common factor."""
         if not isinstance(lead, int):
-            if any(lead[1:]):  # lead * (den * lead^-1) = den
-                inv = self.scalar(lead, 1).inverse()
-                row = {k: v * inv.num for k, v in row.items()}
-                lead = inv.den
+            if any(lead[1:]):  # lead * adj(lead) = N(lead)
+                adj, lead = _adjugate(self._low, lead)
+                adj = self._ints(adj)
+                row = {k: v * adj for k, v in row.items()}
             else:
                 lead = lead[0]
         if lead < 0:
@@ -197,28 +200,78 @@ def _reduction_rows(low):
     return tuple(rows)
 
 
-def _mul_num(field, a, b):
-    """The integer K_m product of two numerator tuples, as a list: an
-    integer convolution reduced through the table of x^n, ..., x^(2n-2)
-    mod p_m."""
-    n = field.degree
-    prod = [0] * (2 * n - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                prod[j] += x * y
-    out = prod[:n]
-    for c, row in zip(prod[n:], field._reduction):
-        if c:
-            for j, r in enumerate(row):
-                out[j] += c * r
-    return out
+def _product(m, reduction):
+    """mul(a, b), the product of two integer K_m elements of degree
+    n = len(reduction) + 1 as numerator tuples, compiled from one straight
+    line of source: the convolution coefficients c_s of x^s, s >= n, are
+    named once, and output k is the x^k coefficient plus
+    sum(reduction[s - n][k] * c_s)."""
+    n = len(reduction) + 1
+
+    def conv(s):
+        return " + ".join("a%d*b%d" % (i, s - i)
+                          for i in range(max(0, s - n + 1), min(s, n - 1) + 1))
+
+    outs = []
+    for k in range(n):
+        out = conv(k)
+        for s, row in enumerate(reduction, n):
+            c = row[k]
+            if c:
+                out += " %s %sc%d" % ("+" if c > 0 else "-",
+                                      "" if abs(c) == 1 else "%d*" % abs(c), s)
+        outs.append(out)
+    a = ", ".join("a%d" % i for i in range(n))
+    lines = ["def mul(a, b):", "    %s = a" % a,
+             "    %s = b" % a.replace("a", "b")]
+    lines += ["    c%d = %s" % (s, conv(s)) for s in range(n, 2 * n - 1)]
+    lines.append("    return (%s)" % ", ".join(outs))
+    namespace = {}
+    exec(compile("\n".join(lines) + "\n", "<K_%d product>" % m, "exec"),
+         namespace)
+    return namespace["mul"]
+
+
+def _adjugate(low, a):
+    """(b, N) for a nonzero integer K_m element a, as a numerator tuple,
+    with a * b = N = N(a): b = adj(M) e_0 and N = det M, for M the integer
+    matrix of multiplication by a (column j is a * x^j).  Bareiss's
+    fraction-free elimination of [M | e_0] with row swaps, then
+    fraction-free back substitution: O(n^3) operations on ints."""
+    n = len(a)
+    cols = [list(a)]
+    for _ in range(n - 1):
+        cols.append(_times_x(cols[-1], low))
+    rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(n)]
+    sign = prev = 1
+    for k in range(n):
+        if not rows[k][k]:  # M is invertible, so a later row has column k
+            i = next(i for i in range(k + 1, n) if rows[i][k])
+            rows[k], rows[i] = rows[i], rows[k]
+            sign = -sign
+        rk = rows[k]
+        p = rk[k]
+        for ri in rows[k + 1:]:
+            f = ri[k]
+            for j in range(k + 1, n + 1):
+                ri[j] = (p * ri[j] - f * rk[j]) // prev
+        prev = p
+    # prev is the determinant of the row-swapped M, so y = prev * M^-1 e_0
+    # is integral (Cramer) and each division below is exact.
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        ri = rows[i]
+        y[i] = (prev * ri[n] - sum(ri[j] * y[j] for j in range(i + 1, n))) \
+            // ri[i]
+    if sign < 0:
+        return [-v for v in y], -prev
+    return y, prev
 
 
 class _Integers(tuple):
     """An element of Z[x]/(p_m), as its numerator tuple, with the ring
-    operators; each field of degree > 1 has a subclass whose field
-    attribute gives _mul_num its reduction table."""
+    operators; each field of degree > 1 has a subclass whose _mul is that
+    field's generated product."""
 
     __slots__ = ()
 
@@ -233,13 +286,13 @@ class _Integers(tuple):
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return type(self)(other * a for a in self)
-        return type(self)(_mul_num(self.field, self, other))
+            return type(self)(map(other.__mul__, self))
+        return type(self)(self._mul(self, other))
 
     __rmul__ = __mul__
 
     def __floordiv__(self, g):
-        return type(self)(a // g for a in self)
+        return type(self)(map(g.__rfloordiv__, self))
 
     def __bool__(self):
         return any(self)
@@ -342,8 +395,7 @@ class FieldScalar:
         a, b = self.num, other.num
         if field.degree == 1:  # K_m = Q: one product of rationals
             return _rational(field, a[0] * b[0], self.den * other.den)
-        return _reduced(field, tuple(_mul_num(field, a, b)),
-                        self.den * other.den)
+        return _reduced(field, field._mul(a, b), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -354,18 +406,10 @@ class FieldScalar:
             (a,), den = self.num, self.den
             return _make(self.field, (den,), a) if a > 0 \
                 else _make(self.field, (-den,), -a)
-        # Solve num * y = den over Q = K_2: column j < n of num's matrix is
-        # num * x^j, and column n holds den.
-        n, cols = self.field.degree, [list(self.num)]
-        for _ in range(n - 1):
-            cols.append(_times_x(cols[-1], self.field._low))
-        cols.append([self.den] + [0] * (n - 1))
-        ech = Echelon(field_for(2))
-        for i in range(n):
-            ech.insert({j: col[i] for j, col in enumerate(cols) if col[i]})
-        y = ech.reduce().pivots
-        return FieldScalar(self.field, tuple(
-            y[j][n].coeffs[0] if n in y[j] else 0 for j in range(n)))
+        # num * b = N, so num / den has inverse den * b / N
+        b, norm = _adjugate(self.field._low, self.num)
+        den = self.den if norm > 0 else -self.den
+        return _reduced(self.field, tuple(den * v for v in b), abs(norm))
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dihedralcat.bimodule import poly_from_json, poly_to_json
-from dihedralcat.field import FieldError, FieldScalar, field_for
+from dihedralcat.field import (FieldError, FieldScalar, _adjugate,
+                               field_for)
 from dihedralcat.ring import RingElement
 
 
@@ -35,7 +36,7 @@ def test_known_small_cases():
         (Fraction(-1), Fraction(-1), Fraction(1))
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 7])
+@pytest.mark.parametrize("m", range(2, 13))
 def test_field_axioms_and_inverse(m):
     F = field_for(m)
     d = F.delta()
@@ -104,7 +105,7 @@ def _assert_canonical(x):
 @st.composite
 def scalar_pairs(draw):
     """(field, coefficients of a, coefficients of b); b is sometimes a."""
-    F = field_for(draw(st.sampled_from([2, 3, 4, 5, 7, 12])))
+    F = field_for(draw(st.integers(2, 12)))  # degrees 1 to 5
     rational = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
     def coeffs():
@@ -147,3 +148,48 @@ def test_arithmetic_matches_fraction_reference(case):
     text = json.dumps(poly_to_json(f))
     g = poly_from_json(json.loads(text), F)
     assert g == f and json.dumps(poly_to_json(g)) == text
+
+
+# The hot loops multiply integer K_m elements (_Integers) and make rows
+# primitive through the adjugate, so these are checked at the integer level.
+
+@st.composite
+def integer_elements(draw):
+    """(field of degree >= 2, numerators of a, b and c, an int k)."""
+    F = field_for(draw(st.integers(4, 12)))
+
+    def element():
+        return tuple(draw(st.integers(-40, 40)) for _ in range(F.degree))
+
+    return F, element(), element(), element(), draw(st.integers(-9, 9))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(integer_elements())
+def test_integer_product_and_adjugate_match_fraction_reference(case):
+    F, a, b, c, k = case
+    n, p = F.degree, F.minimal_polynomial
+    A, B, C = F._ints(a), F._ints(b), F._ints(c)
+    for got in (A * B, k * A, A * k):
+        assert type(got) is type(A)
+    assert A * B == _ref_mul(a, b, p)
+    assert k * A == A * k == tuple(k * x for x in a)
+    if not any(a):
+        return
+    adj, norm = _adjugate(F._low, a)
+    assert norm != 0
+    assert _ref_mul(a, adj, p) == (norm,) + (0,) * (n - 1)
+    # N(a) is the determinant of multiplication by a, column j = a * x^j
+    cols = [_ref_mul(a, [int(i == j) for i in range(n)], p) for j in range(n)]
+    assert norm == sp.Matrix(n, n, lambda i, j: cols[j][i]).det()
+    if not any(b):
+        return
+    # primitive: lead * u = q > 0 and row * u with no common factor, which
+    # pins (q, row * u) down; a common factor of lead and row changes nothing
+    row = {0: B, 3: C}
+    q, prim = F.primitive(A, dict(row))
+    assert isinstance(q, int) and q > 0
+    assert gcd(q, F.content(prim.values())) == 1
+    assert all(prim[key] * A == row[key] * q for key in row)
+    assert F.primitive(A * 6, {key: v * 6 for key, v in row.items()}) \
+        == (q, prim)
