@@ -407,11 +407,11 @@ def tensor(mod_a, mod_b):
     return out
 
 
-def bott_samelson(m, word, shift=0):
+def bott_samelson(m, word):
     out = regular(m, 0)
     for letter in word:
         out = tensor(out, b_generator(m, letter))
-    return out.shifted(shift) if shift else out
+    return out
 
 
 def sub_bimodule(mod, gb, columns, degrees, error):
@@ -590,12 +590,8 @@ class HomSpace:
         return QSeries(Counter(self.degrees), 0)
 
 
-def hom_space(dom, cod):
-    return HomSpace(dom, cod)
-
-
 def direct_sum(mods):
-    """Block-diagonal direct sum; returns (sum, inclusions, projections)."""
+    """Block-diagonal direct sum of the modules, untagged."""
     if not mods:
         raise ValueError("empty direct sum")
     real = mods[0].real
@@ -614,18 +610,7 @@ def direct_sum(mods):
                 for j in range(mod.rank):
                     mat[off + i][off + j] = mod.left[x][i][j]
         left[x] = mat
-    out = Bimodule(real, degrees, left["s"], left["t"], check=False)
-    incls, projs = [], []
-    for off, mod in zip(offsets, mods):
-        inc = mat_zero(field, total, mod.rank)
-        prj = mat_zero(field, mod.rank, total)
-        one = RingElement.constant(field, 1)
-        for i in range(mod.rank):
-            inc[off + i][i] = one
-            prj[i][off + i] = one
-        incls.append(BimoduleMorphism(mod, out, inc, 0, check=False))
-        projs.append(BimoduleMorphism(out, mod, prj, 0, check=False))
-    return out, incls, projs
+    return Bimodule(real, degrees, left["s"], left["t"], check=False)
 
 
 def _unknowns(dom, cod, degree):

@@ -63,7 +63,7 @@ def cached_simplified_complex(braid, m):
         except (ValueError, KeyError, IndexError, TypeError, AttributeError,
                 OSError):
             pass  # corrupt, stale or invalid entry: recompute below
-    cplx = rouquier_braid(m, braid, simplify=True, split=True)
+    cplx = rouquier_braid(m, braid, split=True)
     try:
         os.makedirs(cache_dir(), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir(), suffix=".tmp")

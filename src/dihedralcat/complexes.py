@@ -91,14 +91,14 @@ class ChainComplex:
         obs = self.objects.get(d)
         if not obs:
             return None
-        return direct_sum(obs)[0]
+        return direct_sum(obs)
 
     def sum_differential(self, d):
         """The differential C^d -> C^{d+1} as one morphism, or None."""
         if d not in self.diffs:
             return None
-        dom, _, _ = direct_sum(self.objects[d])
-        cod, _, _ = direct_sum(self.objects[d + 1])
+        dom = direct_sum(self.objects[d])
+        cod = direct_sum(self.objects[d + 1])
         field = dom.field
         mat = mat_zero(field, cod.rank, dom.rank)
         roff = _offsets(self.objects[d + 1])
@@ -204,8 +204,8 @@ def _compose_block_matrices(b2, b1):
     return out
 
 
-def single_object(m, mod, degree=0):
-    return ChainComplex(m, {degree: [mod]}, {}, check=False)
+def single_object(m, mod):
+    return ChainComplex(m, {0: [mod]}, {}, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +268,11 @@ def parse_braid(text):
 def tensor_complex(c1, c2):
     """Totalization of c1 (x) c2 with the Koszul sign (-1)^p on d_{c2}.
 
-    Each block f (x) id_b or +-id_a (x) g between tagged atoms gets as its
-    origin m, the kind of block, the three atoms' tags and the factor's
-    matrix, which determine the block and its endpoints' splittings up to
-    shift; split_atoms memoizes on it.
+    Every block is a single f (x) id_b or +-id_a (x) g, for a block f of c1
+    or g of c2, and is invertible only if f or g is (see simplify).  Each
+    block between tagged atoms gets as its origin m, the kind of block, the
+    three atoms' tags and the factor's matrix, which determine the block and
+    its endpoints' splittings up to shift; split_atoms memoizes on it.
     """
     m = c1.m
     objects = {}
@@ -320,25 +321,27 @@ def tensor_complex(c1, c2):
                                     degree, check=False)
             if None not in origin[2:5]:
                 term.origin = origin
-            blocks[tgt][col] = term if blocks[tgt][col] is None \
-                else blocks[tgt][col] + term
+            blocks[tgt][col] = term
     return ChainComplex(m, objects, diffs, check=False)
 
 
-def rouquier_braid(m, braid, simplify=True, split=False):
+def rouquier_braid(m, braid, split=False):
+    """The Rouquier complex of a braid word: the tensor product of the
+    elementary complexes F_x^{+-1}, letter by letter.
+
+    split=False returns that product as it is: it has no invertible block
+    (see simplify), so elimination would change nothing.  split=True
+    simplifies after every letter, which gives a minimal complex of
+    indecomposables."""
     if isinstance(braid, str):
         braid = parse_braid(braid)
     out = single_object(m, regular(m, 0))
     for letter, sign in braid:
         out = tensor_complex(out, rouquier(m, letter, sign))
-        # X (x) F has no invertible block when X is minimal and split: an
-        # id (x) dot block joins atoms of different rank, f (x) id_R is f,
-        # and f (x) id_B_s invertible would give [B_x(k) B_s] = [B_y(l) B_s],
-        # so x = y, k = l (the dihedral KL rule) and f = 0 in End^0(B_x).
-        if split and simplify:
-            out = minimal_form(split_atoms(out))
-        elif simplify:
-            out = minimal_form(out)
+        # out (raw, or minimal) and F_x have no invertible block, so by
+        # simplify's lemma out (x) F_x has none until its atoms are split.
+        if split:
+            out = simplify(out)
     return out
 
 
@@ -394,7 +397,7 @@ def gaussian_eliminate(cplx, deg, row, col):
     return ChainComplex(cplx.m, objects, diffs, check=False)
 
 
-def minimal_form(cplx, check=False):
+def minimal_form(cplx):
     """Eliminate invertible blocks until none remain (deterministic scan:
     the first invertible block by degree, column, row).  An elimination in
     degree d changes no block of a lower degree, so the next scan starts at
@@ -418,8 +421,6 @@ def minimal_form(cplx, check=False):
             break
         cur = gaussian_eliminate(cur, *found)
         start = found[0]
-    if check:
-        cur.validate()
     return cur
 
 
@@ -472,7 +473,7 @@ def chain_map_basis(c1, c2):
     return vecs, per_degree, offsets
 
 
-def _assemble_chain_map(vec, per_degree, offsets, c1, c2, field):
+def _assemble_chain_map(vec, per_degree, offsets):
     maps = {}
     for d, basis in per_degree.items():
         if not basis:
@@ -519,8 +520,7 @@ def complexes_isomorphic(c1, c2):
                 continue
             scal = field.from_rational(cf)
             vec_total = [a + scal * b for a, b in zip(vec_total, vec)]
-        maps = _assemble_chain_map(vec_total, per_degree,
-                                   offsets, c1, c2, field)
+        maps = _assemble_chain_map(vec_total, per_degree, offsets)
         if all(d in maps and is_invertible(maps[d]) for d in degs):
             return "yes", maps
     return "inconclusive", None
@@ -706,6 +706,22 @@ def _split_through_factors(mod):
             pieces.append((sub, mat_mul(outer_incl, sub_incl.matrix, field),
                            mat_mul(sub_proj.matrix, outer_proj, field)))
     return pieces
+
+
+def simplify(cplx):
+    """A minimal complex of indecomposables homotopy equivalent to cplx:
+    split every atom, then eliminate every invertible block.
+
+    Elimination comes only after the split.  Soergel bimodules are free as
+    left and as right R-modules (Soergel 2007), so a block f (x) id_b of
+    tensor_complex is f repeated on rank(b) copies of dom f, and is
+    invertible only if f is; likewise for id_a (x) g.  Hence a tensor
+    product of two complexes without invertible blocks has none either,
+    and minimal_form could eliminate nothing there until the atoms are split
+    (Bar-Natan, Fast Khovanov homology computations, 2007, simplifies
+    locally for the same reason).
+    """
+    return minimal_form(split_atoms(cplx))
 
 
 def split_atoms(cplx):

@@ -307,11 +307,11 @@ def class_of_complex(cplx):
 # HOMFLY via the Jones-Ocneanu trace on H(S_3)
 
 
-def _h3_multiply_letter(terms, x, z, m=3):
+def _h3_multiply_letter(terms, x, z):
     """Right multiplication by T_x in H(S_3) with sympy coefficients."""
     out = {}
     for w, c in terms.items():
-        wx = right_mult(w, x, m)
+        wx = right_mult(w, x, 3)
         if len(wx) > len(w):
             out[wx] = out.get(wx, 0) + c
         else:

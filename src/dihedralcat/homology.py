@@ -71,7 +71,7 @@ def hhh(braid, m=3, strands=(0, 1, 2), precomputed=None):
     from .complexes import rouquier_braid
     cplx = precomputed
     if cplx is None:
-        cplx = rouquier_braid(m, braid, simplify=True, split=True)
+        cplx = rouquier_braid(m, braid, split=True)
     series = PoincareSeries.zero()
     for k in strands:
         for t_deg, module in strand_homology(cplx, k).items():

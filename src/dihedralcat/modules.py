@@ -227,10 +227,12 @@ class ModuleGB:
 
     # -- queries --------------------------------------------------------
 
-    def lift_vec(self, vec):
-        """Coefficients c with M*c = vec, or None if vec is not in the span."""
+    def lift(self, column):
+        """Coefficients c with M*c = column, or None if column is not in the
+        span."""
         if self.tracked < self.ncols:
             raise ValueError("lift needs every column tracked")
+        vec = vec_from_column(column)
         den = lcm(*(c.den for c in vec.values()))
         found = self._reduce(self.field.integer_row(vec, den), stop=self.rank)
         if found is None:
@@ -239,9 +241,6 @@ class ModuleGB:
         coeffs = {(pos - self.rank, i, j): self.field.scalar(-c, den * factor)
                   for (pos, i, j), c in rest.items()}
         return column_from_vec(coeffs, self.ncols, self.field)
-
-    def lift(self, column):
-        return self.lift_vec(vec_from_column(column))
 
     def contains(self, column):
         """Membership in the image, decided by the main block alone."""

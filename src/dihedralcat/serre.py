@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .bimodule import b_generator, hom_space, lift_columns, mat_neg, regular
+from .bimodule import HomSpace, b_generator, lift_columns, mat_neg, regular
 from .complexes import (complexes_isomorphic, minimal_form, rouquier_braid,
-                        single_object, split_atoms, tensor_complex)
+                        simplify, single_object, tensor_complex)
 from .homology import complex_homology
 from .modules import ModuleGB
 from .ring import RingElement, realization
@@ -25,23 +25,21 @@ from .trace import pi_on_complex
 
 
 @lru_cache(maxsize=None)
-def full_twist(m, simplify=True):
+def full_twist(m):
     """FT = F_{w0}^2, the Rouquier complex of (st)^m."""
-    return rouquier_braid(m, " ".join(["s", "t"] * m),
-                          simplify=simplify, split=simplify)
+    return rouquier_braid(m, " ".join(["s", "t"] * m), split=True)
 
 
 @lru_cache(maxsize=None)
-def full_twist_inverse(m, simplify=True):
-    return rouquier_braid(m, " ".join(["t^-1", "s^-1"] * m),
-                          simplify=simplify, split=simplify)
+def full_twist_inverse(m):
+    return rouquier_braid(m, " ".join(["t^-1", "s^-1"] * m), split=True)
 
 
 @lru_cache(maxsize=None)
-def ft_over_t(m, simplify=True):
+def ft_over_t(m):
     """FT_{{s,t}/t} = F_{(st)^m} F_t^{-2}."""
     braid = " ".join(["s", "t"] * m) + " t^-1 t^-1"
-    return rouquier_braid(m, braid, simplify=simplify, split=simplify)
+    return rouquier_braid(m, braid, split=True)
 
 
 # ---------------------------------------------------------------------------
@@ -85,12 +83,13 @@ def _is_zero_up_to_homotopy(cplx):
 
 
 def _is_boxed_regular(cplx):
-    """Is the complex exactly [R] in degree 0?"""
+    """Is the complex exactly [R] in degree 0?  A rank-one atom is R only
+    when its left action is R's, which for rank one does not depend on the
+    basis: a twisted R_x has a generator of degree 0 too."""
     degs = [d for d, obs in cplx.objects.items() if obs]
     if degs != [0] or len(cplx.objects[0]) != 1:
         return False
-    mod = cplx.objects[0][0]
-    return mod.rank == 1 and tuple(mod.degrees) == (0,)
+    return cplx.objects[0][0] == regular(cplx.m, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +97,7 @@ def _is_boxed_regular(cplx):
 
 
 def _traced_vanishes(m, braid, letter, sign):
-    cplx = rouquier_braid(m, braid, simplify=True, split=True)
+    cplx = rouquier_braid(m, braid, split=True)
     traced = pi_on_complex(cplx, letter, sign)
     return _is_zero_up_to_homotopy(traced)
 
@@ -165,16 +164,12 @@ def serre_test_objects(m):
     }
 
 
-def _simplify_split(cplx):
-    return minimal_form(split_atoms(minimal_form(cplx)))
-
-
 def check_relative_serre(x_complex, m):
     """pi_s^-(X) ~ pi_s^+(FT_{{s,t}/t} (x) X), certified by an isomorphism
     of minimal forms when the randomized search finds one, with a homology
     Hilbert-series comparison as the always-decidable fallback."""
-    lhs = minimal_form(pi_on_complex(_simplify_split(x_complex), "s", -1))
-    prod = _simplify_split(tensor_complex(ft_over_t(m), x_complex))
+    lhs = minimal_form(pi_on_complex(simplify(x_complex), "s", -1))
+    prod = simplify(tensor_complex(ft_over_t(m), x_complex))
     rhs = minimal_form(pi_on_complex(prod, "s", 1))
     verdict, witness = complexes_isomorphic(lhs, rhs)
     report = {"suite": "relative-serre", "m": m,
@@ -206,13 +201,13 @@ _HOM_BLOCKS = {}
 
 
 def _hom_block(dom, cod):
-    """(generators, degrees) of hom_space(dom, cod), solved once per pair
+    """(generators, degrees) of HomSpace(dom, cod), solved once per pair
     of left ids and degrees relative to each module's lowest."""
     lo_d, lo_c = min(dom.degrees), min(cod.degrees)
     key = (dom.left_id, cod.left_id, tuple(d - lo_d for d in dom.degrees),
            tuple(d - lo_c for d in cod.degrees))
     if key not in _HOM_BLOCKS:
-        hs = hom_space(dom, cod)
+        hs = HomSpace(dom, cod)
         _HOM_BLOCKS[key] = hs.generators, [d + lo_d - lo_c
                                            for d in hs.degrees]
     gens, degrees = _HOM_BLOCKS[key]
@@ -331,10 +326,6 @@ class HomComplex:
         return {n: h.hilbert_series() for n, h in self.homology().items()}
 
 
-def hom_complex(x_complex, y_complex):
-    return HomComplex(x_complex, y_complex)
-
-
 # ---------------------------------------------------------------------------
 # Serre duality on series
 
@@ -372,12 +363,11 @@ def check_serre(x_complex, y_complex, m, twisted_x=None):
 
     twisted_x: optional precomputed simplified FT^{-1} (x) X (reusable
     across the Y loop)."""
-    lhs = hom_complex(x_complex, y_complex).homology_series()
+    lhs = HomComplex(x_complex, y_complex).homology_series()
     twisted = twisted_x
     if twisted is None:
-        twisted = _simplify_split(tensor_complex(full_twist_inverse(m),
-                                                 x_complex))
-    rhs_raw = hom_complex(y_complex, twisted).homology_series()
+        twisted = simplify(tensor_complex(full_twist_inverse(m), x_complex))
+    rhs_raw = HomComplex(y_complex, twisted).homology_series()
     rhs = dual_homology_series(rhs_raw)
     report = {"suite": "serre-series", "m": m,
               "lhs": {str(n): _qtext(qs) for n, qs in sorted(lhs.items())},
@@ -411,7 +401,7 @@ def check_semiorthogonality(m):
     checks = []
     for xn, xc in killed.items():
         for yn, yc in induced.items():
-            series = hom_complex(xc, yc).homology_series()
+            series = HomComplex(xc, yc).homology_series()
             checks.append({"name": "hom(%s, %s) ~ 0" % (xn, yn),
                            "status": "pass" if not series else "fail",
                            "series": {str(n): repr(q)
@@ -428,7 +418,7 @@ def check_equivalence_instance(m):
         word = [("s", "t")[i % 2] for i in range(length)]
         braid = " ".join(tok + "^-1" for tok in reversed(word))
         x_complex = rouquier_braid(m, braid)
-        prod = _simplify_split(tensor_complex(ft_over_t(m), x_complex))
+        prod = simplify(tensor_complex(ft_over_t(m), x_complex))
         status = _is_zero_up_to_homotopy(pi_on_complex(prod, "s", 1))
         checks.append({"name": "pi_s_plus(ft_over_t (x) F_%s^-1) ~ 0"
                        % "".join(word), "status": status})

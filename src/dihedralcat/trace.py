@@ -131,9 +131,9 @@ def pi_plus(mod, letter):
     return traced
 
 
-def pi_on_complex(cplx, letter, sign, shift=0):
+def pi_on_complex(cplx, letter, sign):
     """Termwise partial trace with induced differentials (rank-0 atoms
-    dropped); optional internal shift applied to the result."""
+    dropped)."""
     functor = pi_minus if sign < 0 else pi_plus
     traced = {d: [functor(mod, letter) for mod in obs]
               for d, obs in cplx.objects.items()}
@@ -155,8 +155,6 @@ def pi_on_complex(cplx, letter, sign, shift=0):
                 row.append(ind or None)
             rows.append(row)
     out = ChainComplex(cplx.m, objects, diffs, check=False)
-    if shift:
-        out = out.shift_internal(shift)
     out.validate()
     return out
 

@@ -10,9 +10,9 @@ import random
 import pytest
 import sympy as sp
 
-from dihedralcat.bimodule import (b_generator, bott_samelson,
-                                  hom_degree_basis, hom_space, regular)
-from dihedralcat.complexes import (indecomposable_b, rouquier_braid)
+from dihedralcat.bimodule import (HomSpace, b_generator, bott_samelson,
+                                  hom_degree_basis, regular)
+from dihedralcat.complexes import indecomposable_b, rouquier_braid, simplify
 from dihedralcat.hecke import (canonical_word, class_of_complex,
                                delta_product, euler_check, group_elements,
                                homfly)
@@ -21,7 +21,7 @@ from dihedralcat.series import PoincareSeries, QSeries
 from dihedralcat.serre import (check_pift, check_relative_serre, check_serre,
                                check_vanishing, full_twist_inverse,
                                homology_series, serre_test_objects,
-                               tensor_complex, _simplify_split)
+                               tensor_complex)
 from dihedralcat.trace import pi_minus, pi_plus
 from helpers import find_isomorphism, soergel_pairing
 
@@ -30,7 +30,7 @@ WHITEHEAD = "s^-2 t s^-1 t"
 
 @pytest.fixture(scope="session")
 def whitehead_complex():
-    return rouquier_braid(3, WHITEHEAD, simplify=True, split=True)
+    return rouquier_braid(3, WHITEHEAD, split=True)
 
 
 def _whitehead_expected():
@@ -109,7 +109,7 @@ def test_criterion_06_relative_serre_duality(m):
 def test_criterion_07_serre_duality_series(m):
     objs = serre_test_objects(m)
     for xname, xc in objs.items():
-        twisted = _simplify_split(tensor_complex(full_twist_inverse(m), xc))
+        twisted = simplify(tensor_complex(full_twist_inverse(m), xc))
         for yname, yc in objs.items():
             rep = check_serre(xc, yc, m, twisted_x=twisted)
             assert rep["status"] == "pass", (xname, yname,
@@ -122,7 +122,7 @@ def test_criterion_08a_hecke_class_random_braids():
     for _ in range(50):
         word = " ".join(rng.choice(tokens) for _ in range(rng.randint(1, 6)))
         from dihedralcat.complexes import parse_braid
-        cplx = rouquier_braid(3, word, simplify=True, split=True)
+        cplx = rouquier_braid(3, word, split=True)
         assert class_of_complex(cplx) == delta_product(3, parse_braid(word))
 
 
@@ -136,8 +136,7 @@ def test_criterion_08b_half_twist_minimal_atoms(m):
         return canonical_word(word, m)
 
     for k in range(1, min(2, m // 2) + 1):
-        cplx = rouquier_braid(m, " ".join(["s t"] * k),
-                              simplify=True, split=True)
+        cplx = rouquier_braid(m, " ".join(["s t"] * k), split=True)
         expect = {0: [(alt("s", 2 * k), 0)]}
         for j in range(1, 2 * k):
             expect[j] = sorted([(alt("s", 2 * k - j), j),
@@ -149,8 +148,7 @@ def test_criterion_08b_half_twist_minimal_atoms(m):
         assert got == expect
         # the inverse braid's group element is (ts)^k, so the boxed atom
         # is B_{(ts)^k}; middle degrees are s/t symmetric
-        inv = rouquier_braid(m, " ".join(["t^-1 s^-1"] * k),
-                             simplify=True, split=True)
+        inv = rouquier_braid(m, " ".join(["t^-1 s^-1"] * k), split=True)
         expect_inv = {0: [(alt("t", 2 * k), 0)]}
         for j in range(1, 2 * k):
             expect_inv[-j] = sorted([(alt("s", 2 * k - j), -j),
@@ -209,9 +207,9 @@ def test_criterion_11a_gaussian_elimination_preserves_homology():
     tokens = ["s", "t", "s^-1", "t^-1"]
     for _ in range(100):
         word = " ".join(rng.choice(tokens) for _ in range(rng.randint(1, 3)))
-        raw = rouquier_braid(3, word, simplify=False)
+        raw = rouquier_braid(3, word)
         raw.validate()
-        simp = rouquier_braid(3, word, simplify=True, split=True)
+        simp = rouquier_braid(3, word, split=True)
         simp.validate()
         assert homology_series(raw) == homology_series(simp), word
 
@@ -239,11 +237,11 @@ def test_criterion_11c_soergel_hom_formula(m):
         for u in words:
             mod_w = bott_samelson(m, w) if w else regular(m)
             mod_u = bott_samelson(m, u) if u else regular(m)
-            rank = hom_space(mod_w, mod_u).graded_rank()
+            rank = HomSpace(mod_w, mod_u).graded_rank()
             pairing = soergel_pairing(m, w, u)
             assert sorted(pairing.terms.items()) == \
                 sorted((q, c) for q, _, c in rank.terms()), (w, u)
-            # hom_space solves only the degrees the formula names; the
+            # HomSpace solves only the degrees the formula names; the
             # whole slices check it everywhere: dim Hom^d is the Q^d
             # coefficient of pairing / (1 - Q^2)^2
             tags = [c - d for c in mod_u.degrees for d in mod_w.degrees]

@@ -76,8 +76,7 @@ def test_kl_multiplicities():
 
 def test_class_of_rouquier_generators():
     for sign in (1, -1):
-        cplx = rouquier_braid(3, "s" if sign > 0 else "s^-1",
-                              simplify=True, split=True)
+        cplx = rouquier_braid(3, "s" if sign > 0 else "s^-1", split=True)
         expect = HeckeElement.unit(3).times_generator("s", sign)
         assert class_of_complex(cplx) == expect
 
@@ -87,13 +86,13 @@ def test_class_of_complex_random_braids():
     tokens = ["s", "t", "s^-1", "t^-1"]
     for _ in range(50):
         word = " ".join(rng.choice(tokens) for _ in range(rng.randint(1, 3)))
-        cplx = rouquier_braid(3, word, simplify=True, split=True)
+        cplx = rouquier_braid(3, word, split=True)
         assert class_of_complex(cplx) == delta_product(3, parse_braid(word))
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_soergel_pairing_categorifies_hom(m):
-    from dihedralcat.bimodule import bott_samelson, hom_space, regular
+    from dihedralcat.bimodule import HomSpace, bott_samelson, regular
     # (b_w, b_u) equals the graded rank of Hom(BS(w), BS(u)) at v -> Q
     words = [(), ("s",), ("t",), ("s", "t")]
     for w in words:
@@ -101,7 +100,7 @@ def test_soergel_pairing_categorifies_hom(m):
             pairing = soergel_pairing(m, w, u)
             mod_w = bott_samelson(m, w) if w else regular(m)
             mod_u = bott_samelson(m, u) if u else regular(m)
-            rank = hom_space(mod_w, mod_u).graded_rank()
+            rank = HomSpace(mod_w, mod_u).graded_rank()
             assert sorted(pairing.terms.items()) == \
                 sorted((q, c) for q, _, c in rank.terms())
 

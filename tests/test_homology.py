@@ -72,7 +72,7 @@ def test_euler_characteristic_check_internal():
 
 
 def test_strand_homology_of_unknot_braid():
-    cplx = rouquier_braid(3, "s t", simplify=True, split=True)
+    cplx = rouquier_braid(3, "s t", split=True)
     h0 = strand_homology(cplx, 0)
     nonzero = {d: p for d, p in h0.items() if not p.is_zero()}
     assert sorted(nonzero) == [2]
@@ -100,7 +100,7 @@ def test_euler_characteristic_matches_homfly(word):
 
 
 def test_hhh_accepts_precomputed_complex():
-    cplx = rouquier_braid(3, "s t", simplify=True, split=True)
+    cplx = rouquier_braid(3, "s t", split=True)
     assert hhh("s t", 3, precomputed=cplx) == hhh("s t", 3)
 
 
@@ -181,7 +181,7 @@ def _full_syzygy_project(columns, rank, field, first):
 
 @pytest.mark.parametrize("word", [WHITEHEAD, BORROMEAN])
 def test_strand_homology_matches_fully_tracked_syzygies(word, monkeypatch):
-    cplx = rouquier_braid(3, word, simplify=True, split=True)
+    cplx = rouquier_braid(3, word, split=True)
 
     def presentations():
         return {(k, d): (mod.degrees, mod.relations)

@@ -107,7 +107,7 @@ def test_inverse_or_none_exactly_when_singular(case):
 def test_is_invertible_agrees_with_inverse(case):
     field, rows = case
     m = field.m
-    total, _, _ = direct_sum([regular(m)] * len(rows))
+    total = direct_sum([regular(m)] * len(rows))
     phi = BimoduleMorphism(total, total,
                            [[RingElement(field, {(0, 0): c}) for c in row]
                             for row in rows])

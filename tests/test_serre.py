@@ -3,14 +3,16 @@
 import pytest
 
 from dihedralcat import complexes, modules
-from dihedralcat.bimodule import b_generator, regular
+from dihedralcat.bimodule import Bimodule, b_generator, regular
 from dihedralcat.complexes import rouquier_braid, single_object
+from dihedralcat.ring import realization
 from dihedralcat.series import QSeries
-from dihedralcat.serre import (check_equivalence_instance, check_pift,
+from dihedralcat.serre import (HomComplex, _is_boxed_regular,
+                               check_equivalence_instance, check_pift,
                                check_relative_serre, check_semiorthogonality,
                                check_serre, check_vanishing,
                                dual_homology_series, ft_over_t, full_twist,
-                               full_twist_inverse, hom_complex, run_suite)
+                               full_twist_inverse, run_suite)
 
 
 def test_full_twist_shapes():
@@ -33,6 +35,18 @@ def test_pift_m2():
     assert rep["status"] == "pass"
 
 
+def test_boxed_regular_refuses_a_twisted_rank_one_atom():
+    # R_s, R with its left action twisted by s: rank one, generator in
+    # degree 0, and not R
+    real = realization(3)
+    alpha = real.alpha
+    r_s = Bimodule(real, (0,), [[real.reflect(alpha["s"], "s")]],
+                   [[real.reflect(alpha["t"], "s")]])
+    assert _is_boxed_regular(single_object(3, regular(3, 0)))
+    assert not _is_boxed_regular(single_object(3, r_s))
+    assert not _is_boxed_regular(single_object(3, regular(3, 1)))
+
+
 def test_relative_serre_m2_objects():
     for cplx in (single_object(2, regular(2, 0)),
                  single_object(2, b_generator(2, "s")),
@@ -43,7 +57,7 @@ def test_relative_serre_m2_objects():
 
 def test_hom_complex_endomorphisms_of_unit():
     unit = single_object(2, regular(2, 0))
-    series = hom_complex(unit, unit).homology_series()
+    series = HomComplex(unit, unit).homology_series()
     assert series == {0: QSeries({0: 1}, 2)}
 
 

@@ -8,10 +8,10 @@ from dihedralcat import trace
 from dihedralcat.bimodule import (Bimodule, b_generator, bott_samelson,
                                   mat_mul, regular)
 from dihedralcat.complexes import (clear_caches, indecomposable_b,
-                                   rouquier_braid, tensor_complex)
+                                   rouquier_braid, simplify, tensor_complex)
 from dihedralcat.ring import LETTERS, realization
 from dihedralcat.series import QSeries
-from dihedralcat.serre import _simplify_split, ft_over_t, serre_test_objects
+from dihedralcat.serre import ft_over_t, serre_test_objects
 from dihedralcat.trace import (TraceError, hochschild, hochschild_on_complex,
                                pi_minus, pi_on_complex, pi_plus,
                                rho_endomorphism)
@@ -110,15 +110,15 @@ def test_twisted_rank_one_bimodule():
 
 
 def test_pi_on_complex_preserves_d2_and_drops_zeros():
-    cplx = rouquier_braid(3, "s t", simplify=True, split=True)
+    cplx = rouquier_braid(3, "s t", split=True)
     traced = pi_on_complex(cplx, "s", 1)
     traced.validate()
-    traced_m = pi_on_complex(cplx, "s", -1, shift=2)
+    traced_m = pi_on_complex(cplx, "s", -1).shift_internal(2)
     traced_m.validate()
 
 
 def test_hochschild_on_complex_shapes():
-    cplx = rouquier_braid(3, "s", simplify=True, split=True)
+    cplx = rouquier_braid(3, "s", split=True)
     for k in (0, 1, 2):
         degrees, relations, maps = hochschild_on_complex(cplx, k)
         assert sorted(degrees) == sorted(cplx.degrees())
@@ -151,9 +151,8 @@ def _memo_complexes():
     out = {"whitehead": rouquier_braid(3, "s^-2 t s^-1 t", split=True),
            "T(3,5)": rouquier_braid(3, " ".join(["s t"] * 5), split=True)}
     for name, x in serre_test_objects(3).items():
-        out[name] = _simplify_split(x)
-        out["FT (x) " + name] = _simplify_split(
-            tensor_complex(ft_over_t(3), x))
+        out[name] = simplify(x)
+        out["FT (x) " + name] = simplify(tensor_complex(ft_over_t(3), x))
     return out
 
 
