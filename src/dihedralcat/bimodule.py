@@ -15,6 +15,7 @@ from math import lcm
 
 from . import linalg
 from .hecke import Laurent, class_of_bimodule, hom_rank
+from .modules import column_degree, minimalize_columns
 from .ring import LETTERS, RingElement, realization
 
 # ---------------------------------------------------------------------------
@@ -119,9 +120,15 @@ def lift_columns(gb, matrix, columns, field, error):
     Raises error when an image lies outside the span.
     """
     images = mat_mul(matrix, mat_transpose(columns), field) if columns else []
+    return _lift_images(gb, [[row[j] for row in images]
+                             for j in range(len(columns))], error)
+
+
+def _lift_images(gb, images, error):
+    """lift_columns on images already formed: each image column lifted
+    through gb, the lifts as the columns of the returned matrix."""
     lifts = []
-    for j in range(len(columns)):
-        img = [row[j] for row in images]
+    for j, img in enumerate(images):
         lifted = gb.lift(img) if gb is not None else (
             None if any(img) else [])
         if lifted is None:
@@ -193,6 +200,12 @@ class Bimodule:
             self._left_id = _intern_left(self.m, self.left["s"],
                                          self.left["t"])
         return self._left_id
+
+    def up_to_shift(self):
+        """(lowest degree, memo key): the key, the left id and the degrees
+        less the lowest, is the same for every shift of the module."""
+        low = min(self.degrees, default=0)
+        return low, (self.left_id, tuple(d - low for d in self.degrees))
 
     def left_action_of(self, f):
         """Matrix of left multiplication by f in R, as fresh lists."""
@@ -282,7 +295,7 @@ class Bimodule:
                    _mat_from_json(data["left_s"], real.field),
                    _mat_from_json(data["left_t"], real.field),
                    word=data.get("word"), shift=data.get("shift", 0),
-                   kl=data.get("kl"), check=False)
+                   kl=data.get("kl"))
 
 
 def poly_to_json(f):
@@ -557,33 +570,28 @@ class HomSpace:
 
     Hom spaces of Soergel bimodules are free right R-modules, and Soergel's
     hom formula (hecke.hom_rank) says how many generators sit in each
-    degree.  Only those degrees are solved (hom_degree_basis); the new
-    generators of a degree are the solutions outside the span of the lower
-    generators times monomials, and their number must be the formula's.
+    degree.  Only those degrees are solved (hom_degree_basis); the
+    generators are the solutions that minimalize_columns keeps, a map
+    flattened row-major, and their number per degree must be the formula's.
     """
 
     def __init__(self, dom, cod):
         self.dom = dom
         self.cod = cod
-        gens = []  # (degree, morphism matrix)
-        for d, want in sorted(hom_rank(dom, cod).items()):
-            col_of = _unknowns(dom, cod, d)
-            span = linalg.Echelon(dom.field)
-            for e, mat in gens:
-                half, odd = divmod(d - e, 2)
-                if odd:
-                    continue
-                for p in range(half + 1):
-                    span.insert(_coefficients(mat, col_of, p, half - p))
-            new = [phi.matrix for phi in hom_degree_basis(dom, cod, d)
-                   if span.insert(_coefficients(phi.matrix, col_of))]
-            if len(new) != want:
+        want = hom_rank(dom, cod)
+        # entry (i, j) of a map of degree d has polynomial degree
+        # d + dom.degrees[j] - cod.degrees[i]
+        entry = [c - d for c in cod.degrees for d in dom.degrees]
+        self.generators = minimalize_columns(
+            [[x for row in phi.matrix for x in row] for d in sorted(want)
+             for phi in hom_degree_basis(dom, cod, d)], entry)
+        self.degrees = [column_degree(g, entry) for g in self.generators]
+        got = Counter(self.degrees)
+        for d, n in sorted(want.items()):
+            if got[d] != n:
                 raise ArithmeticError(
                     "Hom(%r, %r) has %d generators in degree %d, the hom "
-                    "formula %d" % (dom, cod, len(new), d, want))
-            gens.extend((d, mat) for mat in new)
-        self.degrees = [d for d, _ in gens]
-        self.generators = [[x for row in mat for x in row] for _, mat in gens]
+                    "formula %d" % (dom, cod, got[d], d, n))
 
     def graded_rank(self):
         from .series import QSeries
@@ -626,17 +634,6 @@ def _unknowns(dom, cod, degree):
             for a in range(half + 1):
                 unknowns.append((i, j, a, half - a))
     return {u: k for k, u in enumerate(unknowns)}
-
-
-def _coefficients(mat, col_of, p=0, q=0):
-    """mat times a_s^p a_t^q, as a sparse integer row over the unknowns
-    col_of."""
-    vec = {}
-    for (i, j, a, b), k in col_of.items():
-        c = mat[i][j].terms.get((a - p, b - q))
-        if c:
-            vec[k] = c
-    return mat[0][0].field.integer_row(vec)
 
 
 def hom_degree_basis(dom, cod, degree=0):

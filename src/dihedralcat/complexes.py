@@ -161,8 +161,7 @@ class ChainComplex:
                         mat = [[poly_from_json(x, field) for x in row_]
                                for row_ in blk]
                         out_row.append(BimoduleMorphism(
-                            objects[d][c], objects[d + 1][r], mat, 0,
-                            check=False))
+                            objects[d][c], objects[d + 1][r], mat, 0))
                 rows.append(out_row)
             diffs[d] = rows
         return cls(m, objects, diffs)
@@ -490,14 +489,17 @@ def _assemble_chain_map(vec, per_degree, offsets):
 
 
 # The witness search of complexes_isomorphic: the all-ones combination of
-# the chain-map basis, then WITNESS_TRIALS random ones.
+# the chain-map basis, then, for a basis of two or more, WITNESS_TRIALS
+# random ones.
 WITNESS_SEED = 20240401
 WITNESS_TRIALS = 24
 
 
 def complexes_isomorphic(c1, c2):
     """'yes' | 'no' | 'inconclusive' for minimal complexes; a witness
-    per-degree morphism dict accompanies 'yes'."""
+    per-degree morphism dict accompanies 'yes'.  'inconclusive' comes only
+    from a chain-map basis of two or more maps, no tried combination of
+    which is invertible."""
     if c1.is_zero() and c2.is_zero():
         return "yes", {}
     if c1.graded_atom_profile() != c2.graded_atom_profile():
@@ -509,7 +511,7 @@ def complexes_isomorphic(c1, c2):
     rng = random.Random(WITNESS_SEED)
     n = len(vecs)
     candidates = [[1] * n]
-    for _ in range(WITNESS_TRIALS):
+    for _ in range(WITNESS_TRIALS if n > 1 else 0):
         candidates.append([rng.randint(-3, 3) for _ in range(n)])
     degs = sorted(c1.objects)
     total = len(vecs[0])
@@ -523,7 +525,8 @@ def complexes_isomorphic(c1, c2):
         maps = _assemble_chain_map(vec_total, per_degree, offsets)
         if all(d in maps and is_invertible(maps[d]) for d in degs):
             return "yes", maps
-    return "inconclusive", None
+    # with one basis vector v every chain map is c v, invertible only if v is
+    return ("no" if n == 1 else "inconclusive"), None
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +595,7 @@ def indecomposable_b(m, word):
     return out
 
 
-# Splittings up to shift: (left id, degrees - min) -> (min degree, (tag or
+# Splittings up to shift: Bimodule.up_to_shift key -> (min degree, (tag or
 # product class, shift + min degree), class, [(atom, incl matrix, proj
 # matrix)]).  M(k) has the matrices of M, so its summands are those of M
 # shifted by k (Krull-Schmidt).
@@ -622,13 +625,12 @@ def clear_caches():
 def decompose_bimodule(mod):
     """[(atom, incl, proj)] over the summands B_w(k) that the Hecke class
     names (Soergel 2007): longest w first, group_elements order, k up."""
-    low = min(mod.degrees, default=0)
+    low, key = mod.up_to_shift()
     # the class is v^shift times a base that the tag or product class fixes,
     # so a hit with the same base and shift + low has the same class
     source = (_tag(mod) or mod.product_class, mod.shift + low)
     if source[0] is None:
         raise ValueError("%r has no Hecke class to split by" % (mod,))
-    key = (mod.left_id, tuple(d - low for d in mod.degrees))
     hit = _SPLITTINGS.get(key)
     if hit is None or hit[1] != source and class_of_bimodule(mod) != \
             hit[2].scale(Laurent.monomial(hit[0] - low)):

@@ -59,6 +59,14 @@ def complex_homology(degrees, relations, maps, field):
     return out
 
 
+def complex_series(degrees, relations, maps, field):
+    """{cohom degree: Hilbert QSeries} of the nonzero homology modules of a
+    complex of presented modules, given as for presented_homology."""
+    return {d: h.hilbert_series()
+            for d, h in complex_homology(degrees, relations, maps,
+                                         field).items()}
+
+
 def strand_homology(cplx, k):
     """{cohom degree: minimal PresentedModule} for the HH^k strand."""
     field = realization(cplx.m).field
@@ -72,9 +80,11 @@ def hhh(braid, m=3, strands=(0, 1, 2), precomputed=None):
     cplx = precomputed
     if cplx is None:
         cplx = rouquier_braid(m, braid, split=True)
+    field = realization(cplx.m).field
     series = PoincareSeries.zero()
     for k in strands:
-        for t_deg, module in strand_homology(cplx, k).items():
-            series = series.add_piece(k, t_deg, module.hilbert_series())
+        strand = complex_series(*hochschild_on_complex(cplx, k), field)
+        for t_deg, qs in strand.items():
+            series = series.add_piece(k, t_deg, qs)
     return series
 

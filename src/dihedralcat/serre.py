@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .bimodule import HomSpace, b_generator, lift_columns, mat_neg, regular
+from .bimodule import (HomSpace, _lift_images, b_generator, mat_mul, mat_neg,
+                       mat_zero, regular)
 from .complexes import (complexes_isomorphic, minimal_form, rouquier_braid,
                         simplify, single_object, tensor_complex)
-from .homology import complex_homology
+from .homology import complex_series
 from .modules import ModuleGB
-from .ring import RingElement, realization
+from .ring import realization
 from .series import QSeries
 from .trace import pi_on_complex
 
@@ -46,22 +47,13 @@ def ft_over_t(m):
 # homology series of a complex of free bimodules
 
 
-def complex_presentation(cplx):
-    """(degrees, relations, maps) viewing the complex over presented
-    modules (all relations empty: the atoms are free)."""
-    degrees = {d: [deg for mod in obs for deg in mod.degrees]
-               for d, obs in cplx.objects.items() if obs}
-    relations = {d: [] for d in degrees}
-    maps = {d: cplx.sum_differential(d).matrix for d in cplx.diffs}
-    return degrees, relations, maps
-
-
 def homology_series(cplx):
-    """{cohomological degree: Hilbert QSeries of the homology}."""
-    field = realization(cplx.m).field
-    degrees, relations, maps = complex_presentation(cplx)
-    hom = complex_homology(degrees, relations, maps, field)
-    return {d: h.hilbert_series() for d, h in hom.items()}
+    """{cohomological degree: Hilbert QSeries of the homology}; the atoms
+    are free, so no degree has relations."""
+    degrees = {d: [deg for mod in obs for deg in mod.degrees]
+               for d, obs in cplx.objects.items()}
+    maps = {d: cplx.sum_differential(d).matrix for d in cplx.diffs}
+    return complex_series(degrees, {}, maps, realization(cplx.m).field)
 
 
 def _overall(statuses):
@@ -201,129 +193,76 @@ _HOM_BLOCKS = {}
 
 
 def _hom_block(dom, cod):
-    """(generators, degrees) of HomSpace(dom, cod), solved once per pair
-    of left ids and degrees relative to each module's lowest."""
-    lo_d, lo_c = min(dom.degrees), min(cod.degrees)
-    key = (dom.left_id, cod.left_id, tuple(d - lo_d for d in dom.degrees),
-           tuple(d - lo_c for d in cod.degrees))
-    if key not in _HOM_BLOCKS:
+    """(generators, degrees, ModuleGB of the generators or None when there
+    are none) of HomSpace(dom, cod), solved once per pair of
+    Bimodule.up_to_shift keys."""
+    (lo_d, key_d), (lo_c, key_c) = dom.up_to_shift(), cod.up_to_shift()
+    hit = _HOM_BLOCKS.get((key_d, key_c))
+    if hit is None:
         hs = HomSpace(dom, cod)
-        _HOM_BLOCKS[key] = hs.generators, [d + lo_d - lo_c
-                                           for d in hs.degrees]
-    gens, degrees = _HOM_BLOCKS[key]
-    return gens, [d - lo_d + lo_c for d in degrees]
-
-
-def _hom_generators(doms, cods):
-    """Generators of Hom(sum doms, sum cods), flattened row-major, and
-    their degrees: one hom block per atom pair, embedded at the atoms'
-    offsets."""
-    nd = sum(mod.rank for mod in doms)
-    nc = sum(mod.rank for mod in cods)
-    zero = RingElement.zero(doms[0].field)
-    gens, degrees = [], []
-    row = 0
-    for cod in cods:
-        col = 0
-        for dom in doms:
-            block, block_degrees = _hom_block(dom, cod)
-            for g in block:
-                vec = [zero] * (nc * nd)
-                for i in range(cod.rank):
-                    start = (row + i) * nd + col
-                    vec[start:start + dom.rank] = \
-                        g[i * dom.rank:(i + 1) * dom.rank]
-                gens.append(vec)
-            degrees.extend(block_degrees)
-            col += dom.rank
-        row += cod.rank
-    return gens, degrees
+        gb = ModuleGB(hs.generators, dom.rank * cod.rank, dom.field) \
+            if hs.generators else None
+        hit = _HOM_BLOCKS[key_d, key_c] = (
+            hs.generators, [d + lo_d - lo_c for d in hs.degrees], gb)
+    gens, degrees, gb = hit
+    return gens, [d - lo_d + lo_c for d in degrees], gb
 
 
 class HomComplex:
     """Total complex of Hom(X^p, Y^q) with D(f) = d_Y f - (-1)^n f d_X.
 
-    Components are free (Soergel inputs), so homology is computed through
-    the presented-module machinery with empty relation sets.
+    Hom(sum X^p, sum Y^q) is the sum of the Hom blocks of its atom pairs,
+    each a free right R-module (Soergel 2007): its generators are theirs,
+    codomain atom first, then domain atom.  D takes a generator f of
+    Hom(x, y) to each d_Y block after f and each d_X block before it, and
+    lifts every image through its own pair's generators, where the lift is
+    unique.  Homology goes through the presented-module machinery with
+    empty relation sets.
     """
 
     def __init__(self, x_complex, y_complex):
         self.m = x_complex.m
-        self.field = realization(self.m).field
-        field = self.field
-        xdeg = sorted(d for d, obs in x_complex.objects.items() if obs)
-        ydeg = sorted(d for d, obs in y_complex.objects.items() if obs)
-        xrank = {p: sum(mod.rank for mod in x_complex.objects[p])
-                 for p in xdeg}
-        yrank = {q: sum(mod.rank for mod in y_complex.objects[q])
-                 for q in ydeg}
-        xdif = {p: x_complex.sum_differential(p)
-                for p in xdeg if p in x_complex.diffs}
-        ydif = {q: y_complex.sum_differential(q)
-                for q in ydeg if q in y_complex.diffs}
-        # components[n] = ordered list of (p, q, generators, ModuleGB|None,
-        # offset of the generators in degrees[n])
-        self.components = {}
+        self.field = field = realization(self.m).field
+        xs, ys = x_complex.objects, y_complex.objects
         self.degrees = {}
-        for p in xdeg:
-            for q in ydeg:
-                gens, degs = _hom_generators(x_complex.objects[p],
-                                             y_complex.objects[q])
-                gb = ModuleGB(gens, xrank[p] * yrank[q],
-                              field) if gens else None
-                offset = len(self.degrees.setdefault(q - p, []))
-                self.components.setdefault(q - p, []).append(
-                    (p, q, gens, gb, offset))
-                self.degrees[q - p].extend(degs)
-        self.maps = {}
-        for n in sorted(self.components):
-            if n + 1 not in self.components:
+        offset = {}  # (p, c, q, r): Hom(X^p[c], Y^q[r]) in degrees[q - p]
+        for p in sorted(xs):
+            for q in sorted(ys):
+                degs = self.degrees.setdefault(q - p, [])
+                for r, y in enumerate(ys[q]):
+                    for c, x in enumerate(xs[p]):
+                        offset[p, c, q, r] = len(degs)
+                        degs.extend(_hom_block(x, y)[1])
+        self.maps = {n: mat_zero(field, len(self.degrees[n + 1]), len(dn))
+                     for n, dn in sorted(self.degrees.items())
+                     if n + 1 in self.degrees}
+        for (p, c, q, r), col in offset.items():
+            n, x, y = q - p, xs[p][c], ys[q][r]
+            if n not in self.maps:
                 continue
-            self.maps[n] = self._differential(n, xrank, yrank, xdif, ydif)
-
-    def _differential(self, n, xrank, yrank, xdif, ydif):
-        """D from degree n to n + 1, as a matrix over R between the
-        generators of the components."""
-        field = self.field
-        zero = RingElement.zero(field)
-        tgt = {(p, q): (gb, offset)
-               for (p, q, _, gb, offset) in self.components[n + 1]}
-        mat = [[zero] * len(self.degrees[n])
-               for _ in range(len(self.degrees[n + 1]))]
-        for (p, q, gens, _, col) in self.components[n]:
-            if not gens:
-                continue
-            nc, nd = yrank[q], xrank[p]
-            # D acts on f flattened row-major: f[i][j] sits at i * nd + j
-            ops = []
-            if q in ydif and (p, q + 1) in tgt:
-                dy = ydif[q].matrix  # d_Y f
-                ops.append(((p, q + 1), [
-                    [dy[i][k] if j2 == j else zero
-                     for k in range(nc) for j2 in range(nd)]
-                    for i in range(len(dy)) for j in range(nd)]))
-            if p - 1 in xdif and (p - 1, q) in tgt:
-                dx = xdif[p - 1].matrix  # -(-1)^n f d_X
-                if n % 2 == 0:
-                    dx = mat_neg(dx)
-                ops.append(((p - 1, q), [
-                    [dx[k][j] if i2 == i else zero
-                     for i2 in range(nc) for k in range(nd)]
-                    for i in range(nc) for j in range(xrank[p - 1])]))
-            for key, op in ops:
-                gb, row0 = tgt[key]
-                lifted = lift_columns(gb, op, gens, field, ArithmeticError)
+            gens = [[g[i * x.rank:(i + 1) * x.rank] for i in range(y.rank)]
+                    for g in _hom_block(x, y)[0]]
+            images = []  # (target atom pair, the images of gens there)
+            for r2, blocks in enumerate(y_complex.diffs.get(q, ())):
+                if blocks[r] is not None:  # d_Y f
+                    images.append(((p, c, q + 1, r2), [
+                        mat_mul(blocks[r].matrix, f, field) for f in gens]))
+            if p - 1 in x_complex.diffs:
+                for c2, blk in enumerate(x_complex.diffs[p - 1][c]):
+                    if blk is not None:  # -(-1)^n f d_X
+                        dx = blk.matrix if n % 2 else mat_neg(blk.matrix)
+                        images.append(((p - 1, c2, q, r), [
+                            mat_mul(f, dx, field) for f in gens]))
+            for (p2, c2, q2, r2), imgs in images:
+                gb = _hom_block(xs[p2][c2], ys[q2][r2])[2]
+                lifted = _lift_images(gb, [[e for row in img for e in row]
+                                           for img in imgs], ArithmeticError)
+                row0 = offset[p2, c2, q2, r2]
                 for i, row in enumerate(lifted):
-                    mat[row0 + i][col:col + len(row)] = row
-        return mat
-
-    def homology(self):
-        relations = {n: [] for n in self.degrees}
-        return complex_homology(self.degrees, relations, self.maps,
-                                self.field)
+                    self.maps[n][row0 + i][col:col + len(row)] = row
 
     def homology_series(self):
-        return {n: h.hilbert_series() for n, h in self.homology().items()}
+        return complex_series(self.degrees, {}, self.maps, self.field)
 
 
 # ---------------------------------------------------------------------------

@@ -57,19 +57,18 @@ class Traced:
         self.proj = proj
 
 
-# Traced atoms up to shift: (functor, k or letter, left id, degrees - min)
+# Traced atoms up to shift: (functor, k or letter, Bimodule.up_to_shift key)
 # -> (min degree, Traced).  Calls share its parts and only read them.
 _TRACED = {}
 
 
-def _up_to_shift(functor):
+def _once_per_shift_class(functor):
     """functor(mod, arg) memoized on _TRACED: a fresh Traced per call, its
     module's degrees moved by the shift and its shift 0 (to_json prints it)."""
     @wraps(functor)
     def memoized(mod, arg):
-        low = min(mod.degrees, default=0)
-        key = (functor.__name__, arg, mod.left_id,
-               tuple(d - low for d in mod.degrees))
+        low, shape = mod.up_to_shift()
+        key = (functor.__name__, arg, shape)
         hit = _TRACED.get(key)
         if hit is None:
             hit = _TRACED[key] = (low, functor(mod, arg))
@@ -109,7 +108,7 @@ def _induced(fmat, dom, cod, field):
     return fmat
 
 
-@_up_to_shift
+@_once_per_shift_class
 def pi_minus(mod, letter):
     """Kernel of the rho-difference action, as a Traced bimodule."""
     cols, degrees, gb = _kernel(rho_endomorphism(mod, letter), mod.degrees,
@@ -117,7 +116,7 @@ def pi_minus(mod, letter):
     return Traced(sub_bimodule(mod, gb, cols, degrees, TraceError), cols, gb)
 
 
-@_up_to_shift
+@_once_per_shift_class
 def pi_plus(mod, letter):
     """Cokernel of the rho-difference action, as a Traced bimodule."""
     rel = [c for c in mat_transpose(rho_endomorphism(mod, letter)) if any(c)]
@@ -175,7 +174,7 @@ def _koszul_maps(mod):
     return d0, d1
 
 
-@_up_to_shift
+@_once_per_shift_class
 def hochschild(mod, k):
     """HH^k(M) as a Traced PresentedModule."""
     field = mod.field

@@ -2,10 +2,12 @@
 
 from dihedralcat import linalg
 from dihedralcat.bimodule import (Bimodule, BimoduleMorphism, _unknowns,
-                                  id_tensor_matrix, mat_mul, mat_transpose,
-                                  mat_zero, split_summand, tensor,
-                                  tensor_id_matrix)
-from dihedralcat.hecke import bs_class
+                                  hom_degree_basis, id_tensor_matrix,
+                                  lift_columns, mat_mul, mat_neg,
+                                  mat_transpose, mat_zero, split_summand,
+                                  tensor, tensor_id_matrix)
+from dihedralcat.hecke import bs_class, hom_rank
+from dihedralcat.modules import ModuleGB
 from dihedralcat.ring import LETTERS, RingElement
 from dihedralcat.series import QSeries
 
@@ -107,3 +109,118 @@ def reference_hom_basis(dom, cod, degree=0, letters=LETTERS):
                 mat[i][j] = mat[i][j] + RingElement(field, {(a, b): vec[k]})
         out.append(BimoduleMorphism(dom, cod, mat, degree, check=False))
     return out
+
+
+def _coefficients(mat, col_of, p=0, q=0):
+    """mat times a_s^p a_t^q, as a sparse integer row over the unknowns
+    col_of."""
+    vec = {}
+    for (i, j, a, b), k in col_of.items():
+        c = mat[i][j].terms.get((a - p, b - q))
+        if c:
+            vec[k] = c
+    return mat[0][0].field.integer_row(vec)
+
+
+def reference_hom_space(dom, cod):
+    """The reference for HomSpace: (generators, degrees), with one Echelon
+    span per degree of the hom formula holding the lower generators times
+    every monomial that brings them to that degree."""
+    gens = []  # (degree, morphism matrix)
+    for d, want in sorted(hom_rank(dom, cod).items()):
+        col_of = _unknowns(dom, cod, d)
+        span = linalg.Echelon(dom.field)
+        for e, mat in gens:
+            half, odd = divmod(d - e, 2)
+            if odd:
+                continue
+            for p in range(half + 1):
+                span.insert(_coefficients(mat, col_of, p, half - p))
+        new = [phi.matrix for phi in hom_degree_basis(dom, cod, d)
+               if span.insert(_coefficients(phi.matrix, col_of))]
+        assert len(new) == want, (dom, cod, d)
+        gens.extend((d, mat) for mat in new)
+    return ([[x for row in mat for x in row] for _, mat in gens],
+            [d for d, _ in gens])
+
+
+def _reference_hom_generators(doms, cods):
+    """Generators of Hom(sum doms, sum cods), flattened row-major, and
+    their degrees: the reference_hom_space of each atom pair, embedded at
+    the atoms' offsets."""
+    nd = sum(mod.rank for mod in doms)
+    nc = sum(mod.rank for mod in cods)
+    zero = RingElement.zero(doms[0].field)
+    gens, degrees = [], []
+    row = 0
+    for cod in cods:
+        col = 0
+        for dom in doms:
+            block, block_degrees = reference_hom_space(dom, cod)
+            for g in block:
+                vec = [zero] * (nc * nd)
+                for i in range(cod.rank):
+                    start = (row + i) * nd + col
+                    vec[start:start + dom.rank] = \
+                        g[i * dom.rank:(i + 1) * dom.rank]
+                gens.append(vec)
+            degrees.extend(block_degrees)
+            col += dom.rank
+        row += cod.rank
+    return gens, degrees
+
+
+def reference_hom_complex(x_complex, y_complex):
+    """The reference for HomComplex: (degrees, maps) with each component
+    Hom(X^p, Y^q) spanned by dense flattened generators with one ModuleGB,
+    and D(f) = d_Y f - (-1)^n f d_X applied to them as Kronecker operators
+    built from the direct-sum differentials."""
+    field = next(iter(x_complex.objects.values()))[0].field
+    zero = RingElement.zero(field)
+    xdeg = sorted(x_complex.objects)
+    ydeg = sorted(y_complex.objects)
+    xrank = {p: sum(mod.rank for mod in x_complex.objects[p]) for p in xdeg}
+    yrank = {q: sum(mod.rank for mod in y_complex.objects[q]) for q in ydeg}
+    components, degrees = {}, {}
+    for p in xdeg:
+        for q in ydeg:
+            gens, degs = _reference_hom_generators(x_complex.objects[p],
+                                                   y_complex.objects[q])
+            gb = ModuleGB(gens, xrank[p] * yrank[q], field) if gens else None
+            offset = len(degrees.setdefault(q - p, []))
+            components.setdefault(q - p, []).append((p, q, gens, gb, offset))
+            degrees[q - p].extend(degs)
+    maps = {}
+    for n in sorted(components):
+        if n + 1 not in components:
+            continue
+        tgt = {(p, q): (gb, offset)
+               for (p, q, _, gb, offset) in components[n + 1]}
+        mat = maps[n] = [[zero] * len(degrees[n])
+                         for _ in range(len(degrees[n + 1]))]
+        for (p, q, gens, _, col) in components[n]:
+            if not gens:
+                continue
+            nc, nd = yrank[q], xrank[p]
+            # D acts on f flattened row-major: f[i][j] sits at i * nd + j
+            ops = []
+            if q in y_complex.diffs and (p, q + 1) in tgt:
+                dy = y_complex.sum_differential(q).matrix  # d_Y f
+                ops.append(((p, q + 1), [
+                    [dy[i][k] if j2 == j else zero
+                     for k in range(nc) for j2 in range(nd)]
+                    for i in range(len(dy)) for j in range(nd)]))
+            if p - 1 in x_complex.diffs and (p - 1, q) in tgt:
+                dx = x_complex.sum_differential(p - 1).matrix
+                if n % 2 == 0:  # -(-1)^n f d_X
+                    dx = mat_neg(dx)
+                ops.append(((p - 1, q), [
+                    [dx[k][j] if i2 == i else zero
+                     for i2 in range(nc) for k in range(nd)]
+                    for i in range(nc) for j in range(xrank[p - 1])]))
+            for key, op in ops:
+                gb, row0 = tgt[key]
+                lifted = lift_columns(gb, op, gens, field, ArithmeticError)
+                for i, row in enumerate(lifted):
+                    mat[row0 + i][col:col + len(row)] = row
+    return degrees, maps

@@ -20,7 +20,8 @@ from dihedralcat.ring import LETTERS, RingElement, realization
 from dihedralcat.series import QSeries
 from dihedralcat.trace import rho_endomorphism
 from helpers import (dualize_D, find_isomorphism, reference_hom_basis,
-                     tensor_matrix, tensor_morphism, zero_morphism)
+                     reference_hom_space, tensor_matrix, tensor_morphism,
+                     zero_morphism)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -115,6 +116,34 @@ def test_hom_rank_of_shifted_atoms(m):
                 assert len(hom_degree_basis(dom_k, cod_l, d)) == \
                     _slice_dim(want, d)
     assert hom_rank(regular(m, 3), regular(m, 1)) == {2: 1}
+
+
+def _hom_test_objects(m):
+    """B_w for l(w) <= 3, BS(st), BS(ts) and R(2), and shifts of the two
+    first."""
+    objs = [indecomposable_b(m, w) for w in group_elements(m) if len(w) <= 3]
+    objs += [bott_samelson(m, "st"), bott_samelson(m, "ts"), regular(m, 2)]
+    return objs + [objs[0].shifted(1), objs[1].shifted(-2)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_hom_space_matches_its_reference(m):
+    objs = _hom_test_objects(m)
+    for dom in objs:
+        for cod in objs:
+            hs = HomSpace(dom, cod)
+            assert repr((hs.generators, hs.degrees)) == \
+                repr(reference_hom_space(dom, cod)), (dom, cod)
+
+
+def test_up_to_shift_keys_every_shift_alike():
+    for mod in _hom_test_objects(4):
+        low, key = mod.up_to_shift()
+        for k in (-3, 1, 4):
+            low_k, key_k = mod.shifted(k).up_to_shift()
+            assert key_k == key and low - low_k == k
+    assert b_generator(4, "s").up_to_shift()[1] != \
+        b_generator(4, "t").up_to_shift()[1]
 
 
 def _matrices(maps):

@@ -82,6 +82,26 @@ def test_invalid_cache_entry_is_recomputed(runner, tmp_path):
     assert hhh_warm.exit_code == 0 and hhh_warm.output == hhh_cold.output
 
 
+def test_corrupted_cache_entry_is_recomputed(runner, tmp_path):
+    # a wrong coefficient in the left action of B_sts(-1): the entry still
+    # parses, but its left actions no longer commute
+    commands = [["hhh", "s t s t"], ["trace", "s t s t", "--functor",
+                                     "pi_s_plus"], ["minimal", "s t s t",
+                                                    "--json"]]
+    cold = [runner.invoke(main, args) for args in commands]
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    data = json.loads(entry.read_text())
+    atom = next(mod for obs in data["objects"].values() for mod in obs
+                if len(mod["degrees"]) > 1)
+    assert atom["kl"] == ["s", "t", "s"] and atom["shift"] == -1
+    atom["left_t"][0][0][0][2][0] = "7"
+    for args, want in zip(commands, cold):
+        entry.write_text(json.dumps(data))
+        warm = runner.invoke(main, args)
+        assert want.exit_code == 0 and warm.exit_code == 0, warm.output
+        assert warm.output == want.output
+
+
 def test_malformed_cache_entry_is_recomputed(runner, tmp_path):
     cold = runner.invoke(main, ["minimal", "s t"])
     (entry,) = (tmp_path / "cache").glob("*.json")

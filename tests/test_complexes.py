@@ -190,6 +190,16 @@ def test_complexes_isomorphic_without_degree_zero_maps():
     assert complexes_isomorphic(b_st, b_ts) == ("no", None)
 
 
+def test_one_dimensional_chain_maps_decide_exactly():
+    # every chain map F_s -> [B_s   R(1)] (no differential) is c (id, 0),
+    # which no c makes invertible; likewise the other way
+    f_s = rouquier(3, "s")
+    flat = ChainComplex(3, f_s.objects, {})
+    for c1, c2 in ((f_s, flat), (flat, f_s)):
+        assert len(chain_map_basis(c1, c2)[0]) == 1
+        assert complexes_isomorphic(c1, c2) == ("no", None)
+
+
 def test_kl_tag_survives_json_and_shifts():
     b_sts = indecomposable_b(3, ("s", "t", "s"))
     back = Bimodule.from_json(b_sts.shifted(-1).to_json())

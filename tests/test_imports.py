@@ -1,12 +1,18 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+public function, class and method of the package is used somewhere."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
-SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "dihedralcat"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "dihedralcat"
 MODULES = sorted(SOURCE.glob("*.py"))
+# where a use of a package name counts
+SEARCHED = sorted(p for d in ("src", "tests", "perfbench")
+                  for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source):
@@ -47,3 +53,78 @@ def test_every_module_is_checked():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+def references(node):
+    """Counter of the names read under an AST node: names, attributes,
+    imported names and the dotted parts of string constants (getattr and
+    metric names)."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            out[sub.name.rpartition(".")[2]] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.update(sub.value.split("."))
+    return out
+
+
+def public_definitions(tree):
+    """The public module-level functions and classes of a module and the
+    public methods of its classes, as AST nodes; click commands, which the
+    command line reaches by name, are left out."""
+    def command(node):
+        return any(isinstance(dec, ast.Call) and isinstance(
+            dec.func, ast.Attribute) and dec.func.attr in ("command", "group")
+            for dec in node.decorator_list)
+
+    kinds = (ast.FunctionDef, ast.ClassDef)
+    out = []
+    for node in tree.body:
+        if isinstance(node, kinds):
+            out.append(node)
+            if isinstance(node, ast.ClassDef):
+                out.extend(sub for sub in node.body
+                           if isinstance(sub, ast.FunctionDef))
+    return [node for node in out
+            if not node.name.startswith("_") and not command(node)]
+
+
+def unused_definitions(sources, searched):
+    """(module, name) of every public definition in the sources (name ->
+    text) that no text of searched reads outside its own body."""
+    used = Counter()
+    for text in searched:
+        used += references(ast.parse(text))
+    out = []
+    for module, text in sorted(sources.items()):
+        for node in public_definitions(ast.parse(text)):
+            if used[node.name] <= references(node)[node.name]:
+                out.append((module, node.name))
+    return out
+
+
+def test_unused_definitions_finds_a_dead_name():
+    lib = ("import click\n"
+           "def used(): return helper()\n"
+           "def helper(): return helper\n"
+           "def dead(n): return dead(n - 1)\n"
+           "class Box:\n"
+           "    def get(self): return 1\n"
+           "    def drop(self): return 0\n"
+           "@click.group()\n"
+           "def main(): pass\n"
+           "@main.command()\n"
+           "def run(): pass\n")
+    caller = "from lib import used, Box\nused(); Box().get(); getattr(x, 'y')"
+    assert unused_definitions({"lib": lib}, [lib, caller]) == [
+        ("lib", "dead"), ("lib", "drop")]
+
+
+def test_every_public_definition_is_used():
+    sources = {path.name: path.read_text() for path in MODULES}
+    searched = [path.read_text() for path in SEARCHED]
+    assert unused_definitions(sources, searched) == []

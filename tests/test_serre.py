@@ -4,7 +4,8 @@ import pytest
 
 from dihedralcat import complexes, modules
 from dihedralcat.bimodule import Bimodule, b_generator, regular
-from dihedralcat.complexes import rouquier_braid, single_object
+from dihedralcat.complexes import (rouquier_braid, simplify, single_object,
+                                   tensor_complex)
 from dihedralcat.ring import realization
 from dihedralcat.series import QSeries
 from dihedralcat.serre import (HomComplex, _is_boxed_regular,
@@ -12,7 +13,9 @@ from dihedralcat.serre import (HomComplex, _is_boxed_regular,
                                check_relative_serre, check_semiorthogonality,
                                check_serre, check_vanishing,
                                dual_homology_series, ft_over_t, full_twist,
-                               full_twist_inverse, run_suite)
+                               full_twist_inverse, run_suite,
+                               serre_test_objects)
+from helpers import reference_hom_complex
 
 
 def test_full_twist_shapes():
@@ -61,6 +64,20 @@ def test_hom_complex_endomorphisms_of_unit():
     assert series == {0: QSeries({0: 1}, 2)}
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_hom_complex_matches_its_reference(m):
+    # the pairs check_serre builds: Hom(X, Y) and Hom(Y, FT^-1 (x) X)
+    objs = list(serre_test_objects(m).values())
+    twisted = [simplify(tensor_complex(full_twist_inverse(m), x))
+               for x in objs]
+    pairs = [(x, y) for x in objs for y in objs] + \
+        [(y, tw) for tw in twisted for y in objs]
+    for x, y in pairs:
+        hc = HomComplex(x, y)
+        assert repr((hc.degrees, hc.maps)) == \
+            repr(reference_hom_complex(x, y)), (x, y)
+
+
 def test_dual_homology_series_local_duality():
     # a free rank-one piece in H^0 dualizes to Q^0/(1-Q^2)^2 in H^0:
     # (q, e, n) = (0, 2, 0) -> Q^{2e-4-q} in degree -n + 2 - e = 0
@@ -75,7 +92,6 @@ def test_dual_homology_series_local_duality():
 @pytest.mark.parametrize("xname,yname", [("[R]", "[R]"), ("[R]", "F_s"),
                                          ("F_s", "[B_s]")])
 def test_serre_duality_pairs_m2(xname, yname):
-    from dihedralcat.serre import serre_test_objects
     objs = serre_test_objects(2)
     rep = check_serre(objs[xname], objs[yname], 2)
     assert rep["status"] == "pass", rep.get("residuals")
