@@ -290,12 +290,19 @@ class Bimodule:
 
     @classmethod
     def from_json(cls, data):
+        out = cls._from_json(data)
+        out._validate()
+        return out
+
+    @classmethod
+    def _from_json(cls, data):
+        """The module data encodes, unchecked."""
         real = realization(data["m"])
         return cls(real, data["degrees"],
                    _mat_from_json(data["left_s"], real.field),
                    _mat_from_json(data["left_t"], real.field),
                    word=data.get("word"), shift=data.get("shift", 0),
-                   kl=data.get("kl"))
+                   kl=data.get("kl"), check=False)
 
 
 def poly_to_json(f):

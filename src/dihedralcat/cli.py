@@ -4,7 +4,9 @@ Exit codes: 0 pass, 1 computation error, 2 check-suite failure,
 3 inconclusive.  Simplified Rouquier complexes are cached on disk as JSON
 (one content-addressed file per braid/m), under $SOERGEL_CACHE or the XDG
 cache directory; writes are create-then-rename atomic so concurrent
-invocations are safe.
+invocations are safe.  An entry that fails to load or check, raises an
+arithmetic error, or holds a complex or an atom of another m is
+recomputed.  homfly prints its polynomial as sympy printed it expanded.
 """
 
 from __future__ import annotations
@@ -59,9 +61,11 @@ def cached_simplified_complex(braid, m):
     if os.path.exists(path):
         try:
             with open(path) as fh:
-                return ChainComplex.from_json(json.load(fh))
-        except (ValueError, KeyError, IndexError, TypeError, AttributeError,
-                OSError):
+                cplx = ChainComplex.from_json(json.load(fh))
+            if cplx.m == m:
+                return cplx
+        except (ArithmeticError, ValueError, KeyError, IndexError, TypeError,
+                AttributeError, OSError):
             pass  # corrupt, stale or invalid entry: recompute below
     cplx = rouquier_braid(m, braid, split=True)
     try:
@@ -193,6 +197,26 @@ def trace_command(braid, m, functor, as_json):
         _fail("%s: %s" % (type(exc).__name__, exc))
 
 
+def _homfly_text(poly):
+    """{(v exponent, z exponent): c} as sympy printed it expanded: terms by
+    descending exponents, as in -v**4 - 1/(v*z) + 2*z**3/v**2 + v**(-2)."""
+    text = ""
+    for (ve, ze), c in sorted(poly.items(), reverse=True):
+        exps = [(x, e) for x, e in (("v", ve), ("z", ze)) if e]
+        up, down = ([x if abs(e) == 1 else "%s**%d" % (x, abs(e))
+                     for x, e in exps if (e > 0) == above]
+                    for above in (True, False))
+        if c == 1 and len(exps) == 1 and exps[0][1] <= -2:
+            term = "%s**(%d)" % exps[0]
+        else:
+            term = "*".join([str(abs(c))] * (abs(c) != 1 or not up) + up)
+            if down:
+                term += "/" + ("(%s)" % "*".join(down) if len(down) > 1
+                               else down[0])
+        text += (" - " if c < 0 else " + ") + term
+    return ("-" if text[1] == "-" else "") + text[3:]
+
+
 @main.command(name="homfly")
 @click.argument("braid")
 @click.option("--json", "as_json", is_flag=True, default=False)
@@ -201,11 +225,9 @@ def homfly_command(braid, as_json):
     from .hecke import homfly
     word = _parse(braid)
     try:
-        poly = homfly(word)
+        text = _homfly_text(homfly(word))
     except Exception as exc:
         _fail("%s: %s" % (type(exc).__name__, exc))
-    import sympy as sp
-    text = str(sp.expand(poly))
     if as_json:
         click.echo(json.dumps({"braid": braid, "homfly": text},
                               sort_keys=True))

@@ -14,13 +14,13 @@ from itertools import accumulate
 
 from . import bimodule, linalg
 from .bimodule import (Bimodule, BimoduleMorphism, _integer_terms,
-                       _scalar_of, _tag, b_generator, bott_samelson,
-                       direct_sum, dot_in, dot_out, hom_degree_basis,
-                       id_tensor_matrix, identity_morphism, invert_morphism,
-                       is_invertible, lift_columns, mat_identity, mat_mul,
-                       mat_neg, mat_sub, mat_scale, mat_zero, poly_from_json,
-                       poly_to_json, regular, split_summand, sub_bimodule,
-                       tensor, tensor_id_matrix)
+                       _mat_from_json, _scalar_of, _tag, b_generator,
+                       bott_samelson, direct_sum, dot_in, dot_out,
+                       hom_degree_basis, id_tensor_matrix, identity_morphism,
+                       invert_morphism, is_invertible, lift_columns,
+                       mat_identity, mat_mul, mat_neg, mat_sub, mat_scale,
+                       mat_zero, poly_to_json, regular, split_summand,
+                       sub_bimodule, tensor, tensor_id_matrix)
 from .field import _minimal_poly_2cos, field_for
 from .hecke import (Laurent, class_of_bimodule, group_elements,
                     kl_multiplicities)
@@ -144,26 +144,37 @@ class ChainComplex:
 
     @classmethod
     def from_json(cls, data):
+        """The complex data encodes, after every check of its atoms, its
+        blocks and d^2 = 0.  No atom or block check sees a grading shift,
+        so each runs once per atom up to shift, and once per block matrix
+        between atoms up to one common shift."""
         m = data["m"]
         field = realization(m).field
-        objects = {int(d): [Bimodule.from_json(ob) for ob in obs]
+        checked = set()
+
+        def check(item, key):
+            if key not in checked:
+                item._validate()
+                checked.add(key)
+            return item
+
+        def block(d, r, c, rows):
+            dom, cod = objects[d][c], objects[d + 1][r]
+            f = BimoduleMorphism(dom, cod, _mat_from_json(rows, field), 0,
+                                 check=False)
+            (low, dom_key), (cod_low, cod_key) = (dom.up_to_shift(),
+                                                  cod.up_to_shift())
+            return check(f, (f.matrix, dom_key, cod_key, cod_low - low))
+
+        objects = {int(d): [check(mod, mod.up_to_shift()[1]) for mod in
+                            map(Bimodule._from_json, obs)]
                    for d, obs in data["objects"].items()}
-        diffs = {}
-        for dstr, blocks in data["diffs"].items():
-            d = int(dstr)
-            rows = []
-            for r, row in enumerate(blocks):
-                out_row = []
-                for c, blk in enumerate(row):
-                    if blk is None:
-                        out_row.append(None)
-                    else:
-                        mat = [[poly_from_json(x, field) for x in row_]
-                               for row_ in blk]
-                        out_row.append(BimoduleMorphism(
-                            objects[d][c], objects[d + 1][r], mat, 0))
-                rows.append(out_row)
-            diffs[d] = rows
+        if any(mod.m != m for obs in objects.values() for mod in obs):
+            raise ValueError("an atom's m is not the complex's m = %d" % m)
+        diffs = {int(d): [[None if blk is None else block(int(d), r, c, blk)
+                           for c, blk in enumerate(row)]
+                          for r, row in enumerate(blocks)]
+                 for d, blocks in data["diffs"].items()}
         return cls(m, objects, diffs)
 
     def __repr__(self):

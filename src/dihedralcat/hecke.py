@@ -2,18 +2,20 @@
 
 Standard basis delta_w over Z[v, v^-1] with delta_s^2 = (v^-1 - v) delta_s
 + 1; KL basis b_w = sum_{y <= w} v^{l(w)-l(y)} delta_y (all KL polynomials
-are 1 in the dihedral case).  The HOMFLY polynomial of a 3-strand braid
+are 1 in the dihedral case).  The HOMFLY-PT polynomial of a 3-strand braid
 closure is evaluated through the Jones-Ocneanu trace on the S_3 Hecke
-algebra.
+algebra, with T_x^2 = z T_x + 1, as an integer Laurent polynomial in v and
+z; euler_check compares it with a triply-graded series as exact QSeries.
 """
 
 from __future__ import annotations
 
 from .ring import LETTERS
+from .series import QSeries, _scale_denom
 
 
 class Laurent:
-    """Laurent polynomial in v over Z."""
+    """Laurent polynomial in one variable (v, or z in homfly) over Z."""
 
     __slots__ = ("terms",)
 
@@ -129,6 +131,24 @@ def right_mult(word, x, m):
 # Hecke elements
 
 
+def _times_letter(terms, m, x, sign, quad):
+    """{w: Laurent} times T_x^sign, where T_x^2 = quad T_x + 1, so that
+    T_w T_x = quad T_w + T_wx when wx < w, and T_x^-1 = T_x - quad."""
+    out = {}
+
+    def bump(w, c):
+        out[w] = out.get(w, Laurent()) + c
+
+    for w, c in terms.items():
+        wx = right_mult(w, x, m)
+        if len(wx) < len(w):
+            bump(w, c * quad)
+        bump(wx, c)
+        if sign < 0:
+            bump(w, -(c * quad))
+    return out
+
+
 class HeckeElement:
     __slots__ = ("m", "terms")
 
@@ -169,26 +189,10 @@ class HeckeElement:
                             {w: c * laurent for w, c in self.terms.items()})
 
     def times_generator(self, x, sign=1):
-        """Right multiplication by delta_x or its inverse."""
-        if sign < 0:
-            # delta_x^{-1} = delta_x + (v - v^-1)
-            return self.times_generator(x, 1) + self.scale(
-                Laurent({1: 1, -1: -1}))
-        m = self.m
-        out = {}
-
-        def bump(w, c):
-            out[w] = out.get(w, Laurent()) + c
-
-        for w, c in self.terms.items():
-            wx = right_mult(w, x, m)
-            if len(wx) > len(w):
-                bump(wx, c)
-            else:
-                # delta_w delta_x = (v^-1 - v) delta_w + delta_{wx}
-                bump(w, c * Laurent({-1: 1, 1: -1}))
-                bump(wx, c)
-        return HeckeElement(m, out)
+        """Right multiplication by delta_x^sign: delta_x^2 = (v^-1 - v)
+        delta_x + 1."""
+        return HeckeElement(self.m, _times_letter(
+            self.terms, self.m, x, sign, Laurent({-1: 1, 1: -1})))
 
     def __mul__(self, other):
         out = HeckeElement(self.m)
@@ -307,54 +311,35 @@ def class_of_complex(cplx):
 # HOMFLY via the Jones-Ocneanu trace on H(S_3)
 
 
-def _h3_multiply_letter(terms, x, z):
-    """Right multiplication by T_x in H(S_3) with sympy coefficients."""
-    out = {}
-    for w, c in terms.items():
-        wx = right_mult(w, x, 3)
-        if len(wx) > len(w):
-            out[wx] = out.get(wx, 0) + c
-        else:
-            out[w] = out.get(w, 0) + c * z
-            out[wx] = out.get(wx, 0) + c
-    return {w: c for w, c in out.items() if c != 0}
+# The Ocneanu trace of T_w times mu^2, mu = (1 - v^2)/(v z), by l(w), as
+# {(v exponent, z exponent): coefficient}; T_s, T_t and T_st, T_ts agree.
+_OCNEANU = (
+    {(-2, -2): 1, (0, -2): -2, (2, -2): 1},  # v^-2 z^-2 (1 - v^2)^2
+    {(-2, -1): 1, (0, -1): -1},              # v^-2 z^-1 (1 - v^2)
+    {(-2, 0): 1},                            # v^-2
+    {(-2, 1): 1, (-2, -1): 1, (0, -1): -1},  # v^-2 z + v^-2 z^-1 (1 - v^2)
+)
 
 
-def homfly(braid, variables=None):
-    """HOMFLY-PT polynomial of the 3-strand closure, in (v, z) with the
-    skein relation v^-1 P(+) - v P(-) = z P(0) and unknot = 1."""
-    import sympy as sp
+def homfly(braid):
+    """HOMFLY-PT polynomial of the 3-strand closure, with the skein
+    relation v^-1 P(+) - v P(-) = z P(0) and unknot = 1, as
+    {(v exponent, z exponent): nonzero int}: v^writhe mu^2 times the
+    Ocneanu trace of the braid's image in H(S_3), T_x^2 = z T_x + 1."""
     from .complexes import parse_braid
     if isinstance(braid, str):
         braid = parse_braid(braid)
-    if variables is None:
-        v, z = sp.symbols("v z")
-    else:
-        v, z = variables
-    terms = {(): sp.Integer(1)}
-    writhe = 0
+    terms = {(): Laurent.one()}
     for letter, sign in braid:
-        writhe += sign
-        if sign > 0:
-            terms = _h3_multiply_letter(terms, letter, z)
-        else:
-            # T_x^{-1} = T_x - z
-            plus = _h3_multiply_letter(terms, letter, z)
-            terms = {w: plus.get(w, 0) - z * terms.get(w, 0)
-                     for w in set(plus) | set(terms)}
-            terms = {w: sp.expand(c) for w, c in terms.items() if c != 0}
-    zeta = z / (1 - v ** 2)
-    weight = {
-        (): sp.Integer(1),
-        ("s",): zeta,
-        ("t",): zeta,
-        ("s", "t"): zeta ** 2,
-        ("t", "s"): zeta ** 2,
-        ("s", "t", "s"): zeta * (z * zeta + 1),
-    }
-    tr = sum(c * weight[w] for w, c in terms.items())
-    mu = (1 - v ** 2) / (v * z)
-    return sp.cancel(sp.together(mu ** 2 * v ** writhe * tr))
+        terms = _times_letter(terms, 3, letter, sign, Laurent.monomial(1))
+    writhe = braid_writhe(braid)
+    out = {}
+    for word, coeff in terms.items():
+        for (ve, ze), c in _OCNEANU[len(word)].items():
+            for e, k in coeff.terms.items():
+                key = (ve + writhe, ze + e)
+                out[key] = out.get(key, 0) + c * k
+    return {key: c for key, c in out.items() if c}
 
 
 def braid_writhe(braid):
@@ -366,17 +351,23 @@ def braid_writhe(braid):
 
 def euler_check(series, braid):
     """Substitute A = -a^2 q^2, Q = q, T = -1, multiply by the unit
-    q^2 a^{writhe - 2}, and compare with homfly under v = a, z = q - 1/q.
+    q^2 a^(writhe - 2), and compare with homfly under v = a, z = q - 1/q,
+    one power of a at a time as exact QSeries in q; z^k is
+    (-1)^k q^-k (1 - q^2)^k for every integer k.
 
-    Returns (passed, residual expression)."""
-    import sympy as sp
-    a, q = sp.symbols("a q")
-    chi = sp.Integer(0)
-    for (ae, te, qe, e, c) in series.terms():
-        chi += c * (-a ** 2 * q ** 2) ** ae * (-1) ** te * q ** qe \
-            / (1 - q ** 2) ** e
-    w = braid_writhe(braid)
-    unit = q ** 2 * a ** (w - 2)
-    target = homfly(braid, variables=(a, q - 1 / q))
-    residual = sp.cancel(sp.together(chi * unit - target))
+    Returns (passed, residual), residual the number of powers of a at
+    which the two sides differ."""
+    writhe = braid_writhe(braid)
+    diff = {}
+
+    def bump(a, piece):
+        diff[a] = diff.get(a, QSeries.zero()) + piece
+
+    for (a, t), piece in series.strata.items():
+        sign = -1 if (a + t) % 2 else 1
+        bump(2 * a + writhe - 2, piece.shift(2 * a + 2).scale(sign))
+    for (ve, ze), c in homfly(braid).items():
+        num = {-ze: -c if ze % 2 else c}
+        bump(ve, -QSeries(_scale_denom(num, max(ze, 0)), max(-ze, 0)))
+    residual = sum(1 for piece in diff.values() if piece)
     return residual == 0, residual

@@ -1,12 +1,15 @@
 """Constructions that only the tests use, built on the library."""
 
+import sympy as sp
+
 from dihedralcat import linalg
 from dihedralcat.bimodule import (Bimodule, BimoduleMorphism, _unknowns,
                                   hom_degree_basis, id_tensor_matrix,
                                   lift_columns, mat_mul, mat_neg,
                                   mat_transpose, mat_zero, split_summand,
                                   tensor, tensor_id_matrix)
-from dihedralcat.hecke import bs_class, hom_rank
+from dihedralcat.complexes import parse_braid
+from dihedralcat.hecke import braid_writhe, bs_class, hom_rank, right_mult
 from dihedralcat.modules import ModuleGB
 from dihedralcat.ring import LETTERS, RingElement
 from dihedralcat.series import QSeries
@@ -224,3 +227,72 @@ def reference_hom_complex(x_complex, y_complex):
                 for i, row in enumerate(lifted):
                     mat[row0 + i][col:col + len(row)] = row
     return degrees, maps
+
+
+# ---------------------------------------------------------------------------
+# sympy references for hecke.homfly and hecke.euler_check: the rational
+# functions of the Jones-Ocneanu trace, canonicalized by sympy
+
+
+def as_sympy(poly, v, z):
+    """{(v exponent, z exponent): c} as a sympy expression in v and z."""
+    return sum((c * v ** i * z ** j for (i, j), c in poly.items()),
+               sp.Integer(0))
+
+
+def _h3_multiply_letter(terms, x, z):
+    """Right multiplication by T_x in H(S_3) with sympy coefficients."""
+    out = {}
+    for w, c in terms.items():
+        wx = right_mult(w, x, 3)
+        if len(wx) > len(w):
+            out[wx] = out.get(wx, 0) + c
+        else:
+            out[w] = out.get(w, 0) + c * z
+            out[wx] = out.get(wx, 0) + c
+    return {w: c for w, c in out.items() if c != 0}
+
+
+def reference_homfly(braid, variables=None):
+    """HOMFLY-PT of the 3-strand closure as a sympy rational function in
+    (v, z): v^writhe mu^2 times the Ocneanu trace, with zeta = z/(1-v^2)."""
+    if isinstance(braid, str):
+        braid = parse_braid(braid)
+    v, z = variables or sp.symbols("v z")
+    terms = {(): sp.Integer(1)}
+    for letter, sign in braid:
+        if sign > 0:
+            terms = _h3_multiply_letter(terms, letter, z)
+        else:
+            # T_x^{-1} = T_x - z
+            plus = _h3_multiply_letter(terms, letter, z)
+            terms = {w: plus.get(w, 0) - z * terms.get(w, 0)
+                     for w in set(plus) | set(terms)}
+            terms = {w: sp.expand(c) for w, c in terms.items() if c != 0}
+    zeta = z / (1 - v ** 2)
+    weight = {
+        (): sp.Integer(1),
+        ("s",): zeta,
+        ("t",): zeta,
+        ("s", "t"): zeta ** 2,
+        ("t", "s"): zeta ** 2,
+        ("s", "t", "s"): zeta * (z * zeta + 1),
+    }
+    tr = sum(c * weight[w] for w, c in terms.items())
+    mu = (1 - v ** 2) / (v * z)
+    return sp.cancel(sp.together(mu ** 2 * v ** braid_writhe(braid) * tr))
+
+
+def reference_euler_check(series, braid):
+    """Substitute A = -a^2 q^2, Q = q, T = -1, multiply by the unit
+    q^2 a^{writhe - 2}, and compare with reference_homfly under v = a,
+    z = q - 1/q.  Returns (passed, residual expression)."""
+    a, q = sp.symbols("a q")
+    chi = sp.Integer(0)
+    for (ae, te, qe, e, c) in series.terms():
+        chi += c * (-a ** 2 * q ** 2) ** ae * (-1) ** te * q ** qe \
+            / (1 - q ** 2) ** e
+    unit = q ** 2 * a ** (braid_writhe(braid) - 2)
+    target = reference_homfly(braid, variables=(a, q - 1 / q))
+    residual = sp.cancel(sp.together(chi * unit - target))
+    return residual == 0, residual

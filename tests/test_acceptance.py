@@ -23,7 +23,8 @@ from dihedralcat.serre import (check_pift, check_relative_serre, check_serre,
                                homology_series, serre_test_objects,
                                tensor_complex)
 from dihedralcat.trace import pi_minus, pi_plus
-from helpers import find_isomorphism, soergel_pairing
+from helpers import (as_sympy, find_isomorphism, reference_euler_check,
+                     soergel_pairing)
 
 WHITEHEAD = "s^-2 t s^-1 t"
 
@@ -124,6 +125,8 @@ def test_criterion_08a_hecke_class_random_braids():
         from dihedralcat.complexes import parse_braid
         cplx = rouquier_braid(3, word, split=True)
         assert class_of_complex(cplx) == delta_product(3, parse_braid(word))
+        ok, residual = euler_check(hhh(word, 3, precomputed=cplx), word)
+        assert ok and residual == 0, word
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
@@ -193,12 +196,24 @@ HOMFLY_ORACLE = {
 @pytest.mark.parametrize("braid", sorted(HOMFLY_ORACLE))
 def test_criterion_10_homfly_specialization(braid, whitehead_complex):
     v, z = sp.symbols("v z")
-    got = homfly(braid, (v, z))
+    got = as_sympy(homfly(braid), v, z)
     expect = sp.sympify(HOMFLY_ORACLE[braid], {"v": v, "z": z})
     assert sp.simplify(got - expect) == 0
     pre = whitehead_complex if braid == WHITEHEAD else None
     ok, residual = euler_check(hhh(braid, 3, precomputed=pre), braid)
     assert ok and residual == 0
+
+
+def test_criterion_10_euler_check_rejects_a_corrupted_series(
+        whitehead_complex):
+    # the Whitehead series without its first term, as the benchmark's
+    # self-test corrupts it; the sympy reference agrees on both
+    series = hhh(WHITEHEAD, 3, precomputed=whitehead_complex)
+    corrupted = PoincareSeries.from_terms(series.terms()[1:])
+    for got, ok in ((series, True), (corrupted, False)):
+        assert reference_euler_check(got, WHITEHEAD)[0] == ok
+        passed, residual = euler_check(got, WHITEHEAD)
+        assert passed == ok and (residual == 0) == ok
 
 
 def test_criterion_11a_gaussian_elimination_preserves_homology():

@@ -1,14 +1,19 @@
 """CLI tests: exit codes, JSON determinism and the on-disk cache."""
 
+import hashlib
+import itertools
 import json
+import shutil
 
 import pytest
+import sympy as sp
 from click.testing import CliRunner
 
 from dihedralcat import cli
 from dihedralcat.cli import cached_simplified_complex, main
 from dihedralcat.complexes import parse_braid
 from dihedralcat.series import QSeries
+from helpers import reference_homfly
 
 
 @pytest.fixture()
@@ -82,24 +87,68 @@ def test_invalid_cache_entry_is_recomputed(runner, tmp_path):
     assert hhh_warm.exit_code == 0 and hhh_warm.output == hhh_cold.output
 
 
-def test_corrupted_cache_entry_is_recomputed(runner, tmp_path):
+def _wrong_left_action(data):
     # a wrong coefficient in the left action of B_sts(-1): the entry still
     # parses, but its left actions no longer commute
-    commands = [["hhh", "s t s t"], ["trace", "s t s t", "--functor",
-                                     "pi_s_plus"], ["minimal", "s t s t",
-                                                    "--json"]]
-    cold = [runner.invoke(main, args) for args in commands]
-    (entry,) = (tmp_path / "cache").glob("*.json")
-    data = json.loads(entry.read_text())
     atom = next(mod for obs in data["objects"].values() for mod in obs
                 if len(mod["degrees"]) > 1)
     assert atom["kl"] == ["s", "t", "s"] and atom["shift"] == -1
     atom["left_t"][0][0][0][2][0] = "7"
-    for args, want in zip(commands, cold):
-        entry.write_text(json.dumps(data))
-        warm = runner.invoke(main, args)
-        assert want.exit_code == 0 and warm.exit_code == 0, warm.output
-        assert warm.output == want.output
+
+
+def _zero_denominator(data):
+    # a coefficient 1/0 in one differential block
+    poly = next(poly for rows in data["diffs"].values() for row in rows
+                for blk in row if blk for entries in blk for poly in entries
+                if poly)
+    poly[0][2][0] = "1/0"
+
+
+def _top_level_m(data):
+    # a complex over K_13, which has no realization here
+    data["m"] = 13
+
+
+def _atom_m(data):
+    # atoms of m = 2 in a complex of m = 3
+    for obs in data["objects"].values():
+        for mod in obs:
+            mod["m"] = 2
+
+
+def _every_m(data):
+    # a valid complex of m = 2 under the key of m = 3
+    data["m"] = 2
+    _atom_m(data)
+
+
+STST_TRACE = [["trace", "s t s t", "--functor", "pi_s_minus"],
+              ["trace", "s t s t", "--functor", "pi_s_plus"]]
+
+
+CORRUPTIONS = [
+    ([["hhh", "s t s t"], STST_TRACE[1], ["minimal", "s t s t", "--json"]],
+     _wrong_left_action),
+    ([["hhh", "s t"]], _zero_denominator),
+    ([["hhh", "s t"]], _top_level_m),
+    (STST_TRACE, _every_m),
+    (STST_TRACE, _atom_m),
+]
+
+
+def test_corrupted_cache_entry_is_recomputed(runner, tmp_path):
+    for commands, corrupt in CORRUPTIONS:
+        shutil.rmtree(tmp_path / "cache", ignore_errors=True)
+        cold = [runner.invoke(main, args) for args in commands]
+        (entry,) = (tmp_path / "cache").glob("*.json")
+        data = json.loads(entry.read_text())
+        corrupt(data)
+        for args, want in zip(commands, cold):
+            entry.write_text(json.dumps(data))
+            warm = runner.invoke(main, args)
+            assert want.exit_code == 0 and warm.exit_code == 0, (
+                corrupt.__name__, warm.output)
+            assert warm.output == want.output, corrupt.__name__
 
 
 def test_malformed_cache_entry_is_recomputed(runner, tmp_path):
@@ -187,6 +236,42 @@ def test_homfly_command(runner):
     res = runner.invoke(main, ["homfly", "s t", "--json"])
     assert res.exit_code == 0
     assert json.loads(res.output)["homfly"] == "1"
+
+
+def test_homfly_command_prints_the_sympy_text(runner):
+    # on every braid word of 1-4 letters, the text sympy printed for the
+    # expanded polynomial, plain and in JSON
+    tokens = ["s", "t", "s^-1", "t^-1"]
+    for n in range(1, 5):
+        for letters in itertools.product(tokens, repeat=n):
+            word = " ".join(letters)
+            text = str(sp.expand(reference_homfly(word)))
+            plain = runner.invoke(main, ["homfly", word])
+            assert plain.exit_code == 0 and plain.output == text + "\n"
+            as_json = runner.invoke(main, ["homfly", word, "--json"])
+            assert as_json.output == json.dumps(
+                {"braid": word, "homfly": text}, sort_keys=True) + "\n"
+
+
+# sha256 of the stdout that sympy's printing gave for the Whitehead link and
+# the torus knot T(3, 12)
+HOMFLY_STDOUT = [
+    ("s^-2 t s^-1 t", [],
+     "83ff27b22796c6f9583461d2c052d3fa8275f43ba51729d4c8e9d8cb84391dc7"),
+    ("s^-2 t s^-1 t", ["--json"],
+     "79c1634912381d0dcc8e71fadade9a6a34d0293d091ca310bc850ad354311b03"),
+    (" ".join(["s t"] * 12), [],
+     "a5ab4a286854625ad6befc140d04fe1915ac848b349b95105c187428b791156e"),
+    (" ".join(["s t"] * 12), ["--json"],
+     "12666fee11c64b14f7898c03fd68e2cd2f0771852135442af4e961be5c7c0ded"),
+]
+
+
+@pytest.mark.parametrize("braid,flags,digest", HOMFLY_STDOUT)
+def test_homfly_command_output_is_pinned(runner, braid, flags, digest):
+    res = runner.invoke(main, ["homfly", braid] + flags)
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode()).hexdigest() == digest
 
 
 def test_serre_check_exit_codes(runner):

@@ -173,6 +173,44 @@ def test_complex_json_round_trip():
     assert verdict == "yes"
 
 
+@pytest.mark.parametrize("part", ["objects", "diffs"])
+def test_complex_from_json_checks_every_copy_of_a_repeated_piece(part):
+    # from_json checks each atom up to shift, and each block up to a shift
+    # of its ends, once; a wrong degree in the last copy of a repeated one
+    # is still caught
+    cplx = rouquier_braid(3, "s t s t s t s t", split=True)
+
+    def key(piece):
+        if part == "objects":
+            return piece.up_to_shift()[1]
+        (low, dom_key), (cod_low, cod_key) = (piece.dom.up_to_shift(),
+                                              piece.cod.up_to_shift())
+        return piece.matrix, dom_key, cod_key, cod_low - low
+
+    if part == "objects":
+        pieces = [((str(d), i), mod) for d, obs in cplx.objects.items()
+                  for i, mod in enumerate(obs)]
+    else:
+        pieces = [((str(d), r, c), blk) for d, rows in cplx.diffs.items()
+                  for r, row in enumerate(rows)
+                  for c, blk in enumerate(row) if blk is not None]
+    copies = {}
+    for path, piece in pieces:
+        copies.setdefault(key(piece), []).append(path)
+    path = max((paths for paths in copies.values() if len(paths) > 1),
+               key=len)[-1]
+    data = cplx.to_json()
+    ChainComplex.from_json(data)
+    entry = data[part][path[0]]
+    for i in path[1:]:
+        entry = entry[i]
+    matrix = entry["left_t"] if part == "objects" else entry
+    term = next(poly for row in matrix for poly in row if poly)[0]
+    term[0] += 1
+    with pytest.raises(ValueError, match="homogeneous"):
+        ChainComplex.from_json(data)
+
+
 def test_tensor_with_unit_is_identity_up_to_iso():
     unit = rouquier_braid(3, "s s^-1", split=True)
     f_t = rouquier_braid(3, "t", split=True)

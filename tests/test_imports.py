@@ -1,8 +1,10 @@
-"""Every name a package module imports is used in that module, and every
-public function, class and method of the package is used somewhere."""
+"""Every name a package module imports is used in that module, every
+public function, class and method of the package is used somewhere, and
+the package needs nothing beyond the standard library and click."""
 
 import ast
 import pathlib
+import sys
 from collections import Counter
 
 import pytest
@@ -53,6 +55,38 @@ def test_every_module_is_checked():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+def foreign_imports(source):
+    """Top-level modules that source imports, at any depth, from outside
+    the standard library, click and dihedralcat."""
+    allowed = set(sys.stdlib_module_names) | {"click", "dihedralcat"}
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        out.update(name.partition(".")[0] for name in names)
+    return sorted(out - allowed)
+
+
+def test_foreign_imports_finds_a_third_party_module():
+    source = ("from __future__ import annotations\n"
+              "import os.path, sympy.core\n"
+              "from click import echo\n"
+              "from . import ring\n"
+              "from .series import QSeries\n"
+              "def homfly():\n"
+              "    from numpy import array\n")
+    assert foreign_imports(source) == ["numpy", "sympy"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_imports_only_the_standard_library_and_click(path):
+    assert foreign_imports(path.read_text()) == [], path.name
 
 
 def references(node):
