@@ -8,6 +8,7 @@ word/shift tags ride along for atom bookkeeping.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from fractions import Fraction
 from itertools import count
@@ -290,17 +291,18 @@ class Bimodule:
 
     @classmethod
     def from_json(cls, data):
-        out = cls._from_json(data)
+        out = cls._from_json(data, {})
         out._validate()
         return out
 
     @classmethod
-    def _from_json(cls, data):
-        """The module data encodes, unchecked."""
+    def _from_json(cls, data, parsed):
+        """The module data encodes, unchecked; parsed as for
+        _mat_from_json."""
         real = realization(data["m"])
         return cls(real, data["degrees"],
-                   _mat_from_json(data["left_s"], real.field),
-                   _mat_from_json(data["left_t"], real.field),
+                   _mat_from_json(data["left_s"], real.field, parsed),
+                   _mat_from_json(data["left_t"], real.field, parsed),
                    word=data.get("word"), shift=data.get("shift", 0),
                    kl=data.get("kl"), check=False)
 
@@ -323,8 +325,13 @@ def _mat_to_json(mat):
     return [[poly_to_json(x) for x in row] for row in mat]
 
 
-def _mat_from_json(data, field):
-    return [[poly_from_json(x, field) for x in row] for row in data]
+def _mat_from_json(data, field, parsed):
+    """The matrix data encodes, parsed once per JSON text and field: the
+    dict parsed keeps it for every later copy, which shares its entries."""
+    key = (json.dumps(data), field)
+    if key not in parsed:
+        parsed[key] = [[poly_from_json(x, field) for x in row] for row in data]
+    return parsed[key]
 
 
 def regular(m, shift=0):

@@ -147,10 +147,11 @@ class ChainComplex:
         """The complex data encodes, after every check of its atoms, its
         blocks and d^2 = 0.  No atom or block check sees a grading shift,
         so each runs once per atom up to shift, and once per block matrix
-        between atoms up to one common shift."""
+        between atoms up to one common shift, and each distinct matrix text
+        is parsed once."""
         m = data["m"]
         field = realization(m).field
-        checked = set()
+        checked, parsed = set(), {}
 
         def check(item, key):
             if key not in checked:
@@ -160,14 +161,14 @@ class ChainComplex:
 
         def block(d, r, c, rows):
             dom, cod = objects[d][c], objects[d + 1][r]
-            f = BimoduleMorphism(dom, cod, _mat_from_json(rows, field), 0,
-                                 check=False)
+            f = BimoduleMorphism(dom, cod, _mat_from_json(rows, field, parsed),
+                                 0, check=False)
             (low, dom_key), (cod_low, cod_key) = (dom.up_to_shift(),
                                                   cod.up_to_shift())
             return check(f, (f.matrix, dom_key, cod_key, cod_low - low))
 
         objects = {int(d): [check(mod, mod.up_to_shift()[1]) for mod in
-                            map(Bimodule._from_json, obs)]
+                            (Bimodule._from_json(ob, parsed) for ob in obs)]
                    for d, obs in data["objects"].items()}
         if any(mod.m != m for obs in objects.values() for mod in obs):
             raise ValueError("an atom's m is not the complex's m = %d" % m)

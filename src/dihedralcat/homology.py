@@ -4,6 +4,10 @@ The triply-graded series is assembled strandwise: for each Hochschild
 degree k the simplified Rouquier complex is pushed through HH^k, homology
 is taken per cohomological (T-) degree, and Hilbert series are summed.  The
 Koszul twists M(2), M(4) already carry the internal-degree normalization.
+Strand 2 is taken on the smaller minimal pi_s^+ complex: T_s acts by 0 on
+pi_s^+ M = M / T_s M, so HH^2(pi_s^+ M) = M(4) / (T_s M + T_t M) = HH^2(M)
+naturally in M, and HH^2 is additive, so it takes the homotopy equivalence
+of Gaussian elimination to an isomorphism on homology.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from .bimodule import mat_transpose
 from .modules import PresentedModule, column_degree, kernel, minimalize_columns
 from .ring import RingElement, realization
 from .series import PoincareSeries
-from .trace import hochschild_on_complex
+from .trace import hochschild_on_complex, pi_on_complex
 
 
 def presented_homology(degrees, relations, maps, field, at):
@@ -75,15 +79,21 @@ def strand_homology(cplx, k):
 
 
 def hhh(braid, m=3, strands=(0, 1, 2), precomputed=None):
-    """The triply-graded Poincare series of the braid closure."""
-    from .complexes import rouquier_braid
+    """The triply-graded Poincare series of the braid closure.
+
+    Strand 2 is taken on the minimal pi_s^+ complex, strands 0 and 1 on
+    the complex itself: pi_s^+ M = M / T_s M, so HH^2(pi_s^+ M) = HH^2(M)
+    naturally in M, and HH^2, being additive, takes Gaussian elimination's
+    homotopy equivalence to an isomorphism on homology."""
+    from .complexes import minimal_form, rouquier_braid
     cplx = precomputed
     if cplx is None:
         cplx = rouquier_braid(m, braid, split=True)
     field = realization(cplx.m).field
     series = PoincareSeries.zero()
     for k in strands:
-        strand = complex_series(*hochschild_on_complex(cplx, k), field)
+        src = minimal_form(pi_on_complex(cplx, "s", 1)) if k == 2 else cplx
+        strand = complex_series(*hochschild_on_complex(src, k), field)
         for t_deg, qs in strand.items():
             series = series.add_piece(k, t_deg, qs)
     return series

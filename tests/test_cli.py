@@ -11,8 +11,8 @@ from click.testing import CliRunner
 
 from dihedralcat import cli
 from dihedralcat.cli import cached_simplified_complex, main
-from dihedralcat.complexes import parse_braid
-from dihedralcat.series import QSeries
+from dihedralcat.complexes import ChainComplex, parse_braid
+from dihedralcat.series import PoincareSeries, QSeries
 from helpers import reference_homfly
 
 
@@ -230,6 +230,53 @@ def test_trace_functor_output(runner):
         res = runner.invoke(main, ["trace", WHITEHEAD, "--functor", functor])
         assert res.exit_code == 0
         assert res.output == text
+
+
+T37 = " ".join(["s t"] * 7)
+
+
+def test_repeated_block_texts_load_warm_and_are_each_checked(runner,
+                                                             tmp_path):
+    # from_json parses each distinct matrix text once per load; the warm
+    # output equals the cold one, and a corrupted copy of the most repeated
+    # block text is parsed on its own, refused and recomputed
+    cold = runner.invoke(main, ["hhh", T37, "--json"])
+    warm = runner.invoke(main, ["hhh", T37, "--json"])
+    assert cold.exit_code == 0 and warm.output == cold.output
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    data = json.loads(entry.read_text())
+    copies = {}
+    for blocks in data["diffs"].values():
+        for row in blocks:
+            for blk in row:
+                if blk is not None:
+                    copies.setdefault(json.dumps(blk), []).append(blk)
+    repeated = max(copies.values(), key=len)
+    assert len(repeated) > 1
+    assert ChainComplex.from_json(data).to_json() == data
+    [poly for row in repeated[-1] for poly in row if poly][-1][0][0] += 1
+    with pytest.raises(ValueError, match="homogeneous"):
+        ChainComplex.from_json(data)
+    entry.write_text(json.dumps(data))
+    again = runner.invoke(main, ["hhh", T37, "--json"])
+    assert again.exit_code == 0 and again.output == cold.output
+    assert json.loads(entry.read_text()) != data  # rewritten
+
+
+@pytest.mark.parametrize("braid", [WHITEHEAD, T37], ids=["whitehead", "t37"])
+def test_trace_hh2_matches_the_hhh_strand_2(runner, braid):
+    # trace --functor hh2 takes HH^2 of the complex itself, hhh --strand 2
+    # of its minimal pi_s^+ complex; the series agree degree by degree
+    res = runner.invoke(main, ["trace", braid, "--functor", "hh2", "--json"])
+    assert res.exit_code == 0
+    traced = {d: h["series"] for d, h in
+              json.loads(res.output)["homology"].items()}
+    res = runner.invoke(main, ["hhh", braid, "--strand", "2", "--json"])
+    assert res.exit_code == 0
+    series = PoincareSeries.from_terms(json.loads(res.output)["series"])
+    assert {a for a, _ in series.strata} == {2}
+    assert traced == {str(t): repr(qs) for (_, t), qs in series.strata.items()}
+    assert traced
 
 
 def test_homfly_command(runner):

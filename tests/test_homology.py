@@ -1,6 +1,7 @@
 """Tests for strand homology and the triply-graded series assembly."""
 
 import sys
+from math import comb
 
 import pytest
 
@@ -105,12 +106,13 @@ def test_hhh_accepts_precomputed_complex():
 
 
 def test_whitehead_hhh_builds_few_groebner_bases(monkeypatch):
-    # From cold, the Whitehead hhh builds 71 ModuleGBs with 636 basis
-    # vectors: 32 syzygy bases of the strand homology, 12 of HH kernels and
-    # 12 bases of their generators for lifts, 8 for Hilbert series and 7
-    # split complements; minimalize_columns builds none.  Homology bases
-    # track only the syzygy coordinates they read and Hilbert series bases
-    # none.
+    # From cold, the Whitehead hhh builds 71 ModuleGBs with 514 basis
+    # vectors: 32 syzygy bases of the strand homology (365 vectors), 12 of
+    # HH kernels (72) and 12 bases of their generators for lifts (37), 8
+    # for Hilbert series (16) and 7 split complements (24); pi_s^+, which
+    # strand 2 goes through, and minimalize_columns build none.  Homology
+    # bases track only the syzygy coordinates they read and Hilbert series
+    # bases none.
     complexes.clear_caches()
     calls, sizes = [], []
     real = modules.ModuleGB.__init__
@@ -129,7 +131,7 @@ def test_whitehead_hhh_builds_few_groebner_bases(monkeypatch):
     hhh(WHITEHEAD, 3)
     assert 0 < len(calls) <= 71
     assert not any(calls)
-    assert 0 < sum(sizes) <= 636
+    assert 0 < sum(sizes) <= 514
 
 
 def test_whitehead_hhh_solves_small_hom_systems(monkeypatch):
@@ -201,6 +203,26 @@ def test_borromean_hhh_passes_the_euler_check():
     assert QSeries({-6: 2, -4: -3, -2: 2}, 2) == series.strata[(2, 0)]
     ok, residual = euler_check(series, BORROMEAN)
     assert ok, residual
+
+
+# The A^0 slice of HHH(T(3, n)) is the rational q,t-Catalan number
+# (Gorsky-Negut 2015; Mellit 2016): C(n+3, 3)/(n+3) monomials, each with
+# coefficient 1 and no 1/(1-Q^2), and symmetric under q <-> t, which in
+# these gradings is (t, q) -> (t + q + 2, -q - 4).
+@pytest.mark.parametrize("n", [4, 5, 7, 8])
+def test_torus_knot_bottom_slice_is_the_rational_catalan_number(n):
+    series = hhh(" ".join(["s t"] * n), 3, strands=(0,))
+    bottom = [term for term in series.terms() if term[0] == 0]
+    assert len(bottom) == comb(n + 3, 3) // (n + 3)
+    assert all(e == 0 and c == 1 for _, _, _, e, c in bottom)
+    tq = {(t, q) for _, t, q, _, _ in bottom}
+    assert tq == {(t + q + 2, -q - 4) for t, q in tq}
+
+
+def test_torus_knot_t34_passes_the_euler_check():
+    word = " ".join(["s t"] * 4)
+    ok, residual = euler_check(hhh(word, 3), word)
+    assert ok and residual == 0
 
 
 def _braid_text(letters):

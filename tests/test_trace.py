@@ -8,7 +8,9 @@ from dihedralcat import trace
 from dihedralcat.bimodule import (Bimodule, b_generator, bott_samelson,
                                   mat_mul, regular)
 from dihedralcat.complexes import (clear_caches, indecomposable_b,
-                                   rouquier_braid, simplify, tensor_complex)
+                                   minimal_form, rouquier_braid, simplify,
+                                   tensor_complex)
+from dihedralcat.homology import complex_series
 from dihedralcat.ring import LETTERS, realization
 from dihedralcat.series import QSeries
 from dihedralcat.serre import ft_over_t, serre_test_objects
@@ -124,6 +126,34 @@ def test_hochschild_on_complex_shapes():
         assert sorted(degrees) == sorted(cplx.degrees())
         for d in cplx.diffs:
             assert d in maps
+
+
+# T_s acts by 0 on pi_s^+ M = M / T_s M and on pi_s^- M = ker T_s, so
+# HH^2(pi_s^+ M) = M(4) / (T_s M + T_t M) = HH^2(M) and HH^0(pi_s^- M) =
+# (ker T_t on ker T_s) = HH^0(M), naturally in M; both are additive, so the
+# strands of X and of the minimal traced complexes have equal homology.
+# This checks the trace layer against the Hochschild layer.
+TRACE_ROUTE_WORDS = [
+    (2, "s t"), (2, "s^3 t^3"),
+    (3, "s^-2 t s^-1 t"), (3, "s t s t"), (3, "s^2 t^2"),
+    (3, "s^3 t^-1 s t^-1"), (3, "s^2 t^-3 s"), (3, "s^2 t^-1 s t^2 s^-1 t"),
+    (4, "s t^-1 s^2 t s^-1"), (4, "s t s t"),
+    (5, "s t^-1 s t"),
+]
+
+
+@pytest.mark.parametrize("m, word", TRACE_ROUTE_WORDS)
+def test_hh0_and_hh2_strands_factor_through_the_partial_trace(m, word):
+    cplx = rouquier_braid(m, word, split=True)
+    field = realization(m).field
+
+    def series(c, k):
+        return complex_series(*hochschild_on_complex(c, k), field)
+
+    plus = minimal_form(pi_on_complex(cplx, "s", 1))
+    minus = minimal_form(pi_on_complex(cplx, "s", -1))
+    assert series(plus, 2) == series(cplx, 2)
+    assert series(minus, 0) == series(cplx, 0)
 
 
 # ---------------------------------------------------------------------------
