@@ -9,6 +9,7 @@ invertible blocks, which is exact in the homotopy category.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
 
@@ -17,15 +18,14 @@ from .bimodule import (Bimodule, BimoduleMorphism, _integer_terms,
                        _mat_from_json, _scalar_of, _tag, b_generator,
                        bott_samelson, direct_sum, dot_in, dot_out,
                        hom_degree_basis, id_tensor_matrix, identity_morphism,
-                       invert_morphism, is_invertible, lift_columns,
-                       mat_identity, mat_mul, mat_neg, mat_sub, mat_scale,
-                       mat_zero, poly_to_json, regular, split_summand,
-                       sub_bimodule, tensor, tensor_id_matrix)
+                       invert_morphism, is_invertible, mat_add, mat_identity,
+                       mat_inverse, mat_mul, mat_neg, mat_sub, mat_scale,
+                       mat_zero, poly_to_json, regular, split_summand, tensor,
+                       tensor_id_matrix)
 from .field import _minimal_poly_2cos, field_for
-from .hecke import (Laurent, class_of_bimodule, group_elements,
-                    kl_multiplicities)
-from .modules import ModuleGB
-from .ring import realization
+from .hecke import (Laurent, bs_class, class_of_bimodule, group_elements,
+                    kl_basis, kl_multiplicities)
+from .ring import LETTERS, realization
 
 MAX_WORD_LENGTH = 24
 
@@ -76,13 +76,22 @@ class ChainComplex:
                         raise ValueError("block endpoints mismatch at %d" % d)
                     if blk.degree != 0:
                         raise ValueError("differential block of nonzero degree")
-        for d in self.diffs:
-            if d + 1 not in self.diffs:
-                continue
-            prod = _compose_block_matrices(self.diffs[d + 1], self.diffs[d])
-            for row in prod:
-                for blk in row:
-                    if blk is not None and blk:
+        products = {}  # block products, by the two (live) matrix objects
+        for d, b1 in self.diffs.items():
+            for row in self.diffs.get(d + 1, ()):
+                for c in range(len(self.objects[d])):
+                    acc = None
+                    for f, col in zip(row, b1):
+                        g = col[c]
+                        if f is None or g is None:
+                            continue
+                        key = (id(f.matrix), id(g.matrix))
+                        if key not in products:
+                            products[key] = mat_mul(f.matrix, g.matrix,
+                                                    f.dom.field)
+                        acc = products[key] if acc is None else \
+                            mat_add(acc, products[key])
+                    if acc and any(map(any, acc)):
                         raise ValueError("d^2 != 0 at degree %d" % d)
 
     # -- direct-sum views --------------------------------------------------
@@ -147,11 +156,12 @@ class ChainComplex:
         """The complex data encodes, after every check of its atoms, its
         blocks and d^2 = 0.  No atom or block check sees a grading shift,
         so each runs once per atom up to shift, and once per block matrix
-        between atoms up to one common shift, and each distinct matrix text
-        is parsed once."""
+        between atoms up to one common shift.  Each distinct matrix text is
+        parsed once, and equal block matrices share one object, so the
+        d^2 = 0 check forms each product of two of them once."""
         m = data["m"]
         field = realization(m).field
-        checked, parsed = set(), {}
+        checked, parsed, matrices = set(), {}, {}
 
         def check(item, key):
             if key not in checked:
@@ -163,6 +173,7 @@ class ChainComplex:
             dom, cod = objects[d][c], objects[d + 1][r]
             f = BimoduleMorphism(dom, cod, _mat_from_json(rows, field, parsed),
                                  0, check=False)
+            f.matrix = matrices.setdefault(f.matrix, f.matrix)
             (low, dom_key), (cod_low, cod_key) = (dom.up_to_shift(),
                                                   cod.up_to_shift())
             return check(f, (f.matrix, dom_key, cod_key, cod_low - low))
@@ -192,26 +203,6 @@ def _offsets(mods):
     for mod in mods:
         out.append(acc)
         acc += mod.rank
-    return out
-
-
-def _compose_block_matrices(b2, b1):
-    """Blockwise composite b2 . b1."""
-    nrows = len(b2)
-    ncols = len(b1[0]) if b1 else 0
-    nmid = len(b1)
-    out = [[None] * ncols for _ in range(nrows)]
-    for r in range(nrows):
-        for c in range(ncols):
-            acc = None
-            for k in range(nmid):
-                f = b2[r][k]
-                g = b1[k][c]
-                if f is None or g is None:
-                    continue
-                term = f.compose(g)
-                acc = term if acc is None else acc + term
-            out[r][c] = acc
     return out
 
 
@@ -547,34 +538,35 @@ def complexes_isomorphic(c1, c2):
 
 def _complement_of_idempotent(mod, incl, proj):
     """Basis of im(1 - incl.proj) as a Bimodule summand with its own
-    inclusion/projection.
+    inclusion/projection, in closed form.
 
-    The image P is a graded direct summand, so P meets R_+ mod in R_+ P.
-    By graded Nakayama, scanning the columns of 1 - incl.proj by ascending
-    degree, a column lies in the span of the columns kept before it
-    exactly when its constant coefficients lie in the span of theirs.  So
-    the columns kept are those minimalize_columns would keep, found
-    without a Groebner basis per column.
+    The image of P = 1 - incl.proj is a graded direct summand, so by graded
+    Nakayama the columns J of P kept by ascending degree, each whose
+    constant coefficients are independent of those kept before, are a
+    basis of it (those minimalize_columns would keep).  Their Echelon's
+    pivots J' make P[J', J] invertible (its constant part is, degree by
+    degree), with inverse Y (mat_inverse).  Coordinates in the free basis
+    P[:, J] are unique, so P = P[:, J] proj and left_x P[:, J] =
+    P[:, J] left'_x, read in the rows J', give proj = Y P[J', :] and
+    left'_x = Y left_x[J', :] P[:, J].
     """
     field = mod.field
-    ident = mat_identity(field, mod.rank)
-    rest = mat_sub(ident, mat_mul(incl.matrix, proj.matrix, field))
-    cols = [[rest[i][j] for i in range(mod.rank)] for j in range(mod.rank)]
+    rest = mat_sub(mat_identity(field, mod.rank),
+                   mat_mul(incl.matrix, proj.matrix, field))
     span = linalg.Echelon(field)
-    kept = []
-    for j in sorted(range(mod.rank), key=lambda j: mod.degrees[j]):
-        if span.insert(field.integer_row(
-                {i: f.terms[(0, 0)] for i, f in enumerate(cols[j])
-                 if (0, 0) in f.terms})):
-            kept.append(j)
-    basis = [cols[j] for j in kept]
-    degrees = [mod.degrees[j] for j in kept]
-    gb = ModuleGB(basis, mod.rank, field)
-    summand = sub_bimodule(mod, gb, basis, degrees, ValueError)
-    incl_mat = [[col[i] for col in basis] for i in range(mod.rank)]
-    proj_mat = lift_columns(gb, ident, cols, field, ValueError)
-    return (summand,
-            BimoduleMorphism(summand, mod, incl_mat, 0, check=False),
+    kept = [j for j in sorted(range(mod.rank), key=lambda j: mod.degrees[j])
+            if span.insert(field.integer_row(
+                {i: row[j].terms[(0, 0)] for i, row in enumerate(rest)
+                 if (0, 0) in row[j].terms}))]
+    pivots = sorted(span.rows)
+    basis = [[row[j] for j in kept] for row in rest]
+    inv = mat_inverse([basis[i] for i in pivots], field)
+    left = [mat_mul(inv, mat_mul([mod.left[x][i] for i in pivots], basis,
+                                 field), field) for x in LETTERS]
+    summand = Bimodule(mod.real, [mod.degrees[j] for j in kept], *left,
+                       check=False)
+    proj_mat = mat_mul(inv, [rest[i] for i in pivots], field)
+    return (summand, BimoduleMorphism(summand, mod, basis, 0, check=False),
             BimoduleMorphism(mod, summand, proj_mat, 0, check=False))
 
 
@@ -630,7 +622,7 @@ def clear_caches():
         memo.clear()
     for cached in (indecomposable_b, rouquier, serre.full_twist,
                    serre.full_twist_inverse, serre.ft_over_t, realization,
-                   field_for, _minimal_poly_2cos):
+                   field_for, _minimal_poly_2cos, kl_basis, bs_class):
         cached.cache_clear()
 
 
@@ -675,7 +667,7 @@ def _split(mod, cls):
                 [(b.kl, b.shift) for b in summands]:
             return pieces
     out = []
-    current = mod
+    current, remaining = mod, cls
     incl_cur = proj_cur = identity_morphism(mod)
     for cand in summands:
         found = split_summand(current, cand)
@@ -688,6 +680,16 @@ def _split(mod, cls):
             break
         current, rest_incl, rest_proj = _complement_of_idempotent(
             current, incl, proj)
+        # the class of the summands left, in the form hom_rank reads: v^shift
+        # times a class whose summands' shifts are symmetric about 0
+        remaining = remaining - class_of_bimodule(cand)
+        shifts = Counter((b.kl, b.shift) for b in summands[len(out):])
+        twice = min(k for _, k in shifts) + max(k for _, k in shifts)
+        if twice % 2 == 0 and shifts == Counter(
+                (w, twice - k) for w, k in shifts.elements()):
+            current.shift = twice // 2
+            current.product_class = remaining.scale(
+                Laurent.monomial(-current.shift))
         incl_cur = incl_cur.compose(rest_incl)
         proj_cur = rest_proj.compose(proj_cur)
     return out

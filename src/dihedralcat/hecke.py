@@ -10,6 +10,8 @@ z; euler_check compares it with a triply-graded series as exact QSeries.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .ring import LETTERS
 from .series import QSeries, _scale_denom
 
@@ -224,8 +226,10 @@ def delta_product(m, braid):
     return out
 
 
+@lru_cache(maxsize=None)
 def kl_basis(m, word):
-    """b_w = sum_{y <= w} v^{l(w)-l(y)} delta_y (dihedral Bruhat order)."""
+    """b_w = sum_{y <= w} v^{l(w)-l(y)} delta_y (dihedral Bruhat order),
+    built once per (m, word): callers share it and must not change it."""
     word = canonical_word(tuple(word), m)
     terms = {}
     for y in group_elements(m):
@@ -245,8 +249,10 @@ def standard_in_kl(m, word):
     return out
 
 
+@lru_cache(maxsize=None)
 def bs_class(m, word):
-    """Class of the Bott-Samelson BS(word): product of b_letters."""
+    """Class of the Bott-Samelson BS(word): product of b_letters, built
+    once per (m, word) like kl_basis."""
     out = HeckeElement.unit(m)
     for x in word:
         out = out * kl_basis(m, (x,))

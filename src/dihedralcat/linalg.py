@@ -11,7 +11,7 @@ reduced row echelon form that kernels, ranks and inverses read off.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 
 class Echelon:
@@ -66,32 +66,61 @@ class Echelon:
                     del row[cc]
         return k
 
-    def reduce(self):
-        """Back-substitute, so that every pivot row involves only non-pivot
-        columns, and set pivots to the reduced row echelon form."""
-        rows, scalar = self.rows, self.field.scalar
-        self.pivots = {}
+    def back_substitute(self):
+        """Back-substitute in integers, so that every pivot row involves
+        only non-pivot columns."""
+        rows = self.rows
         for c in sorted(rows, reverse=True):
             p, prow = rows[c]
             subs = [cc for cc in prow if cc in rows]
             if subs:
                 for cc in subs:
                     p *= self._eliminate(prow, prow.pop(cc), *rows[cc])
-                p, prow = rows[c] = self.field.primitive(p, prow)
+                rows[c] = self.field.primitive(p, prow)
+        return self
+
+    def spans(self, row):
+        """Whether an integer row (left unchanged) is in the span of the
+        back-substituted pivot rows: off the pivots, row * L must equal
+        sum(row[c] * (L / p_c) * pivot row c), L the lcm of those p_c."""
+        hits = [(v, self.rows[c]) for c, v in row.items() if c in self.rows]
+        big = lcm(*(p for _, (p, _) in hits))
+        acc = {c: v * big for c, v in row.items() if c not in self.rows}
+        for v, (p, prow) in hits:
+            f = v * (big // p)
+            for c, w in prow.items():
+                acc[c] = acc[c] - f * w if c in acc else -(f * w)
+        return not any(acc.values())
+
+    def reduce(self):
+        """Back-substitute and set pivots to the reduced row echelon form."""
+        rows, scalar = self.back_substitute().rows, self.field.scalar
+        self.pivots = {}
+        for c in sorted(rows, reverse=True):
+            p, prow = rows[c]
             self.pivots[c] = {cc: scalar(v, p) for cc, v in prow.items()}
         return self
 
 
-def sparse_kernel_basis(rows, ncols, field):
+def sparse_kernel_basis(rows, ncols, field, nullity=None):
     """Basis of the right kernel of a sparse system, one vector per
     non-pivot column of the reduced row echelon form.
 
-    rows: iterable of {column: integer K_m element} dicts.
+    rows: iterable of {column: integer K_m element} dicts.  Given the
+    expected kernel dimension nullity, elimination stops at ncols - nullity
+    pivots and the rows left are checked to lie in their span; if one does
+    not, they are eliminated too.  The basis is the full solve's either way.
     """
     ech = Echelon(field)
     # sparsest rows first: keeps fill-in during elimination down
-    for row in sorted(({c: v for c, v in raw.items() if v} for raw in rows),
-                      key=len):
+    rows = sorted(({c: v for c, v in raw.items() if v} for raw in rows),
+                  key=len)
+    rank = -1 if nullity is None else ncols - nullity
+    for k, row in enumerate(rows):
+        if len(ech.rows) == rank:
+            if all(map(ech.back_substitute().spans, rows[k:])):
+                break
+            rank = -1  # a row is off the span: eliminate the rest too
         ech.insert(row)
     pivots = ech.reduce().pivots
     basis = []

@@ -20,8 +20,7 @@ from __future__ import annotations
 from functools import wraps
 
 from .bimodule import (Bimodule, BimoduleMorphism, lift_columns,
-                       mat_identity, mat_mul, mat_transpose, mat_zero,
-                       sub_bimodule)
+                       mat_identity, mat_mul, mat_transpose, mat_zero)
 from .complexes import ChainComplex
 from .modules import (ModuleGB, PresentedModule, column_degree, kernel,
                       minimal_presentation, minimalize_columns)
@@ -113,7 +112,10 @@ def pi_minus(mod, letter):
     """Kernel of the rho-difference action, as a Traced bimodule."""
     cols, degrees, gb = _kernel(rho_endomorphism(mod, letter), mod.degrees,
                                 mod.field)
-    return Traced(sub_bimodule(mod, gb, cols, degrees, TraceError), cols, gb)
+    traced = Traced(None, cols, gb)
+    traced.module = Bimodule(mod.real, degrees, *[_induced(
+        mod.left[x], traced, traced, mod.field) for x in LETTERS], check=False)
+    return traced
 
 
 @_once_per_shift_class

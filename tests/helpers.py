@@ -5,9 +5,9 @@ import sympy as sp
 from dihedralcat import linalg
 from dihedralcat.bimodule import (Bimodule, BimoduleMorphism, _unknowns,
                                   hom_degree_basis, id_tensor_matrix,
-                                  lift_columns, mat_mul, mat_neg,
-                                  mat_transpose, mat_zero, split_summand,
-                                  tensor, tensor_id_matrix)
+                                  lift_columns, mat_identity, mat_mul,
+                                  mat_neg, mat_sub, mat_transpose, mat_zero,
+                                  split_summand, tensor, tensor_id_matrix)
 from dihedralcat.complexes import parse_braid
 from dihedralcat.hecke import braid_writhe, bs_class, hom_rank, right_mult
 from dihedralcat.modules import ModuleGB
@@ -75,6 +75,34 @@ def find_isomorphism(mod_a, mod_b):
         return None
     hit = split_summand(mod_a, mod_b)
     return hit[1] if hit else None
+
+
+def reference_complement(mod, incl, proj):
+    """The reference for complexes._complement_of_idempotent: the same
+    columns of 1 - incl.proj kept, and the summand's left action and its
+    projection lifted through a ModuleGB of them."""
+    field = mod.field
+    ident = mat_identity(field, mod.rank)
+    rest = mat_sub(ident, mat_mul(incl.matrix, proj.matrix, field))
+    cols = [[rest[i][j] for i in range(mod.rank)] for j in range(mod.rank)]
+    span = linalg.Echelon(field)
+    kept = []
+    for j in sorted(range(mod.rank), key=lambda j: mod.degrees[j]):
+        if span.insert(field.integer_row(
+                {i: f.terms[(0, 0)] for i, f in enumerate(cols[j])
+                 if (0, 0) in f.terms})):
+            kept.append(j)
+    basis = [cols[j] for j in kept]
+    degrees = [mod.degrees[j] for j in kept]
+    gb = ModuleGB(basis, mod.rank, field)
+    summand = Bimodule(mod.real, degrees, *[lift_columns(
+        gb, mod.left[x], basis, field, ValueError) for x in LETTERS],
+        check=False)
+    incl_mat = [[col[i] for col in basis] for i in range(mod.rank)]
+    proj_mat = lift_columns(gb, ident, cols, field, ValueError)
+    return (summand,
+            BimoduleMorphism(summand, mod, incl_mat, 0, check=False),
+            BimoduleMorphism(mod, summand, proj_mat, 0, check=False))
 
 
 def reference_hom_basis(dom, cod, degree=0, letters=LETTERS):

@@ -6,6 +6,7 @@ import json
 import pkgutil
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +14,12 @@ from hypothesis import strategies as st
 
 import dihedralcat
 from dihedralcat import bimodule, complexes, linalg, serre, trace
-from dihedralcat.bimodule import (Bimodule, BimoduleMorphism, b_generator,
-                                  bott_samelson, direct_sum, hom_degree_basis,
-                                  id_tensor_matrix, identity_morphism,
-                                  is_invertible, mat_add, mat_identity,
-                                  mat_mul, mat_neg, mat_sub, regular,
-                                  scalar_part, split_summand, tensor,
+from dihedralcat.bimodule import (Bimodule, BimoduleMorphism, _mat_to_json,
+                                  b_generator, bott_samelson, direct_sum,
+                                  hom_degree_basis, id_tensor_matrix,
+                                  identity_morphism, is_invertible, mat_add,
+                                  mat_identity, mat_mul, mat_neg, mat_sub,
+                                  regular, scalar_part, split_summand, tensor,
                                   tensor_id_matrix)
 from dihedralcat.complexes import (MAX_WORD_LENGTH, ChainComplex,
                                    chain_map_basis, complexes_isomorphic,
@@ -32,6 +33,7 @@ from dihedralcat.hecke import (Laurent, bs_class, class_of_bimodule,
 from dihedralcat.homology import hhh
 from dihedralcat.ring import RingElement
 from dihedralcat.serre import homology_series
+from helpers import reference_complement
 
 
 def test_rouquier_generator_shapes():
@@ -211,6 +213,33 @@ def test_complex_from_json_checks_every_copy_of_a_repeated_piece(part):
         ChainComplex.from_json(data)
 
 
+def test_d_squared_check_sees_a_corrupted_copy_of_a_repeated_block_pair():
+    # validate forms each product of two block matrices once; doubling the
+    # second block of the last copy of a repeated pair with a nonzero
+    # product keeps it a bimodule map but breaks d^2 = 0
+    cplx = rouquier_braid(3, " ".join(["s t"] * 7), split=True)
+    copies = {}
+    for d, blocks in cplx.diffs.items():
+        for row in cplx.diffs.get(d + 1, []):
+            for k, f in enumerate(row):
+                for c, g in enumerate(blocks[k]):
+                    if f is not None and g is not None and any(map(
+                            any, mat_mul(f.matrix, g.matrix, f.dom.field))):
+                        copies.setdefault((f.matrix, g.matrix), []).append(
+                            (str(d), k, c))
+    repeated = max(copies.values(), key=len)
+    assert len(repeated) > 1
+    d, k, c = repeated[-1]
+    data = cplx.to_json()
+    ChainComplex.from_json(data)
+    for row in data["diffs"][d][k][c]:
+        for poly in row:
+            for term in poly:
+                term[2] = [str(2 * Fraction(x)) for x in term[2]]
+    with pytest.raises(ValueError, match=r"d\^2 != 0"):
+        ChainComplex.from_json(data)
+
+
 def test_tensor_with_unit_is_identity_up_to_iso():
     unit = rouquier_braid(3, "s s^-1", split=True)
     f_t = rouquier_braid(3, "t", split=True)
@@ -336,6 +365,69 @@ def _hom_solve_pieces(mod):
         incl_cur = incl_cur.compose(rest_incl)
         proj_cur = rest_proj.compose(proj_cur)
     return out
+
+
+def _complement_text(found):
+    summand, incl, proj = found
+    return (repr(summand), summand.to_json(), _mat_to_json(incl.matrix),
+            _mat_to_json(proj.matrix))
+
+
+def test_complements_match_their_reference(monkeypatch):
+    # _complement_of_idempotent reads the summand's left action and its
+    # projection off the graded inverse of a square block of 1 - incl.proj;
+    # the reference lifts them through a ModuleGB.  Every complement made
+    # to build B_w at m = 2-6, or to split B_x (x) B_y from cold at m = 3, 4
+    # (l(x) <= 3, l(y) <= 2), comes out the same.
+    seen = []
+    real = complexes._complement_of_idempotent
+
+    def comparing(mod, incl, proj):
+        found = real(mod, incl, proj)
+        assert _complement_text(found) == \
+            _complement_text(reference_complement(mod, incl, proj)), mod
+        seen.append(mod.m)
+        return found
+
+    monkeypatch.setattr(complexes, "_complement_of_idempotent", comparing)
+    complexes.clear_caches()
+    for m in range(2, 7):
+        for w in group_elements(m):
+            indecomposable_b(m, w)
+    built = len(seen)
+    for m in (3, 4):
+        short = [w for w in group_elements(m) if 1 <= len(w) <= 3]
+        for x in short:
+            for y in (w for w in short if len(w) <= 2):
+                complexes.clear_caches()
+                decompose_bimodule(tensor(indecomposable_b(m, x),
+                                          indecomposable_b(m, y)))
+    assert set(seen[:built]) == {3, 4, 5, 6} and len(seen) > built
+
+
+def test_building_b_w_at_m5_eliminates_few_rows(monkeypatch):
+    # hom_degree_basis stops eliminating at the rank the hom formula names:
+    # building every B_w with l(w) <= 4 at m = 5 from cold hands 1,032
+    # rows to its hom solves, eliminates 534 and checks the other 498.
+    handed, checked = [], []
+    real_solve, real_spans = linalg.sparse_kernel_basis, linalg.Echelon.spans
+
+    def solve(rows, ncols, field, nullity=None):
+        rows = list(rows)
+        handed.extend(row for row in rows if any(row.values()))
+        return real_solve(rows, ncols, field, nullity)
+
+    def spans(self, row):
+        checked.append(None)
+        return real_spans(self, row)
+
+    monkeypatch.setattr(linalg, "sparse_kernel_basis", solve)
+    monkeypatch.setattr(linalg.Echelon, "spans", spans)
+    complexes.clear_caches()
+    for w in group_elements(5):
+        if 1 <= len(w) <= 4:
+            indecomposable_b(5, w)
+    assert checked and len(handed) - len(checked) <= 534
 
 
 def _assert_intertwines(pieces):

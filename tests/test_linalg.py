@@ -87,6 +87,20 @@ def test_kernel_has_full_dimension_in_reduced_form(case):
 
 
 @exact
+@given(matrices())
+def test_kernel_basis_does_not_depend_on_the_nullity_given(case):
+    # with the right nullity the elimination stops at the rank and checks
+    # the rows left; one too high stops too early and the check sends the
+    # rest through; one too low never stops.  All give the full solve.
+    field, rows = case
+    ncols = len(rows[0])
+    full = linalg.sparse_kernel_basis(integer(rows, field), ncols, field)
+    for nullity in (len(full) - 1, len(full), len(full) + 1):
+        assert linalg.sparse_kernel_basis(integer(rows, field), ncols, field,
+                                          nullity) == full, nullity
+
+
+@exact
 @given(matrices(square=True))
 def test_inverse_or_none_exactly_when_singular(case):
     field, rows = case

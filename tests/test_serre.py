@@ -113,9 +113,10 @@ def test_run_suite_full_m2():
 
 
 def test_relative_suite_builds_few_groebner_bases(monkeypatch):
-    # From cold, run_suite("relative", 3) builds 17 ModuleGBs: 4 pi_minus
-    # kernels, 4 bases of their generators for lifts, and 9 complements of
-    # split idempotents (each atom is traced once per shift class).
+    # From cold, run_suite("relative", 3) builds 8 ModuleGBs: 4 pi_minus
+    # kernels and 4 bases of their generators for lifts (each atom is
+    # traced once per shift class); complements of split idempotents are
+    # taken in closed form and build none.
     complexes.clear_caches()
     calls = []
     real = modules.ModuleGB.__init__
@@ -126,7 +127,7 @@ def test_relative_suite_builds_few_groebner_bases(monkeypatch):
 
     monkeypatch.setattr(modules.ModuleGB, "__init__", counting)
     assert run_suite("relative", 3)["status"] == "pass"
-    assert 0 < len(calls) <= 17
+    assert 0 < len(calls) <= 8
 
 
 def test_run_suite_rejects_unknown():
