@@ -9,7 +9,6 @@ invertible blocks, which is exact in the homotopy category.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
 
@@ -651,8 +650,9 @@ def decompose_bimodule(mod):
 
 def _split(mod, cls):
     """[(atom, incl matrix, proj matrix)] in decompose_bimodule's order:
-    through the factors where mod names them, else by hom solves that
-    split off one summand at a time."""
+    the identity when mod has its one summand's matrices, through the
+    factors where mod names them, else by hom solves that split off one
+    summand at a time, each complement classed by the summands left."""
     mults = kl_multiplicities(cls)
     order = sorted(group_elements(mod.m), key=len, reverse=True)
     summands = [indecomposable_b(mod.m, w).shifted(k) for w in order
@@ -660,6 +660,10 @@ def _split(mod, cls):
                 for _ in range(n)]
     if sorted(d for b in summands for d in b.degrees) != sorted(mod.degrees):
         raise ValueError("%r does not match its class %r" % (mod, cls))
+    if len(summands) == 1 and summands[0].left_id == mod.left_id and \
+            summands[0].degrees == mod.degrees:
+        return [(summands[0], mat_identity(mod.field, mod.rank),
+                 mat_identity(mod.field, mod.rank))]
     pieces = _split_through_factors(mod)
     if pieces is not None:
         pieces.sort(key=lambda p: (order.index(p[0].kl or ()), p[0].shift))
@@ -680,16 +684,8 @@ def _split(mod, cls):
             break
         current, rest_incl, rest_proj = _complement_of_idempotent(
             current, incl, proj)
-        # the class of the summands left, in the form hom_rank reads: v^shift
-        # times a class whose summands' shifts are symmetric about 0
-        remaining = remaining - class_of_bimodule(cand)
-        shifts = Counter((b.kl, b.shift) for b in summands[len(out):])
-        twice = min(k for _, k in shifts) + max(k for _, k in shifts)
-        if twice % 2 == 0 and shifts == Counter(
-                (w, twice - k) for w, k in shifts.elements()):
-            current.shift = twice // 2
-            current.product_class = remaining.scale(
-                Laurent.monomial(-current.shift))
+        remaining = current.product_class = \
+            remaining - class_of_bimodule(cand)
         incl_cur = incl_cur.compose(rest_incl)
         proj_cur = rest_proj.compose(proj_cur)
     return out

@@ -340,7 +340,7 @@ class FieldScalar:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.field.m, self.coeffs))
+            self._hash = hash((self.field.m, self.num, self.den))
         return self._hash
 
     def __add__(self, other):

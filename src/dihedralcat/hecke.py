@@ -270,23 +270,24 @@ def class_of_bimodule(mod):
 
 def hom_rank(dom, cod):
     """Graded rank {degree: count} of the free right R-module Hom(dom, cod)
-    by Soergel's hom formula (Soergel 2007): epsilon(omega(h) h') times
-    v^(dom.shift - cod.shift) for the unshifted classes h, h', where omega
-    is the v-linear anti-involution delta_w -> delta_{w^-1}.
-
-    As epsilon(delta_{x^-1} delta_y) = [x = y] and omega is v-linear, the
-    shifted classes [dom] = v^dom.shift h and [cod] = v^cod.shift h' give
-    sum_w [dom]_w [cod]_w = v^(dom.shift + cod.shift) epsilon(omega(h) h'),
-    so the rank is that sum times v^(-2 cod.shift).  ValueError when either
-    module has no class.
+    by Soergel's hom formula (Soergel 2007): Hom(dom, B_y) is
+    epsilon(omega([dom]) b_y) = sum_w [dom]_w (b_y)_w, as omega, the
+    anti-involution delta_w -> delta_{w^-1}, is v-linear and
+    epsilon(delta_{x^-1} delta_y) = [x = y].  Hom(dom, B_y(k)) is it times
+    v^-k and Hom is additive in cod, so [dom] pairs with sum_y bar(n_y) b_y
+    for cod's KL multiplicities n_y, bar: v -> v^-1.  ValueError when
+    either module has no class.
     """
     h_dom, h_cod = class_of_bimodule(dom), class_of_bimodule(cod)
     for mod, h in ((dom, h_dom), (cod, h_cod)):
         if h is None:
             raise ValueError("%r has no Hecke class" % (mod,))
-    total = sum((c * h_cod.coefficient(w) for w, c in h_dom.terms.items()),
-                Laurent())
-    return {e - 2 * cod.shift: c for e, c in total.terms.items()}
+    bar = HeckeElement(cod.m)
+    for y, n in kl_multiplicities(h_cod).items():
+        bar = bar + kl_basis(cod.m, y).scale(
+            Laurent({-e: c for e, c in n.terms.items()}))
+    return sum((c * bar.coefficient(w) for w, c in h_dom.terms.items()),
+               Laurent()).terms
 
 
 def kl_multiplicities(h):

@@ -7,7 +7,8 @@ contract violation (the Soergel inputs guarantee freeness).
 
 Hochschild cohomology uses the length-2 Koszul complex in the directions
 (rho_s, rho_t):  0 -> M -> M(2) (+) M(2) -> M(4) -> 0.  HH^0 and HH^1 are
-presented through the kernels of its maps, HH^2 by its cokernel.
+presented through the kernels of its maps, HH^2 by its cokernel; HH^1 and
+HH^2 then go through a minimal presentation (graded Nakayama).
 
 Every functor takes three steps on a matrix over R: a kernel with minimal
 generators (_kernel), or a cokernel through a minimal presentation; one
@@ -43,7 +44,7 @@ def rho_endomorphism(mod, letter):
 class Traced:
     """One traced atom: its module (a Bimodule for pi, a PresentedModule
     for HH^k) and what induced maps need, the kernel generators and their
-    ModuleGB or the cokernel's incl and proj."""
+    ModuleGB (and HH^1's proj) or the cokernel's incl and proj."""
 
     __slots__ = ("module", "generators", "gb", "incl", "proj")
 
@@ -98,13 +99,12 @@ def _kernel(matrix, degrees, field):
 def _induced(fmat, dom, cod, field):
     """Matrix over R of the map between traced atoms that the matrix fmat
     between the untraced ones induces: a kernel lifts the images of its
-    generators through cod.gb, a cokernel takes proj . f . incl, and HH^2,
-    a cokernel on the module's own generators, keeps f."""
-    if dom.generators is not None:
-        return lift_columns(cod.gb, fmat, dom.generators, field, TraceError)
-    if dom.incl is not None:
+    generators through cod.gb (HH^1 then applies cod.proj), a cokernel
+    takes proj . f . incl."""
+    if dom.generators is None:
         return mat_mul(mat_mul(cod.proj, fmat, field), dom.incl, field)
-    return fmat
+    lifts = lift_columns(cod.gb, fmat, dom.generators, field, TraceError)
+    return lifts if cod.proj is None else mat_mul(cod.proj, lifts, field)
 
 
 @_once_per_shift_class
@@ -190,11 +190,14 @@ def hochschild(mod, k):
         units = [row for j, row in enumerate(mat_identity(field, n))
                  if any(d0[i][j] for i in range(2 * n))]
         rels = mat_transpose(lift_columns(gb, d0, units, field, TraceError))
-        return Traced(PresentedModule(degs, rels, field), cols, gb)
+        degs, rels, incl, proj = minimal_presentation(degs, rels, field)
+        live = [col for col, row in zip(cols, incl) if any(row)]
+        return Traced(PresentedModule(degs, rels, field), live, gb, proj=proj)
     if k == 2:
         rels = [c for c in mat_transpose(d1) if any(c)]
-        return Traced(PresentedModule([d - 4 for d in mod.degrees], rels,
-                                      field))
+        degs, rels, incl, proj = minimal_presentation(
+            [d - 4 for d in mod.degrees], rels, field)
+        return Traced(PresentedModule(degs, rels, field), incl=incl, proj=proj)
     raise ValueError("k must be 0, 1 or 2")
 
 

@@ -2,7 +2,7 @@
 
 import sympy as sp
 
-from dihedralcat import linalg
+from dihedralcat import linalg, trace
 from dihedralcat.bimodule import (Bimodule, BimoduleMorphism, _unknowns,
                                   hom_degree_basis, id_tensor_matrix,
                                   lift_columns, mat_identity, mat_mul,
@@ -10,7 +10,7 @@ from dihedralcat.bimodule import (Bimodule, BimoduleMorphism, _unknowns,
                                   split_summand, tensor, tensor_id_matrix)
 from dihedralcat.complexes import parse_braid
 from dihedralcat.hecke import braid_writhe, bs_class, hom_rank, right_mult
-from dihedralcat.modules import ModuleGB
+from dihedralcat.modules import ModuleGB, PresentedModule
 from dihedralcat.ring import LETTERS, RingElement
 from dihedralcat.series import QSeries
 
@@ -103,6 +103,23 @@ def reference_complement(mod, incl, proj):
     return (summand,
             BimoduleMorphism(summand, mod, incl_mat, 0, check=False),
             BimoduleMorphism(mod, summand, proj_mat, 0, check=False))
+
+
+def reference_hochschild(mod, k):
+    """HH^k(M), k = 1 or 2, presented as the Koszul complex gives it: HH^1
+    on every generator of ker d1, with the images of d0 as relations, and
+    HH^2 on the generators of M(4), with the columns of d1 as relations."""
+    field, n = mod.field, mod.rank
+    d0, d1 = trace._koszul_maps(mod)
+    if k == 2:
+        return PresentedModule([d - 4 for d in mod.degrees],
+                               [c for c in mat_transpose(d1) if any(c)], field)
+    cols, degs, gb = trace._kernel(d1, [d - 2 for d in mod.degrees] * 2,
+                                   field)
+    units = [row for j, row in enumerate(mat_identity(field, n))
+             if any(d0[i][j] for i in range(2 * n))]
+    return PresentedModule(degs, mat_transpose(lift_columns(
+        gb, d0, units, field, trace.TraceError)), field)
 
 
 def reference_hom_basis(dom, cod, degree=0, letters=LETTERS):

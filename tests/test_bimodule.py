@@ -15,7 +15,7 @@ from dihedralcat.bimodule import (Bimodule, HomSpace, b_generator,
                                   tensor_id_matrix)
 from dihedralcat.complexes import decompose_bimodule, indecomposable_b
 from dihedralcat.field import FieldScalar, field_for
-from dihedralcat.hecke import group_elements, hom_rank, kl_basis
+from dihedralcat.hecke import Laurent, group_elements, hom_rank, kl_basis
 from dihedralcat.ring import LETTERS, RingElement, realization
 from dihedralcat.series import QSeries
 from dihedralcat.trace import rho_endomorphism
@@ -116,6 +116,30 @@ def test_hom_rank_of_shifted_atoms(m):
                 assert len(hom_degree_basis(dom_k, cod_l, d)) == \
                     _slice_dim(want, d)
     assert hom_rank(regular(m, 3), regular(m, 1)) == {2: 1}
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_hom_rank_is_additive_in_the_codomain(m):
+    # Hom(M, B(k)) sits k below Hom(M, B), so a codomain whose shifts are
+    # not symmetric about any point, as the complement B_s (+) B_s(2) that
+    # splitting B_s(-2) off B_s^(x3) leaves, pairs with its bar-conjugated
+    # KL multiplicities; the full solve agrees in every degree.
+    dom = b_generator(m, "s", shift=-1)
+    parts = [b_generator(m, "s"), b_generator(m, "s", shift=2),
+             regular(m, 1), b_generator(m, "t", shift=-1)]
+    cod = direct_sum(parts)
+    cod.product_class = kl_basis(m, "s").scale(Laurent({0: 1, 2: 1})) + \
+        kl_basis(m, ()).scale(Laurent({1: 1})) + \
+        kl_basis(m, "t").scale(Laurent({-1: 1}))
+    want = Counter()
+    for part in parts:
+        want.update(hom_rank(dom, part))
+    rank = hom_rank(dom, cod)
+    assert rank == dict(want)
+    assert rank == {-3: 1, -1: 3, 1: 1, 2: 1}
+    for d in range(min(rank) - 1, max(rank) + 3):
+        assert len(reference_hom_basis(dom, cod, d)) == _slice_dim(rank, d)
+        assert len(hom_degree_basis(dom, cod, d)) == _slice_dim(rank, d)
 
 
 def _hom_test_objects(m):

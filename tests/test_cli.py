@@ -321,6 +321,44 @@ def test_homfly_command_output_is_pinned(runner, braid, flags, digest):
     assert hashlib.sha256(res.output.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of trace --functor hhK --json on s t, the Whitehead
+# link and T(3, 5), and of hhh --json on T(3, 7) and on a braid at m = 4, as
+# they were printed from the Koszul complex's own (non-minimal) HH^1 and
+# HH^2 presentations
+WHITEHEAD, T35 = "s^-2 t s^-1 t", " ".join(["s t"] * 5)
+HOCHSCHILD_STDOUT = [
+    (["trace", "s t", "--functor", "hh0"],
+     "8c90ee2c55d1d5505670f2eeea025cb6773af89fc6f64c065fe9689647b87bef"),
+    (["trace", "s t", "--functor", "hh1"],
+     "09a504c270eb445aaf492f70a828597c301cfb26f422fd2523f2d5b7123440e1"),
+    (["trace", "s t", "--functor", "hh2"],
+     "4dd2fc1d71392ee2c97465f674881f2967d2a1af1a0ec4e87b7255b42733c1d5"),
+    (["trace", WHITEHEAD, "--functor", "hh0"],
+     "341a973efc3830f782c084322e0c06dcd1104362428c87739fff03198317eebc"),
+    (["trace", WHITEHEAD, "--functor", "hh1"],
+     "f8716e1b49f8363263212a4fb5356fcfe8222f7aab96560e5d9c02d1a5b78900"),
+    (["trace", WHITEHEAD, "--functor", "hh2"],
+     "bf30cda00f5a0fb26792a5b326f6c8e4071b47790bff1c04700e3cf9cd0a6794"),
+    (["trace", T35, "--functor", "hh0"],
+     "941e47d724447b12988ab091f99e1c12dd43ca2aee6d405e1d2f3d3b83bc4809"),
+    (["trace", T35, "--functor", "hh1"],
+     "929b66f5d729e3339dc14b5d7673a05ce81f2fd3b2ec43e6853cd43e5bbbbee7"),
+    (["trace", T35, "--functor", "hh2"],
+     "d3b98fbfdd4621fa292e3fb06c0ac22e027f08b38d4e20787dfabb18dcc025af"),
+    (["hhh", " ".join(["s t"] * 7)],
+     "b515d91743b0d58c0c6016412cc79c6ffeb9d9334b55521bbde623afc4f09549"),
+    (["hhh", "s t^-1 s^2 t s^-1", "--m", "4"],
+     "4cc06a29739c57a3eb62a1cce727ab1422730ccb088f1f4fb36afd4e1d0779e3"),
+]
+
+
+@pytest.mark.parametrize("args,digest", HOCHSCHILD_STDOUT)
+def test_hochschild_outputs_are_pinned(runner, args, digest):
+    res = runner.invoke(main, args + ["--json"])
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode()).hexdigest() == digest
+
+
 def test_serre_check_exit_codes(runner):
     res = runner.invoke(main, ["serre-check", "--suite", "pift", "--m", "2",
                                "--json"])

@@ -106,10 +106,10 @@ def test_hhh_accepts_precomputed_complex():
 
 
 def test_whitehead_hhh_builds_few_groebner_bases(monkeypatch):
-    # From cold, the Whitehead hhh builds 64 ModuleGBs with 490 basis
-    # vectors: 32 syzygy bases of the strand homology (365 vectors), 12 of
-    # HH kernels (72) and 12 bases of their generators for lifts (37) and 8
-    # for Hilbert series (16); split complements (closed form), pi_s^+,
+    # From cold, the Whitehead hhh builds 62 ModuleGBs with 281 basis
+    # vectors: 30 syzygy bases of the strand homology (156 vectors), 12 of
+    # HH kernels (72), 12 bases of the kernels' generators for lifts (37)
+    # and 8 for Hilbert series (16); split complements (closed form), pi_s^+,
     # which strand 2 goes through, and minimalize_columns build none.
     # Homology bases track only the syzygy coordinates they read and
     # Hilbert series bases none.
@@ -129,9 +129,30 @@ def test_whitehead_hhh_builds_few_groebner_bases(monkeypatch):
 
     monkeypatch.setattr(modules.ModuleGB, "__init__", counting)
     hhh(WHITEHEAD, 3)
-    assert 0 < len(calls) <= 64
+    assert 0 < len(calls) <= 62
     assert not any(calls)
-    assert 0 < sum(sizes) <= 490
+    assert 0 < sum(sizes) <= 281
+
+
+def test_whitehead_hh1_strand_is_a_complex_of_free_modules(monkeypatch):
+    # HH^1 of each atom is free of rank 2, so the HH^1 strand hands
+    # presented_homology no relations and at most two generators per atom
+    cplx = rouquier_braid(3, WHITEHEAD, split=True)
+    seen = []
+    real = homology.presented_homology
+
+    def recording(degrees, relations, maps, field, at):
+        seen.append((degrees, relations))
+        return real(degrees, relations, maps, field, at)
+
+    monkeypatch.setattr(homology, "presented_homology", recording)
+    hhh(WHITEHEAD, 3, strands=(1,), precomputed=cplx)
+    assert seen
+    for degrees, relations in seen:
+        assert not any(any(col) for cols in relations.values()
+                       for col in cols)
+        for d, obs in cplx.objects.items():
+            assert len(degrees[d]) <= 2 * len(obs)
 
 
 def test_whitehead_hhh_solves_small_hom_systems(monkeypatch):

@@ -10,6 +10,7 @@ from dihedralcat.bimodule import (Bimodule, b_generator, bott_samelson,
 from dihedralcat.complexes import (clear_caches, indecomposable_b,
                                    minimal_form, rouquier_braid, simplify,
                                    tensor_complex)
+from dihedralcat.hecke import group_elements
 from dihedralcat.homology import complex_series
 from dihedralcat.ring import LETTERS, realization
 from dihedralcat.series import QSeries
@@ -17,7 +18,7 @@ from dihedralcat.serre import ft_over_t, serre_test_objects
 from dihedralcat.trace import (TraceError, hochschild, hochschild_on_complex,
                                pi_minus, pi_on_complex, pi_plus,
                                rho_endomorphism)
-from helpers import find_isomorphism, invert_q
+from helpers import find_isomorphism, invert_q, reference_hochschild
 
 
 def _rank_series(mod):
@@ -87,10 +88,27 @@ def test_hochschild_corner_identities(word):
     assert hh2 == QSeries(dict(ppp.num), 2).shift(-4)
 
 
-def test_hochschild_one_has_relations_for_bs():
-    res = hochschild(bott_samelson(3, ("s", "t")), 1)
-    assert res.module.rank > 0
-    assert res.module.relations  # HH^1 is not free here
+def test_hochschild_one_of_bs_st_is_free():
+    # ker d1 presents HH^1(BS(st)) with relations, which graded Nakayama
+    # removes: the module is free on two generators of degree -2
+    mod = bott_samelson(3, ("s", "t"))
+    got, ref = hochschild(mod, 1).module, reference_hochschild(mod, 1)
+    assert ref.relations and ref.rank > 2
+    assert got.relations == [] and list(got.degrees) == [-2, -2]
+    assert got.hilbert_series() == ref.hilbert_series()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_hochschild_one_and_two_are_free_on_every_b_w(m):
+    # HH^1(B_w) and HH^2(B_w), R included, are free of ranks 2 and 1, with
+    # the Hilbert series of the Koszul complex's own presentations
+    for w in group_elements(m):
+        mod = indecomposable_b(m, w)
+        for k, rank in ((1, 2), (2, 1)):
+            got = hochschild(mod, k).module
+            assert got.relations == [] and got.rank == rank, (w, k)
+            assert got.hilbert_series() == \
+                reference_hochschild(mod, k).hilbert_series(), (w, k)
 
 
 def test_twisted_rank_one_bimodule():
