@@ -23,7 +23,7 @@ from .bimodule import (Bimodule, BimoduleMorphism, _integer_terms,
                        tensor_id_matrix)
 from .field import _minimal_poly_2cos, field_for
 from .hecke import (Laurent, bs_class, class_of_bimodule, group_elements,
-                    kl_basis, kl_multiplicities)
+                    kl_basis, kl_multiplicities, standard_in_kl)
 from .ring import LETTERS, realization
 
 MAX_WORD_LENGTH = 24
@@ -621,7 +621,8 @@ def clear_caches():
         memo.clear()
     for cached in (indecomposable_b, rouquier, serre.full_twist,
                    serre.full_twist_inverse, serre.ft_over_t, realization,
-                   field_for, _minimal_poly_2cos, kl_basis, bs_class):
+                   field_for, _minimal_poly_2cos, kl_basis, bs_class,
+                   standard_in_kl):
         cached.cache_clear()
 
 

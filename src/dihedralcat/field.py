@@ -172,18 +172,6 @@ class FieldDescriptor:
             row = {k: v // g for k, v in row.items()}
         return lead // g, row
 
-    def quantum_number(self, k):
-        """[k] via the Chebyshev recursion [k+1] = d*[k] - [k-1]."""
-        if k < 0:
-            raise FieldError("quantum_number requires k >= 0")
-        a, b = self.zero(), self.one()  # [0], [1]
-        if k == 0:
-            return a
-        d = self.delta()
-        for _ in range(k - 1):
-            a, b = b, d * b - a
-        return b
-
 
 def _times_x(col, low):
     """x * col mod p, for p = x^n + low[n-1] x^(n-1) + ... + low[0]."""

@@ -238,8 +238,10 @@ def kl_basis(m, word):
     return HeckeElement(m, terms)
 
 
+@lru_cache(maxsize=None)
 def standard_in_kl(m, word):
-    """Coefficients of delta_w in the KL basis: {y: (-v)^{l(w)-l(y)}}."""
+    """Coefficients of delta_w in the KL basis: {y: (-v)^{l(w)-l(y)}},
+    built once per (m, word): callers share it and must not change it."""
     word = canonical_word(tuple(word), m)
     out = {}
     for y in group_elements(m):

@@ -48,12 +48,12 @@ def ft_over_t(m):
 
 
 def homology_series(cplx):
-    """{cohomological degree: Hilbert QSeries of the homology}; the atoms
-    are free, so no degree has relations."""
+    """{cohomological degree: Hilbert QSeries of the homology}; its atoms
+    are free bimodules, so it is a complex of free modules as it stands."""
     degrees = {d: [deg for mod in obs for deg in mod.degrees]
                for d, obs in cplx.objects.items()}
     maps = {d: cplx.sum_differential(d).matrix for d in cplx.diffs}
-    return complex_series(degrees, {}, maps, realization(cplx.m).field)
+    return complex_series(degrees, maps, realization(cplx.m).field)
 
 
 def _overall(statuses):
@@ -262,7 +262,7 @@ class HomComplex:
                     self.maps[n][row0 + i][col:col + len(row)] = row
 
     def homology_series(self):
-        return complex_series(self.degrees, {}, self.maps, self.field)
+        return complex_series(self.degrees, self.maps, self.field)
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,17 @@
 
 pi_minus / pi_plus take the kernel / cokernel of the rho-difference
 endomorphism (left action of rho_letter minus right multiplication).
-Outputs are again bimodules, free as right R-modules; non-freeness is a
-contract violation (the Soergel inputs guarantee freeness).
+Outputs are again bimodules, free as right R-modules.
 
 Hochschild cohomology uses the length-2 Koszul complex in the directions
-(rho_s, rho_t):  0 -> M -> M(2) (+) M(2) -> M(4) -> 0.  HH^0 and HH^1 are
-presented through the kernels of its maps, HH^2 by its cokernel; HH^1 and
-HH^2 then go through a minimal presentation (graded Nakayama).
+(rho_s, rho_t):  0 -> M -> M(2) (+) M(2) -> M(4) -> 0.  HH^0 is the kernel
+of d0, HH^1 the cokernel of d0 inside ker d1, HH^2 the cokernel of d1.
 
 Every functor takes three steps on a matrix over R: a kernel with minimal
-generators (_kernel), or a cokernel through a minimal presentation; one
-Traced record per atom; and the map each differential block induces
-(_induced).
+generators (_kernel) or a cokernel through a minimal presentation
+(_cokernel), each raising TraceError unless the result is free, so
+hochschild_on_complex gives a complex of free modules; one Traced record
+per atom; and the map each differential block induces (_induced).
 """
 
 from __future__ import annotations
@@ -42,9 +41,10 @@ def rho_endomorphism(mod, letter):
 
 
 class Traced:
-    """One traced atom: its module (a Bimodule for pi, a PresentedModule
-    for HH^k) and what induced maps need, the kernel generators and their
-    ModuleGB (and HH^1's proj) or the cokernel's incl and proj."""
+    """One traced atom: its free module (a Bimodule for pi, a
+    PresentedModule for HH^k) and what induced maps need, the kernel
+    generators and their ModuleGB (and HH^1's proj) or the cokernel's incl
+    and proj."""
 
     __slots__ = ("module", "generators", "gb", "incl", "proj")
 
@@ -77,23 +77,35 @@ def _once_per_shift_class(functor):
         module = Bimodule(mod.real, degrees, t.module.left["s"],
                           t.module.left["t"], check=False) \
             if isinstance(t.module, Bimodule) else \
-            PresentedModule(degrees, t.module.relations, mod.field)
+            PresentedModule(degrees, [], mod.field)
         return Traced(module, t.generators, t.gb, t.incl, t.proj)
     return memoized
 
 
-def _kernel(matrix, degrees, field):
+def _kernel(matrix, degrees, field, what):
     """(generators, their degrees, their ModuleGB or None when there are
     none) of the kernel of a matrix over R whose columns have the given
-    degrees, the generators minimal; TraceError when they have syzygies."""
+    degrees, the generators minimal; a TraceError that names `what` when
+    they have syzygies."""
     cols = minimalize_columns(
         kernel(mat_transpose(matrix), len(matrix), field), degrees)
     if not cols:
         return [], [], None
     gb = ModuleGB(cols, len(degrees), field)
     if gb.syzygies():
-        raise TraceError("traced output is not free (syzygies present)")
+        raise TraceError("%s is not free (syzygies present)" % what)
     return cols, [column_degree(c, degrees) for c in cols], gb
+
+
+def _cokernel(degrees, columns, field, what):
+    """(generator degrees, incl, proj) of the cokernel of the given columns
+    in the free module with the given generator degrees, through a minimal
+    presentation; a TraceError that names `what` when relations persist."""
+    degrees, rels, incl, proj = minimal_presentation(
+        list(degrees), [c for c in columns if any(c)], field)
+    if any(any(c) for c in rels):
+        raise TraceError("%s is not free (relations persist)" % what)
+    return degrees, incl, proj
 
 
 def _induced(fmat, dom, cod, field):
@@ -111,7 +123,7 @@ def _induced(fmat, dom, cod, field):
 def pi_minus(mod, letter):
     """Kernel of the rho-difference action, as a Traced bimodule."""
     cols, degrees, gb = _kernel(rho_endomorphism(mod, letter), mod.degrees,
-                                mod.field)
+                                mod.field, "pi_%s^- of %r" % (letter, mod))
     traced = Traced(None, cols, gb)
     traced.module = Bimodule(mod.real, degrees, *[_induced(
         mod.left[x], traced, traced, mod.field) for x in LETTERS], check=False)
@@ -121,11 +133,9 @@ def pi_minus(mod, letter):
 @_once_per_shift_class
 def pi_plus(mod, letter):
     """Cokernel of the rho-difference action, as a Traced bimodule."""
-    rel = [c for c in mat_transpose(rho_endomorphism(mod, letter)) if any(c)]
-    degrees, rel, incl, proj = minimal_presentation(
-        list(mod.degrees), rel, mod.field)
-    if any(any(c) for c in rel):
-        raise TraceError("traced cokernel is not free (relations persist)")
+    degrees, incl, proj = _cokernel(
+        mod.degrees, mat_transpose(rho_endomorphism(mod, letter)), mod.field,
+        "pi_%s^+ of %r" % (letter, mod))
     traced = Traced(None, incl=incl, proj=proj)
     traced.module = Bimodule(mod.real, degrees, *[_induced(
         mod.left[x], traced, traced, mod.field) for x in LETTERS], check=False)
@@ -178,51 +188,45 @@ def _koszul_maps(mod):
 
 @_once_per_shift_class
 def hochschild(mod, k):
-    """HH^k(M) as a Traced PresentedModule."""
+    """HH^k(M) as a Traced free PresentedModule."""
     field = mod.field
     n = mod.rank
     d0, d1 = _koszul_maps(mod)
+    what = "HH^%s of %r" % (k, mod)
     if k == 0:
-        cols, degs, gb = _kernel(d0, mod.degrees, field)
+        cols, degs, gb = _kernel(d0, mod.degrees, field, what)
         return Traced(PresentedModule(degs, [], field), cols, gb)
     if k == 1:
-        cols, degs, gb = _kernel(d1, [d - 2 for d in mod.degrees] * 2, field)
+        cols, degs, gb = _kernel(d1, [d - 2 for d in mod.degrees] * 2, field,
+                                 what)
         units = [row for j, row in enumerate(mat_identity(field, n))
                  if any(d0[i][j] for i in range(2 * n))]
         rels = mat_transpose(lift_columns(gb, d0, units, field, TraceError))
-        degs, rels, incl, proj = minimal_presentation(degs, rels, field)
+        degs, incl, proj = _cokernel(degs, rels, field, what)
         live = [col for col, row in zip(cols, incl) if any(row)]
-        return Traced(PresentedModule(degs, rels, field), live, gb, proj=proj)
+        return Traced(PresentedModule(degs, [], field), live, gb, proj=proj)
     if k == 2:
-        rels = [c for c in mat_transpose(d1) if any(c)]
-        degs, rels, incl, proj = minimal_presentation(
-            [d - 4 for d in mod.degrees], rels, field)
-        return Traced(PresentedModule(degs, rels, field), incl=incl, proj=proj)
+        degs, incl, proj = _cokernel([d - 4 for d in mod.degrees],
+                                     mat_transpose(d1), field, what)
+        return Traced(PresentedModule(degs, [], field), incl=incl, proj=proj)
     raise ValueError("k must be 0, 1 or 2")
 
 
 def hochschild_on_complex(cplx, k):
-    """Termwise HH^k as presented-complex data (degrees, relations, maps):
-    per cohomological degree the atoms' generator degrees side by side and
-    their relation columns padded to that rank; per differential the block
-    matrix over R of the induced maps."""
+    """Termwise HH^k as a complex of free modules (degrees, maps): per
+    cohomological degree the atoms' generator degrees side by side; per
+    differential the block matrix over R of the induced maps."""
     field = realization(cplx.m).field
     zero = RingElement.zero(field)
     traced = {d: [hochschild(mod, k) for mod in obs]
               for d, obs in cplx.objects.items()}
-    degrees, relations, offsets = {}, {}, {}
+    degrees, offsets = {}, {}
     for d, lst in traced.items():
         degs = degrees[d] = []
         offs = offsets[d] = []
         for t in lst:
             offs.append(len(degs))
             degs.extend(t.module.degrees)
-        relations[d] = []
-        for off, t in zip(offs, lst):
-            for col in t.module.relations:
-                big = [zero] * len(degs)
-                big[off:off + len(col)] = col
-                relations[d].append(big)
     maps = {}
     for d, blocks in cplx.diffs.items():
         big = maps[d] = mat_zero(field, len(degrees[d + 1]), len(degrees[d]))
@@ -238,4 +242,4 @@ def hochschild_on_complex(cplx, k):
                         [pad + list(row) for row in fmat]
                 for i, row in enumerate(_induced(fmat, dom, cod, field)):
                     big[roff + i][coff:coff + len(row)] = row
-    return degrees, relations, maps
+    return degrees, maps

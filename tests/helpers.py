@@ -115,7 +115,7 @@ def reference_hochschild(mod, k):
         return PresentedModule([d - 4 for d in mod.degrees],
                                [c for c in mat_transpose(d1) if any(c)], field)
     cols, degs, gb = trace._kernel(d1, [d - 2 for d in mod.degrees] * 2,
-                                   field)
+                                   field, "HH^1 of %r" % (mod,))
     units = [row for j, row in enumerate(mat_identity(field, n))
              if any(d0[i][j] for i in range(2 * n))]
     return PresentedModule(degs, mat_transpose(lift_columns(

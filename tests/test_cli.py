@@ -265,8 +265,8 @@ def test_repeated_block_texts_load_warm_and_are_each_checked(runner,
 
 @pytest.mark.parametrize("braid", [WHITEHEAD, T37], ids=["whitehead", "t37"])
 def test_trace_hh2_matches_the_hhh_strand_2(runner, braid):
-    # trace --functor hh2 takes HH^2 of the complex itself, hhh --strand 2
-    # of its minimal pi_s^+ complex; the series agree degree by degree
+    # trace --functor hh2 and hhh --strand 2 both take HH^2 of the minimal
+    # pi_s^+ complex (strand_homology); the series agree degree by degree
     res = runner.invoke(main, ["trace", braid, "--functor", "hh2", "--json"])
     assert res.exit_code == 0
     traced = {d: h["series"] for d, h in

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dihedralcat
-from dihedralcat import bimodule, complexes, linalg, serre, trace
+from dihedralcat import bimodule, complexes, hecke, linalg, serre, trace
 from dihedralcat.bimodule import (Bimodule, BimoduleMorphism, _mat_to_json,
                                   b_generator, bott_samelson, direct_sum,
                                   hom_degree_basis, id_tensor_matrix,
@@ -670,13 +670,14 @@ def test_clear_caches_empties_every_memo():
     decompose_bimodule(bott_samelson(2, "ss"))
     indecomposable_b(2, "st")
     trace.hochschild_on_complex(objs["F_sF_t"], 1)
+    hecke.standard_in_kl(2, "st")
     before = _package_memos()
     assert {"bimodule._LEFT_IDS", "bimodule._LEFT_ACTION",
             "bimodule._LEFT_POWERS", "bimodule._TENSOR_LEFT",
             "bimodule._PRODUCT_CLASS", "complexes._SPLITTINGS",
             "complexes._SPLIT_BLOCKS", "serre._HOM_BLOCKS", "trace._TRACED",
             "complexes.rouquier", "serre.full_twist",
-            "serre.ft_over_t"} <= set(before)
+            "serre.ft_over_t", "hecke.standard_in_kl"} <= set(before)
     assert all(before.values()), before
     complexes.clear_caches()
     assert not any(_package_memos().values())

@@ -52,15 +52,6 @@ def test_delta_squared_value_m4():
     assert F.delta() * F.delta() == F.from_rational(2)
 
 
-def test_quantum_numbers_vanish_at_m():
-    # [m]_delta = 0 and [k]_delta != 0 for 0 < k < m
-    for m in (2, 3, 4, 5, 6):
-        F = field_for(m)
-        assert not F.quantum_number(m)
-        for k in range(1, m):
-            assert F.quantum_number(k)
-
-
 def test_division_by_zero_raises():
     F = field_for(3)
     with pytest.raises(FieldError):
