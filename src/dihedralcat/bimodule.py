@@ -217,8 +217,9 @@ class Bimodule:
 
     @property
     def left_id(self):
-        """The memos' key: the interned id of (m, left_s, left_t)."""
-        if self._left_id is None:
+        """The memos' key: the interned id of (m, left_s, left_t), interned
+        again if it predates the last clear_caches."""
+        if self._left_id is None or self._left_id < _LEFT_FLOOR[0]:
             self._left_id = _intern_left(self.m, self.left["s"],
                                          self.left["t"])
         return self._left_id
@@ -231,11 +232,15 @@ class Bimodule:
 
     def left_action_of(self, f):
         """Matrix of left multiplication by f in R, as fresh lists."""
+        return [list(row) for row in self._left_action_rows(f)]
+
+    def _left_action_rows(self, f):
+        """left_action_of's rows, the memo's own tuples."""
         key = (self.left_id, f)
         rows = _LEFT_ACTION.get(key)
         if rows is None:
             rows = _LEFT_ACTION[key] = self._left_action(f)
-        return [list(row) for row in rows]
+        return rows
 
     def _left_action(self, f):
         """The sum of c s^i t^j over the terms c a_s^i a_t^j of f."""
@@ -377,14 +382,19 @@ def b_generator(m, letter, shift=0):
 
 
 # Interned left actions: (m, left_s, left_t) -> id.  clear_caches empties
-# it but _LEFT_COUNTER runs on, so an id is never reused: a module made
-# before a clear keeps an id that no other left actions can get.
+# it and raises _LEFT_FLOOR past every id given, while _LEFT_COUNTER runs
+# on: no id is reused, and a module made before a clear is interned again.
 _LEFT_IDS = {}
 _LEFT_COUNTER = count()
+_LEFT_FLOOR = [0]
 
 
 def _intern_left(m, left_s, left_t):
-    return _LEFT_IDS.setdefault((m, left_s, left_t), next(_LEFT_COUNTER))
+    key = (m, left_s, left_t)
+    out = _LEFT_IDS.get(key)
+    if out is None:
+        out = _LEFT_IDS[key] = next(_LEFT_COUNTER)
+    return out
 
 
 # Memos on left ids, which no grading shift changes.  Left actions of f in
@@ -543,13 +553,16 @@ def identity_morphism(mod):
 
 
 def tensor_id_matrix(f, mod):
-    """f (x) id_mod: block (k, i) is the left action of f[k][i] on mod."""
+    """f (x) id_mod: block (k, i) is the left action of f[k][i] on mod, so
+    f's own matrix when mod is some R(l), whose left action of p is [p]."""
+    if mod.word == ():
+        return [list(row) for row in f.matrix]
     n = mod.rank
     mat = mat_zero(f.dom.field, f.cod.rank * n, f.dom.rank * n)
     for k, row in enumerate(f.matrix):
         for i, p in enumerate(row):
             if p:
-                for l, act in enumerate(mod.left_action_of(p)):
+                for l, act in enumerate(mod._left_action_rows(p)):
                     mat[k * n + l][i * n:(i + 1) * n] = act
     return mat
 
@@ -668,10 +681,11 @@ def hom_degree_basis(dom, cod, degree=0):
     Solved as a finite-dimensional linear system over K_m: each matrix
     entry is a polynomial of a forced internal degree, so its monomial
     coefficients are the unknowns, and each monomial of each entry of
-    left[x] . Phi - Phi . left[x] is an equation.  When dom and cod carry
-    classes, the hom formula (hecke.hom_rank) gives the kernel's dimension,
-    a generator of degree d spanning R_(degree - d) of dimension
-    (degree - d)/2 + 1, and sparse_kernel_basis stops at the rank it leaves.
+    left[x] . Phi - Phi . left[x] is an equation, assembled from the nonzero
+    entries of left[x] alone.  When dom and cod carry classes, the hom
+    formula (hecke.hom_rank) gives the kernel's dimension, a generator of
+    degree d spanning R_(degree - d) of dimension (degree - d)/2 + 1, and
+    sparse_kernel_basis stops at the rank it leaves.
 
     At m = 3, the odd m with K_m = Q, the equations of left a_s alone
     suffice for Soergel bimodules, which every caller passes (Soergel
@@ -696,24 +710,25 @@ def hom_degree_basis(dom, cod, degree=0):
     if not col_of:
         return []
     rows = {}  # (x, r, c, mono) -> {col: integer K_m element}
-
-    def bump(key, col, val):
-        row = rows.setdefault(key, {})
-        row[col] = row[col] + val if col in row else val
-
     letters = ("s",) if dom.m % 2 and field.degree == 1 else LETTERS
     lefts = _integer_terms([mod.left[x] for x in letters
                             for mod in (cod, dom)], field)
     for x, cod_left, dom_left in zip(letters, lefts[::2], lefts[1::2]):
+        # the nonzero terms of cod's columns and of dom's rows, negated
+        cod_cols = [[(r, p, q, cf) for r, row in enumerate(cod_left)
+                     for (p, q), cf in row[i].items()]
+                    for i in range(cod.rank)]
+        dom_rows = [[(c, p, q, -cf) for c, f in enumerate(row)
+                     for (p, q), cf in f.items()] for row in dom_left]
         for (i, j, a, b), col in col_of.items():
             # term (cod.left[x] . Phi)[r][j] picks up left[x][r][i]*mono(a,b)
-            for r in range(cod.rank):
-                for (p, q), cf in cod_left[r][i].items():
-                    bump((x, r, j, (p + a, q + b)), col, cf)
+            for r, p, q, cf in cod_cols[i]:
+                row = rows.setdefault((x, r, j, (p + a, q + b)), {})
+                row[col] = row[col] + cf if col in row else cf
             # term (Phi . dom.left[x])[i][c] picks up mono(a,b)*left[x][j][c]
-            for c in range(dom.rank):
-                for (p, q), cf in dom_left[j][c].items():
-                    bump((x, i, c, (p + a, q + b)), col, -cf)
+            for c, p, q, cf in dom_rows[j]:
+                row = rows.setdefault((x, i, c, (p + a, q + b)), {})
+                row[col] = row[col] + cf if col in row else cf
     try:
         nullity = sum(n * ((degree - d) // 2 + 1)
                       for d, n in hom_rank(dom, cod).items()

@@ -9,17 +9,17 @@ invertible blocks, which is exact in the homotopy category.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 
-from . import bimodule, linalg
+from . import bimodule, hecke, linalg
 from .bimodule import (Bimodule, BimoduleMorphism, _integer_terms,
                        _mat_from_json, _scalar_of, _tag, b_generator,
                        bott_samelson, direct_sum, dot_in, dot_out,
                        hom_degree_basis, id_tensor_matrix, identity_morphism,
                        invert_morphism, is_invertible, mat_add, mat_identity,
-                       mat_inverse, mat_mul, mat_neg, mat_sub, mat_scale,
-                       mat_zero, poly_to_json, regular, split_summand, tensor,
+                       mat_inverse, mat_mul, mat_sub, mat_scale, mat_zero,
+                       poly_to_json, regular, split_summand, tensor,
                        tensor_id_matrix)
 from .field import _minimal_poly_2cos, field_for
 from .hecke import (Laurent, bs_class, class_of_bimodule, group_elements,
@@ -266,6 +266,27 @@ def parse_braid(text):
     return letters
 
 
+class _TensorBlock(BimoduleMorphism):
+    """A block f (x) id_b or +-id_a (x) g of tensor_complex whose matrix is
+    build() when first read.  Left multiplication on a Soergel bimodule is
+    injective, so it is nonzero exactly when its factor f or g is."""
+
+    __slots__ = ("factor", "build")
+
+    def __init__(self, dom, cod, factor, build, origin):
+        self.dom, self.cod, self.degree = dom, cod, factor.degree
+        self.factor, self.build, self.origin = factor, build, origin
+
+    def __getattr__(self, name):  # reached while the matrix slot is unset
+        if name != "matrix":
+            raise AttributeError(name)
+        self.matrix = tuple(map(tuple, self.build()))
+        return self.matrix
+
+    def __bool__(self):
+        return bool(self.factor)
+
+
 def tensor_complex(c1, c2):
     """Totalization of c1 (x) c2 with the Koszul sign (-1)^p on d_{c2}.
 
@@ -273,7 +294,9 @@ def tensor_complex(c1, c2):
     or g of c2, and is invertible only if f or g is (see simplify).  Each
     block between tagged atoms gets as its origin m, the kind of block, the
     three atoms' tags and the factor's matrix, which determine the block and
-    its endpoints' splittings up to shift; split_atoms memoizes on it.
+    its endpoints' splittings up to shift; split_atoms memoizes on it.  A
+    block's matrix is built only when read (_TensorBlock), so a block that
+    split_atoms finds in its memo is never built.
     """
     m = c1.m
     objects = {}
@@ -303,26 +326,22 @@ def tensor_complex(c1, c2):
             for r, row in enumerate(c1.diffs[p]):
                 f = row[i]
                 if f is not None:
-                    terms.append((index[(p + 1, r, q, j)][1], f.degree,
-                                  tensor_id_matrix(f, b),
+                    terms.append((index[(p + 1, r, q, j)][1], f,
+                                  partial(tensor_id_matrix, f, b),
                                   (m, "f", _tag(a), _tag(f.cod), _tag(b),
                                    f.matrix)))
         if q in c2.diffs:
             for r, row in enumerate(c2.diffs[q]):
                 g = row[j]
                 if g is not None:
-                    mat = id_tensor_matrix(a, g)
-                    if p % 2:  # Koszul sign
-                        mat = mat_neg(mat)
-                    terms.append((index[(p, i, q + 1, r)][1], g.degree, mat,
+                    terms.append((index[(p, i, q + 1, r)][1], g, partial(
+                        id_tensor_matrix, a, -g if p % 2 else g),  # Koszul
                                   (m, "-g" if p % 2 else "g", _tag(a),
                                    _tag(b), _tag(g.cod), g.matrix)))
-        for tgt, degree, mat, origin in terms:
-            term = BimoduleMorphism(objects[n][col], objects[n + 1][tgt], mat,
-                                    degree, check=False)
-            if None not in origin[2:5]:
-                term.origin = origin
-            blocks[tgt][col] = term
+        for tgt, factor, build, origin in terms:
+            blocks[tgt][col] = _TensorBlock(
+                objects[n][col], objects[n + 1][tgt], factor, build,
+                origin if None not in origin[2:5] else None)
     return ChainComplex(m, objects, diffs, check=False)
 
 
@@ -354,15 +373,17 @@ def gaussian_eliminate(cplx, deg, row, col):
     """Remove objects[deg][col] -> objects[deg+1][row] along an invertible
     block psi, with the correction delta - gamma psi^{-1} beta.
 
-    -gamma psi^{-1} is formed once per row; when psi^{-1} is a scalar c id,
-    as between indecomposables, by scaling gamma with -c."""
+    -gamma psi^{-1} is formed once per row.  When psi is a scalar c id, as
+    between indecomposables, that is gamma scaled by -c^-1, and nothing is
+    inverted but c; any other psi is inverted by invert_morphism."""
     psi = cplx.block(deg, row, col)
     if psi is None:
         raise ValueError("selected block is zero")
-    psi_inv = invert_morphism(psi)
-    if psi_inv is None:
+    c_inv = _scalar_of(psi.matrix)
+    if c_inv is not None:
+        c_inv = c_inv.inverse()
+    elif (psi_inv := invert_morphism(psi)) is None:
         raise ValueError("selected block is not invertible")
-    c_inv = _scalar_of(psi_inv.matrix)
     objects = {d: list(obs) for d, obs in cplx.objects.items()}
     diffs = {d: [list(r) for r in blocks] for d, blocks in cplx.diffs.items()}
 
@@ -619,10 +640,11 @@ def clear_caches():
                  bimodule._PRODUCT_CLASS, _SPLITTINGS, _SPLIT_BLOCKS,
                  serre._HOM_BLOCKS, trace._TRACED):
         memo.clear()
+    bimodule._LEFT_FLOOR[0] = next(bimodule._LEFT_COUNTER)
     for cached in (indecomposable_b, rouquier, serre.full_twist,
                    serre.full_twist_inverse, serre.ft_over_t, realization,
                    field_for, _minimal_poly_2cos, kl_basis, bs_class,
-                   standard_in_kl):
+                   standard_in_kl, hecke._hom_rank):
         cached.cache_clear()
 
 
@@ -742,7 +764,8 @@ def split_atoms(cplx):
 
     A block between atoms with pieces becomes the blocks proj . blk . incl
     between the pieces; a block with an origin (see tensor_complex) takes
-    them from the _SPLIT_BLOCKS memo, any other block computes them.
+    them from the _SPLIT_BLOCKS memo, unbuilt, any other block computes them.
+    Only a block between two kept atoms is read as it is.
     """
     pieces = {}  # degree -> per atom [(piece, incl, proj)], None: id
     for d, obs in cplx.objects.items():

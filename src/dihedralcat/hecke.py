@@ -174,6 +174,9 @@ class HeckeElement:
             return NotImplemented
         return self.m == other.m and self.terms == other.terms
 
+    def __hash__(self):
+        return hash((self.m, frozenset(self.terms.items())))
+
     def __add__(self, other):
         out = dict(self.terms)
         for w, c in other.terms.items():
@@ -278,15 +281,21 @@ def hom_rank(dom, cod):
     epsilon(delta_{x^-1} delta_y) = [x = y].  Hom(dom, B_y(k)) is it times
     v^-k and Hom is additive in cod, so [dom] pairs with sum_y bar(n_y) b_y
     for cod's KL multiplicities n_y, bar: v -> v^-1.  ValueError when
-    either module has no class.
+    either module has no class.  Memoized on the two classes: callers
+    share the result and must not change it.
     """
     h_dom, h_cod = class_of_bimodule(dom), class_of_bimodule(cod)
     for mod, h in ((dom, h_dom), (cod, h_cod)):
         if h is None:
             raise ValueError("%r has no Hecke class" % (mod,))
-    bar = HeckeElement(cod.m)
+    return _hom_rank(h_dom, h_cod)
+
+
+@lru_cache(maxsize=None)
+def _hom_rank(h_dom, h_cod):
+    bar = HeckeElement(h_cod.m)
     for y, n in kl_multiplicities(h_cod).items():
-        bar = bar + kl_basis(cod.m, y).scale(
+        bar = bar + kl_basis(h_cod.m, y).scale(
             Laurent({-e: c for e, c in n.terms.items()}))
     return sum((c * bar.coefficient(w) for w, c in h_dom.terms.items()),
                Laurent()).terms

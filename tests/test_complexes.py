@@ -671,13 +671,15 @@ def test_clear_caches_empties_every_memo():
     indecomposable_b(2, "st")
     trace.hochschild_on_complex(objs["F_sF_t"], 1)
     hecke.standard_in_kl(2, "st")
+    hecke.hom_rank(b_generator(2, "s"), b_generator(2, "t"))
     before = _package_memos()
     assert {"bimodule._LEFT_IDS", "bimodule._LEFT_ACTION",
             "bimodule._LEFT_POWERS", "bimodule._TENSOR_LEFT",
             "bimodule._PRODUCT_CLASS", "complexes._SPLITTINGS",
             "complexes._SPLIT_BLOCKS", "serre._HOM_BLOCKS", "trace._TRACED",
             "complexes.rouquier", "serre.full_twist",
-            "serre.ft_over_t", "hecke.standard_in_kl"} <= set(before)
+            "serre.ft_over_t", "hecke.standard_in_kl",
+            "hecke._hom_rank"} <= set(before)
     assert all(before.values()), before
     complexes.clear_caches()
     assert not any(_package_memos().values())
@@ -720,7 +722,7 @@ def test_different_left_actions_never_share_a_left_id():
     before = modules((2, 3, 4))
     for mod in before:
         mod.left_id
-    complexes.clear_caches()  # ids of before stay, and are not handed out
+    complexes.clear_caches()  # ids of before are interned again on use
     after = modules((4, 3, 2))
     owner = {}
     for mod in before + after:
@@ -730,6 +732,21 @@ def test_different_left_actions_never_share_a_left_id():
     assert len({mod.left_id for mod in after}) == len(keys)
     # R at m = 3 and m = 4 print alike; their entries live in other fields
     assert regular(3).left_id != regular(4).left_id
+
+
+def test_a_module_made_before_clear_caches_splits_like_a_fresh_one(
+        monkeypatch):
+    # BS(st) at m = 2 is B_st, so it splits as itself with no hom solve,
+    # also when its left id was interned before the memos were emptied
+    old = bott_samelson(2, "st")
+    old.left_id
+    pieces, calls = _decompose_counting_splits(old, monkeypatch)
+    fresh, fresh_calls = _decompose_counting_splits(bott_samelson(2, "st"),
+                                                    monkeypatch)
+    assert calls == fresh_calls == 0
+    assert [a.kl for a, _, _ in pieces] == [a.kl for a, _, _ in fresh] == \
+        [("s", "t")]
+    assert old.left_id == bott_samelson(2, "st").left_id
 
 
 def test_complex_built_before_clear_caches_matches_a_cold_build():
@@ -790,7 +807,7 @@ def _ref_tensor(a, b):
     return plain
 
 
-def _ref_tensor_complex(c1, c2):
+def _ref_tensor_complex(c1, c2, product=_ref_tensor):
     objects, index = {}, {}
     for p in c1.degrees():
         for q in c2.degrees():
@@ -798,7 +815,7 @@ def _ref_tensor_complex(c1, c2):
             for i, a in enumerate(c1.objects[p]):
                 for j, b in enumerate(c2.objects[q]):
                     index[(p, i, q, j)] = (p + q, len(lst))
-                    lst.append(_ref_tensor(a, b))
+                    lst.append(product(a, b))
     diffs = {n: [[None] * len(objects[n]) for _ in objects[n + 1]]
              for n in objects if n + 1 in objects}
     for (p, i, q, j), (n, col) in index.items():
@@ -918,11 +935,12 @@ def _ref_simplify_split(cplx):
     return _ref_minimal_form(_ref_split_atoms(_ref_minimal_form(cplx)))
 
 
-def _ref_rouquier_braid(m, word):
+def _ref_rouquier_braid(m, word, split=True):
     out = single_object(m, regular(m, 0))
     for letter, sign in parse_braid(word):
-        out = _ref_simplify_split(_ref_tensor_complex(
-            out, rouquier(m, letter, sign)))
+        out = _ref_tensor_complex(out, rouquier(m, letter, sign),
+                                  _ref_tensor if split else tensor)
+        out = _ref_simplify_split(out) if split else out
     return out
 
 
@@ -944,13 +962,18 @@ def _criterion_08a_words():
     (5, ["s t " * 4]),
 ], ids=["08a", "m3", "m4", "m5"])
 def test_split_step_matches_its_reference(m, words):
-    words = _criterion_08a_words() if words == "08a" else words
+    unsplit = words == "08a"  # of at most 6 letters, so 2^6 atoms unsplit
+    words = _criterion_08a_words() if unsplit else words
     complexes.clear_caches()
     cold = [_summary(rouquier_braid(m, w, split=True)) for w in words]
     warm = [_summary(rouquier_braid(m, w, split=True)) for w in words]
     ref = [_summary(_ref_rouquier_braid(m, w)) for w in words]
     for word, a, b, c in zip(words, cold, warm, ref):
         assert a == b == c, word
+    # the unsplit products, whose blocks are built as repr and to_json read
+    for word in words if unsplit else ():
+        assert _summary(rouquier_braid(m, word)) == \
+            _summary(_ref_rouquier_braid(m, word, split=False)), word
 
 
 def _blocks(cplx):
@@ -1002,6 +1025,11 @@ def test_serre_simplify_split_matches_its_reference():
             want = _summary(_ref_simplify_split(_ref_tensor_complex(
                 twist, x)))
             assert _summary(complexes.simplify(prod)) == want, name
+    # the products themselves, their blocks built as repr and to_json read
+    for name, x in serre.serre_test_objects(3).items():
+        twist = serre.ft_over_t(3)
+        assert _summary(tensor_complex(twist, x)) == \
+            _summary(_ref_tensor_complex(twist, x, tensor)), name
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -1028,3 +1056,43 @@ def test_split_block_memo_keeps_fields_apart():
     for (m, w), want in shared.items():
         complexes.clear_caches()
         assert _summary(rouquier_braid(m, w, split=True)) == want, (m, w)
+
+
+def test_a_split_step_builds_nothing_it_does_not_read(monkeypatch):
+    # The 50 words of criterion 08a, built cold one after another as the
+    # braid sweep does.  A block of tensor_complex is built when read: one
+    # that split_atoms finds in its memo never is.  Every pivot is a scalar
+    # c id, so elimination inverts nothing but c.  The bound is the count
+    # when blocks became lazy (building every block made 1,160 calls).
+    calls = {"build": 0, "invert": 0, "pivots": [], "blocks": []}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    def eliminate(cplx, deg, row, col, real=complexes.gaussian_eliminate):
+        calls["pivots"].append(bimodule._scalar_of(
+            cplx.block(deg, row, col).matrix))
+        return real(cplx, deg, row, col)
+
+    def product(c1, c2, real=complexes.tensor_complex):
+        out = real(c1, c2)
+        calls["blocks"] += _blocks(out)
+        return out
+
+    for name in ("tensor_id_matrix", "id_tensor_matrix"):
+        monkeypatch.setattr(complexes, name, counting(
+            "build", getattr(complexes, name)))
+    monkeypatch.setattr(complexes, "invert_morphism", counting(
+        "invert", complexes.invert_morphism))
+    monkeypatch.setattr(complexes, "gaussian_eliminate", eliminate)
+    monkeypatch.setattr(complexes, "tensor_complex", product)
+    complexes.clear_caches()
+    for word in _criterion_08a_words():
+        rouquier_braid(3, word, split=True)
+    assert len(calls["blocks"]) == 1160
+    assert calls["build"] <= 685
+    assert len(calls["pivots"]) == 222 and None not in calls["pivots"]
+    assert calls["invert"] == 0

@@ -166,3 +166,12 @@ def test_homfly_matches_the_sympy_reference():
             assert all(c for c in got.values()), word
             assert sp.expand(as_sympy(got, v, z)
                              - reference_homfly(word, (v, z))) == 0, word
+
+
+def test_hecke_elements_hash_by_value():
+    # hom_rank is memoized on the two classes, so equal ones hash alike
+    b_st = kl_basis(3, "st")
+    prod = kl_basis(3, "s") * kl_basis(3, "t")
+    assert prod is not b_st and prod == b_st and hash(prod) == hash(b_st)
+    assert len({b_st, prod, prod + HeckeElement(3)}) == 1
+    assert kl_basis(4, "st") not in {b_st}
