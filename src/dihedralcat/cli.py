@@ -1,12 +1,12 @@
 """Command-line surface: hhh, minimal, trace, homfly, serre-check.
 
-Exit codes: 0 pass, 1 computation error, 2 check-suite failure,
-3 inconclusive.  Simplified Rouquier complexes are cached on disk as JSON
-(one content-addressed file per braid/m), under $SOERGEL_CACHE or the XDG
-cache directory; writes are create-then-rename atomic so concurrent
-invocations are safe.  An entry that fails to load or check, raises an
-arithmetic error, or holds a complex or an atom of another m is
-recomputed.  homfly prints its polynomial as sympy printed it expanded.
+Exit codes: 0 pass, 1 computation error, 2 check-suite failure.  Simplified
+Rouquier complexes are cached on disk as JSON (one content-addressed file
+per braid/m), under $SOERGEL_CACHE or the XDG cache directory; writes are
+create-then-rename atomic so concurrent invocations are safe.  An entry
+that fails to load or check, raises an arithmetic error, or holds a
+complex or an atom of another m is recomputed.  homfly prints its
+polynomial as sympy printed it expanded.
 """
 
 from __future__ import annotations
@@ -249,11 +249,7 @@ def serre_check_command(m, suite, as_json):
         _fail("%s: %s" % (type(exc).__name__, exc))
     click.echo(json.dumps(report, sort_keys=True) if as_json
                else json.dumps(report, indent=2, sort_keys=True))
-    if report["status"] == "fail":
-        sys.exit(2)
-    if report["status"] == "inconclusive-pass":
-        sys.exit(3)
-    sys.exit(0)
+    sys.exit(2 if report["status"] == "fail" else 0)
 
 
 if __name__ == "__main__":

@@ -8,9 +8,8 @@ invertible blocks, which is exact in the homotopy category.
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache, partial
-from itertools import accumulate
+from itertools import accumulate, product
 
 from . import bimodule, hecke, linalg
 from .bimodule import (Bimodule, BimoduleMorphism, _integer_terms,
@@ -450,26 +449,45 @@ def minimal_form(cplx):
 # isomorphism testing
 
 
+def _kernel_of_sum(terms, ncols, field):
+    """K_m-basis of the vectors c with sum sign c[col] mat = 0 over terms
+    (key, col, mat, sign): one equation per key, entry and monomial."""
+    rows = {}  # (key, i, j, mono) -> {column: integer K_m element}
+    imats = _integer_terms([mat for _, _, mat, _ in terms], field)
+    for (key, col, _, sign), imat in zip(terms, imats):
+        for i, imat_row in enumerate(imat):
+            for j, entry in enumerate(imat_row):
+                for mono, cf in entry.items():
+                    row = rows.setdefault((key, i, j, mono), {})
+                    cf = cf if sign > 0 else -cf
+                    row[col] = row[col] + cf if col in row else cf
+    return linalg.sparse_kernel_basis((rows[key] for key in sorted(rows)),
+                                      ncols, field)
+
+
+def _hom_bases(c1, c2, shift):
+    """{d: hom_degree_basis(sum c1^d, sum c2^(d+shift), 0)} over the degrees
+    of either complex, with the offsets of their maps in one vector."""
+    degs = sorted(set(c1.degrees()) | set(c2.degrees()))
+    per_degree, offsets, total = {}, {}, 0
+    for d in degs:
+        s1, s2 = c1.sum_object(d), c2.sum_object(d + shift)
+        per_degree[d] = hom_degree_basis(s1, s2, 0) if s1 and s2 else []
+        offsets[d] = total
+        total += len(per_degree[d])
+    return per_degree, offsets, total
+
+
 def chain_map_basis(c1, c2):
     """K_m-basis of the degree-0 chain maps c1 -> c2, as coefficient
     vectors over per_degree, the hom_degree_basis of each degree between
     the direct-sum objects; returns (vectors, per_degree, offsets)."""
-    degs = sorted(set(c1.degrees()) | set(c2.degrees()))
-    per_degree = {}
-    for d in degs:
-        s1 = c1.sum_object(d)
-        s2 = c2.sum_object(d)
-        per_degree[d] = hom_degree_basis(s1, s2, 0) if s1 and s2 else []
-    offsets = {}
-    total = 0
-    for d in degs:
-        offsets[d] = total
-        total += len(per_degree[d])
+    per_degree, offsets, total = _hom_bases(c1, c2, 0)
     if total == 0:
         return [], per_degree, offsets
     field = realization(c1.m).field
     products = []  # (degree, column, f_{d+1} . d1 or d2 . f_d, sign)
-    for d in degs:
+    for d in per_degree:
         d1 = c1.sum_differential(d)
         d2 = c2.sum_differential(d)
         # f_{d+1} . d1 - d2 . f_d = 0
@@ -481,18 +499,29 @@ def chain_map_basis(c1, c2):
             for k, f in enumerate(per_degree.get(d, [])):
                 products.append((d, offsets[d] + k,
                                  mat_mul(d2.matrix, f.matrix, field), -1))
-    imats = _integer_terms([mat for _, _, mat, _ in products], field)
-    rows = {}  # (degree, i, j, mono) -> {column: integer K_m element}
-    for (d, col, _, sign), imat in zip(products, imats):
-        for i, imat_row in enumerate(imat):
-            for j, terms in enumerate(imat_row):
-                for mono, cf in terms.items():
-                    row = rows.setdefault((d, i, j, mono), {})
-                    cf = cf if sign > 0 else -cf
-                    row[col] = row[col] + cf if col in row else cf
-    vecs = linalg.sparse_kernel_basis((rows[key] for key in sorted(rows)),
-                                      total, field)
-    return vecs, per_degree, offsets
+    return _kernel_of_sum(products, total, field), per_degree, offsets
+
+
+def is_contractible(cplx):
+    """Is cplx ~ 0, that is, id = d h + h d for degree-0 maps h^d: C^d ->
+    C^(d-1)?  One solve over their hom_degree_basis, with the identity as
+    one more column: a kernel vector nonzero there is a null-homotopy."""
+    per_degree, offsets, total = _hom_bases(cplx, cplx, -1)
+    field = realization(cplx.m).field
+    terms = []  # (degree, column, d^(d-1) . h^d or h^(d+1) . d^d or id, sign)
+    for d in per_degree:
+        into, out = cplx.sum_differential(d - 1), cplx.sum_differential(d)
+        if into is not None:
+            for k, h in enumerate(per_degree[d]):
+                terms.append((d, offsets[d] + k,
+                              mat_mul(into.matrix, h.matrix, field), 1))
+        if out is not None:
+            for k, h in enumerate(per_degree.get(d + 1, [])):
+                terms.append((d, offsets[d + 1] + k,
+                              mat_mul(h.matrix, out.matrix, field), 1))
+        terms.append((d, total, mat_identity(
+            field, cplx.sum_object(d).rank), -1))
+    return any(vec[total] for vec in _kernel_of_sum(terms, total + 1, field))
 
 
 def _assemble_chain_map(vec, per_degree, offsets):
@@ -511,18 +540,12 @@ def _assemble_chain_map(vec, per_degree, offsets):
     return maps
 
 
-# The witness search of complexes_isomorphic: the all-ones combination of
-# the chain-map basis, then, for a basis of two or more, WITNESS_TRIALS
-# random ones.
-WITNESS_SEED = 20240401
-WITNESS_TRIALS = 24
-
-
 def complexes_isomorphic(c1, c2):
-    """'yes' | 'no' | 'inconclusive' for minimal complexes; a witness
-    per-degree morphism dict accompanies 'yes'.  'inconclusive' comes only
-    from a chain-map basis of two or more maps, no tried combination of
-    which is invertible."""
+    """'yes' and a witness per-degree morphism dict, or 'no' and None, for
+    minimal complexes.  Over a chain-map basis f_1..f_n, the product over
+    degrees of det(scalar part of sum c_k f_k) is a form of degree r = the
+    total rank of c1, nonzero iff it is at c_1 = 1 and some (c_2..c_n) in
+    {0..r}^(n-1) (Alon, Combinatorial Nullstellensatz, 1999)."""
     if c1.is_zero() and c2.is_zero():
         return "yes", {}
     if c1.graded_atom_profile() != c2.graded_atom_profile():
@@ -531,16 +554,12 @@ def complexes_isomorphic(c1, c2):
     if not vecs:
         return "no", None
     field = realization(c1.m).field
-    rng = random.Random(WITNESS_SEED)
-    n = len(vecs)
-    candidates = [[1] * n]
-    for _ in range(WITNESS_TRIALS if n > 1 else 0):
-        candidates.append([rng.randint(-3, 3) for _ in range(n)])
+    rank = sum(mod.rank for obs in c1.objects.values() for mod in obs)
     degs = sorted(c1.objects)
     total = len(vecs[0])
-    for coeffs in candidates:
+    for rest in product(range(rank + 1), repeat=len(vecs) - 1):
         vec_total = [field.zero()] * total
-        for cf, vec in zip(coeffs, vecs):
+        for cf, vec in zip((1,) + rest, vecs):
             if not cf:
                 continue
             scal = field.from_rational(cf)
@@ -548,8 +567,7 @@ def complexes_isomorphic(c1, c2):
         maps = _assemble_chain_map(vec_total, per_degree, offsets)
         if all(d in maps and is_invertible(maps[d]) for d in degs):
             return "yes", maps
-    # with one basis vector v every chain map is c v, invertible only if v is
-    return ("no" if n == 1 else "inconclusive"), None
+    return "no", None
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 import sympy as sp
 from click.testing import CliRunner
 
-from dihedralcat import cli
+from dihedralcat import cli, serre
 from dihedralcat.cli import cached_simplified_complex, main
 from dihedralcat.complexes import ChainComplex, parse_braid
 from dihedralcat.series import PoincareSeries, QSeries
@@ -359,13 +359,17 @@ def test_hochschild_outputs_are_pinned(runner, args, digest):
     assert hashlib.sha256(res.output.encode()).hexdigest() == digest
 
 
-def test_serre_check_exit_codes(runner):
+def test_serre_check_exit_codes(runner, monkeypatch):
     res = runner.invoke(main, ["serre-check", "--suite", "pift", "--m", "2",
                                "--json"])
     assert res.exit_code == 0
     assert json.loads(res.output)["status"] == "pass"
     bad = runner.invoke(main, ["serre-check", "--suite", "bogus"])
     assert bad.exit_code == 2  # click usage error
+    monkeypatch.setattr(serre, "run_suite", lambda name, m: {"status": "fail"})
+    failed = runner.invoke(main, ["serre-check", "--suite", "pift"])
+    assert failed.exit_code == 2
+    assert json.loads(failed.output) == {"status": "fail"}
 
 
 @pytest.mark.parametrize("suite", ["vanishing", "pift", "relative", "full"])

@@ -16,7 +16,7 @@ import dihedralcat
 from dihedralcat import bimodule, complexes, hecke, linalg, serre, trace
 from dihedralcat.bimodule import (Bimodule, BimoduleMorphism, _mat_to_json,
                                   b_generator, bott_samelson, direct_sum,
-                                  hom_degree_basis, id_tensor_matrix,
+                                  dot_out, hom_degree_basis, id_tensor_matrix,
                                   identity_morphism, is_invertible, mat_add,
                                   mat_identity, mat_mul, mat_neg, mat_sub,
                                   regular, scalar_part, split_summand, tensor,
@@ -265,6 +265,23 @@ def test_one_dimensional_chain_maps_decide_exactly():
     for c1, c2 in ((f_s, flat), (flat, f_s)):
         assert len(chain_map_basis(c1, c2)[0]) == 1
         assert complexes_isomorphic(c1, c2) == ("no", None)
+
+
+def test_chain_map_grids_decide_exactly():
+    # chain-map bases of four maps: none of their combinations F_s + F_s ->
+    # F_s + [B_s   R(1)] (no differential) is invertible, and the grid finds
+    # [B_s + B_s] ~ itself by a witness invertible in every degree
+    b_s, r1, dot = b_generator(3, "s"), regular(3, 1), dot_out(3, "s")
+    twice = ChainComplex(3, {0: [b_s, b_s], 1: [r1, r1]},
+                         {0: [[dot, None], [None, dot]]})
+    once = ChainComplex(3, twice.objects, {0: [[dot, None], [None, None]]})
+    flat = ChainComplex(3, {0: [b_s, b_s]}, {})
+    for c1, c2 in ((twice, once), (flat, flat)):
+        assert len(chain_map_basis(c1, c2)[0]) == 4
+    assert complexes_isomorphic(twice, once) == ("no", None)
+    verdict, witness = complexes_isomorphic(flat, flat)
+    assert verdict == "yes" and sorted(witness) == [0]
+    assert is_invertible(witness[0])
 
 
 def test_kl_tag_survives_json_and_shifts():

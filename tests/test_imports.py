@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every
 public function, class and method of the package is used somewhere, and
-the package needs nothing beyond the standard library and click."""
+the package needs nothing beyond the standard library and click and
+draws no random numbers."""
 
 import ast
 import pathlib
@@ -57,10 +58,9 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == [], path.name
 
 
-def foreign_imports(source):
-    """Top-level modules that source imports, at any depth, from outside
-    the standard library, click and dihedralcat."""
-    allowed = set(sys.stdlib_module_names) | {"click", "dihedralcat"}
+def imported_modules(source):
+    """Top-level modules that source imports by absolute name, at any
+    depth."""
     out = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -70,7 +70,14 @@ def foreign_imports(source):
         else:
             continue
         out.update(name.partition(".")[0] for name in names)
-    return sorted(out - allowed)
+    return out
+
+
+def foreign_imports(source):
+    """Top-level modules that source imports, at any depth, from outside
+    the standard library, click and dihedralcat."""
+    allowed = set(sys.stdlib_module_names) | {"click", "dihedralcat"}
+    return sorted(imported_modules(source) - allowed)
 
 
 def test_foreign_imports_finds_a_third_party_module():
@@ -87,6 +94,12 @@ def test_foreign_imports_finds_a_third_party_module():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_imports_only_the_standard_library_and_click(path):
     assert foreign_imports(path.read_text()) == [], path.name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_imports_no_random(path):
+    # every verdict is exact and deterministic: no answer hangs on a seed
+    assert "random" not in imported_modules(path.read_text()), path.name
 
 
 def references(node):
