@@ -134,21 +134,11 @@ def mat_eq(a, b):
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def lift_columns(gb, matrix, columns, field, error):
-    """Apply a matrix over R to each column and lift the images through
-    the ModuleGB gb; the lifts are the columns of the returned matrix.
-
-    gb None stands for the zero module, which only zero images reach.
-    Raises error when an image lies outside the span.
-    """
-    images = mat_mul(matrix, mat_transpose(columns), field) if columns else []
-    return _lift_images(gb, [[row[j] for row in images]
-                             for j in range(len(columns))], error)
-
-
 def _lift_images(gb, images, error):
-    """lift_columns on images already formed: each image column lifted
-    through gb, the lifts as the columns of the returned matrix."""
+    """Each image column lifted through the ModuleGB gb, the lifts as the
+    columns of the returned matrix.  gb None stands for the zero module,
+    which only zero images reach; error is raised on an image outside the
+    span."""
     lifts = []
     for j, img in enumerate(images):
         lifted = gb.lift(img) if gb is not None else (
@@ -827,6 +817,50 @@ def mat_inverse(mat, field):
             break
         acc = mat_add(acc, term)
     return mat_mul(acc, sinv_r, field)
+
+
+def nakayama_basis(mat, order, field):
+    """(kept, inv): the columns of mat, taken in the given order, whose
+    constant coefficients are independent of those kept before, and a left
+    inverse of mat[:, kept] that is zero off the rows J'.
+
+    J' are the pivot rows of the kept columns' echelon form, so the
+    constant part of mat[J', kept] is triangular and mat[J', kept] is
+    invertible (mat_inverse); its inverse Y, placed at the rows J', is the
+    left inverse.  When the columns span a graded direct summand of a free
+    module and come in ascending degree, the kept ones are a basis of it
+    (graded Nakayama); minimal generators of a free submodule are all kept
+    exactly when it is a graded direct summand.
+    """
+    span = linalg.Echelon(field)
+    kept = [j for j in order if span.insert(field.integer_row(
+        {i: row[j].terms[(0, 0)] for i, row in enumerate(mat)
+         if (0, 0) in row[j].terms}))]
+    rows = sorted(span.rows)
+    inv = mat_zero(field, len(kept), len(mat))
+    for out, row in zip(inv, mat_inverse(
+            [[mat[i][j] for j in kept] for i in rows], field)):
+        for i, f in zip(rows, row):
+            out[i] = f
+    return kept, inv
+
+
+def mat_restrict(proj, f, incl, field):
+    """proj . f . incl, the map f induces between graded summands given
+    by (incl, proj) pairs.  Only the rows of f at proj's nonzero columns
+    are read (J' for a left inverse from nakayama_basis)."""
+    rows = [i for i in range(len(f)) if any(row[i] for row in proj)]
+    return mat_mul([[row[i] for i in rows] for row in proj],
+                   mat_mul([f[i] for i in rows], incl, field), field)
+
+
+def summand(mod, degrees, incl, proj):
+    """The bimodule on the given generator degrees with left action
+    proj . left_x . incl, for proj . incl = id: the image of incl when incl
+    commutes with the left action (a kernel, a split complement), the
+    quotient by ker proj when proj does (a cokernel)."""
+    return Bimodule(mod.real, degrees, *[mat_restrict(
+        proj, mod.left[x], incl, mod.field) for x in LETTERS], check=False)
 
 
 def split_summand(mod, cand):

@@ -17,13 +17,13 @@ from .bimodule import (Bimodule, BimoduleMorphism, _integer_terms,
                        bott_samelson, direct_sum, dot_in, dot_out,
                        hom_degree_basis, id_tensor_matrix, identity_morphism,
                        invert_morphism, is_invertible, mat_add, mat_identity,
-                       mat_inverse, mat_mul, mat_sub, mat_scale, mat_zero,
-                       poly_to_json, regular, split_summand, tensor,
+                       mat_mul, mat_sub, mat_scale, mat_zero, nakayama_basis,
+                       poly_to_json, regular, split_summand, summand, tensor,
                        tensor_id_matrix)
 from .field import _minimal_poly_2cos, field_for
 from .hecke import (Laurent, bs_class, class_of_bimodule, group_elements,
                     kl_basis, kl_multiplicities, standard_in_kl)
-from .ring import LETTERS, realization
+from .ring import realization
 
 MAX_WORD_LENGTH = 24
 
@@ -579,33 +579,22 @@ def _complement_of_idempotent(mod, incl, proj):
     inclusion/projection, in closed form.
 
     The image of P = 1 - incl.proj is a graded direct summand, so by graded
-    Nakayama the columns J of P kept by ascending degree, each whose
-    constant coefficients are independent of those kept before, are a
-    basis of it (those minimalize_columns would keep).  Their Echelon's
-    pivots J' make P[J', J] invertible (its constant part is, degree by
-    degree), with inverse Y (mat_inverse).  Coordinates in the free basis
-    P[:, J] are unique, so P = P[:, J] proj and left_x P[:, J] =
-    P[:, J] left'_x, read in the rows J', give proj = Y P[J', :] and
-    left'_x = Y left_x[J', :] P[:, J].
+    Nakayama the columns J of P kept by ascending degree are a basis of it
+    (nakayama_basis), with a left inverse Y zero off the rows J'.
+    Coordinates in the free basis P[:, J] are unique, so P = P[:, J] proj
+    and left_x P[:, J] = P[:, J] left'_x give proj = Y P and
+    left'_x = Y left_x P[:, J], products that read only the rows J'.
     """
     field = mod.field
     rest = mat_sub(mat_identity(field, mod.rank),
                    mat_mul(incl.matrix, proj.matrix, field))
-    span = linalg.Echelon(field)
-    kept = [j for j in sorted(range(mod.rank), key=lambda j: mod.degrees[j])
-            if span.insert(field.integer_row(
-                {i: row[j].terms[(0, 0)] for i, row in enumerate(rest)
-                 if (0, 0) in row[j].terms}))]
-    pivots = sorted(span.rows)
+    kept, inv = nakayama_basis(
+        rest, sorted(range(mod.rank), key=lambda j: mod.degrees[j]), field)
     basis = [[row[j] for j in kept] for row in rest]
-    inv = mat_inverse([basis[i] for i in pivots], field)
-    left = [mat_mul(inv, mat_mul([mod.left[x][i] for i in pivots], basis,
-                                 field), field) for x in LETTERS]
-    summand = Bimodule(mod.real, [mod.degrees[j] for j in kept], *left,
-                       check=False)
-    proj_mat = mat_mul(inv, [rest[i] for i in pivots], field)
-    return (summand, BimoduleMorphism(summand, mod, basis, 0, check=False),
-            BimoduleMorphism(mod, summand, proj_mat, 0, check=False))
+    rest_mod = summand(mod, [mod.degrees[j] for j in kept], basis, inv)
+    return (rest_mod, BimoduleMorphism(rest_mod, mod, basis, 0, check=False),
+            BimoduleMorphism(mod, rest_mod, mat_mul(inv, rest, field), 0,
+                             check=False))
 
 
 @lru_cache(maxsize=None)

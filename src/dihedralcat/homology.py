@@ -2,7 +2,10 @@
 
 Homology takes one shape, a complex of free graded R-modules: {cohom
 degree: generator degrees} and {cohom degree: matrix over R to the next
-degree}.  trace checks that every atom's HH^k is free.
+degree}.  trace checks that every atom's HH^k is free.  The kernel of a
+differential is free (R has global dimension 2) but need not be a direct
+summand, so the incoming map's columns get their coordinates in its
+minimal generators by a Groebner lift, the one lift of the HHH route.
 
 The triply-graded series is assembled strandwise: for each Hochschild
 degree k the simplified Rouquier complex is pushed through HH^k, homology
@@ -16,9 +19,10 @@ of Gaussian elimination to an isomorphism on homology.
 
 from __future__ import annotations
 
-from .bimodule import mat_transpose
+from .bimodule import _lift_images, mat_transpose
 from .complexes import minimal_form, rouquier_braid
-from .modules import PresentedModule, column_degree, kernel, minimalize_columns
+from .modules import (ModuleGB, PresentedModule, column_degree, kernel,
+                      minimalize_columns)
 from .ring import RingElement, realization
 from .series import PoincareSeries
 from .trace import hochschild_on_complex, pi_on_complex
@@ -28,10 +32,16 @@ def presented_homology(degrees, maps, field, at):
     """ker/im homology of a complex of free modules at one degree.
 
     degrees: {cohom degree: generator degrees}; maps: {cohom degree: matrix
-    over R to the next degree}.
+    over R to the next degree}.  The relations are the lifts of the
+    incoming map's columns to the minimal generators of the kernel, which
+    have no syzygies: a free module's minimal generators are a basis.
     """
     deg_at = degrees[at]
     n_at = len(deg_at)
+    bmat = maps.get(at - 1)
+    if bmat is not None and len(bmat) != n_at:
+        raise ValueError("the map into degree %d has %d rows, but degree %d "
+                         "has %d generators" % (at, len(bmat), at, n_at))
     zero = RingElement.zero(field)
     amat = maps.get(at)
     if amat is not None and len(amat) and n_at:
@@ -44,11 +54,9 @@ def presented_homology(degrees, maps, field, at):
     kgens = minimalize_columns(kgens, list(deg_at))
     if not kgens:
         return PresentedModule([], [], field)
-    bmat = maps.get(at - 1)
-    lower = [] if bmat is None or len(bmat) != n_at else \
-        [c for c in mat_transpose(bmat) if any(c)]
-    rels = kernel(kgens + lower, n_at, field, len(kgens))
-    rels = [c for c in rels if any(c)]
+    lower = [] if bmat is None else [c for c in mat_transpose(bmat) if any(c)]
+    rels = mat_transpose(_lift_images(ModuleGB(kgens, n_at, field), lower,
+                                      ValueError))
     kdegs = [column_degree(c, list(deg_at)) for c in kgens]
     return PresentedModule(kdegs, rels, field).minimalize()
 

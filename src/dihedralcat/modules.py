@@ -265,12 +265,11 @@ class ModuleGB:
         return out
 
 
-def kernel(columns, rank, field, tracked=None):
-    """Columns generating the kernel of the matrix with the given columns,
-    projected to its first `tracked` coordinates (by default all)."""
+def kernel(columns, rank, field):
+    """Columns generating the kernel of the matrix with the given columns."""
     if not columns:
         return []
-    return ModuleGB(columns, rank, field, tracked).syzygies()
+    return ModuleGB(columns, rank, field).syzygies()
 
 
 def minimalize_columns(columns, degrees):

@@ -49,19 +49,6 @@ def ft_over_t(m):
     return rouquier_braid(m, _ft_over_t_word(m), split=True)
 
 
-# ---------------------------------------------------------------------------
-# homology series of a complex of free bimodules
-
-
-def homology_series(cplx):
-    """{cohomological degree: Hilbert QSeries of the homology}; its atoms
-    are free bimodules, so it is a complex of free modules as it stands."""
-    degrees = {d: [deg for mod in obs for deg in mod.degrees]
-               for d, obs in cplx.objects.items()}
-    maps = {d: cplx.sum_differential(d).matrix for d in cplx.diffs}
-    return complex_series(degrees, maps, realization(cplx.m).field)
-
-
 def _overall(statuses):
     return "fail" if "fail" in statuses else "pass"
 

@@ -8,23 +8,27 @@ Hochschild cohomology uses the length-2 Koszul complex in the directions
 (rho_s, rho_t):  0 -> M -> M(2) (+) M(2) -> M(4) -> 0.  HH^0 is the kernel
 of d0, HH^1 the cokernel of d0 inside ker d1, HH^2 the cokernel of d1.
 
-Every functor takes three steps on a matrix over R: a kernel with minimal
-generators (_kernel) or a cokernel through a minimal presentation
-(_cokernel), each raising TraceError unless the result is free, so
-hochschild_on_complex gives a complex of free modules; one Traced record
-per atom; and the map each differential block induces (_induced).
+Every traced atom is a graded summand (module, incl, proj) with
+proj . incl = id, so every map it receives, the restricted left action
+included, is proj . f . incl.  A kernel (_kernel) has its minimal
+generators as incl and graded Nakayama's left inverse as proj, and
+raises TraceError unless it is a direct summand; a cokernel (_cokernel)
+takes incl and proj from a minimal presentation, and raises TraceError
+unless it is free.  So hochschild_on_complex gives a complex of free
+modules, and no map here is lifted through a Groebner basis.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import wraps
 
-from .bimodule import (Bimodule, BimoduleMorphism, lift_columns,
-                       mat_identity, mat_mul, mat_transpose, mat_zero)
+from .bimodule import (Bimodule, BimoduleMorphism, mat_mul, mat_restrict,
+                       mat_transpose, mat_zero, nakayama_basis, summand)
 from .complexes import ChainComplex
-from .modules import (ModuleGB, PresentedModule, column_degree, kernel,
+from .modules import (PresentedModule, column_degree, kernel,
                       minimal_presentation, minimalize_columns)
-from .ring import LETTERS, RingElement, realization
+from .ring import RingElement, realization
 
 
 class TraceError(ArithmeticError):
@@ -40,21 +44,10 @@ def rho_endomorphism(mod, letter):
     return mat
 
 
-class Traced:
-    """One traced atom: its free module (a Bimodule for pi, a
-    PresentedModule for HH^k) and what induced maps need, the kernel
-    generators and their ModuleGB (and HH^1's proj) or the cokernel's incl
-    and proj."""
-
-    __slots__ = ("module", "generators", "gb", "incl", "proj")
-
-    def __init__(self, module, generators=None, gb=None, incl=None,
-                 proj=None):
-        self.module = module
-        self.generators = generators
-        self.gb = gb
-        self.incl = incl
-        self.proj = proj
+# One traced atom: its free module (a Bimodule for pi, a PresentedModule for
+# HH^k) and the matrices incl and proj over R, proj . incl = id, that give
+# the map proj . f . incl a matrix f between untraced atoms induces.
+Traced = namedtuple("Traced", "module incl proj")
 
 
 # Traced atoms up to shift: (functor, k or letter, Bimodule.up_to_shift key)
@@ -78,23 +71,23 @@ def _once_per_shift_class(functor):
                           t.module.left["t"], check=False) \
             if isinstance(t.module, Bimodule) else \
             PresentedModule(degrees, [], mod.field)
-        return Traced(module, t.generators, t.gb, t.incl, t.proj)
+        return Traced(module, t.incl, t.proj)
     return memoized
 
 
 def _kernel(matrix, degrees, field, what):
-    """(generators, their degrees, their ModuleGB or None when there are
-    none) of the kernel of a matrix over R whose columns have the given
-    degrees, the generators minimal; a TraceError that names `what` when
-    they have syzygies."""
+    """(generator degrees, incl, proj) of the kernel of a matrix over R
+    whose columns have the given degrees: incl its minimal generators,
+    proj their left inverse from nakayama_basis; a TraceError that names
+    `what` when the kernel is not a graded direct summand, which is when
+    graded Nakayama drops a generator."""
     cols = minimalize_columns(
         kernel(mat_transpose(matrix), len(matrix), field), degrees)
-    if not cols:
-        return [], [], None
-    gb = ModuleGB(cols, len(degrees), field)
-    if gb.syzygies():
-        raise TraceError("%s is not free (syzygies present)" % what)
-    return cols, [column_degree(c, degrees) for c in cols], gb
+    incl = [[col[i] for col in cols] for i in range(len(degrees))]
+    kept, proj = nakayama_basis(incl, range(len(cols)), field)
+    if len(kept) < len(cols):
+        raise TraceError("%s is not a direct summand" % what)
+    return [column_degree(c, degrees) for c in cols], incl, proj
 
 
 def _cokernel(degrees, columns, field, what):
@@ -110,24 +103,17 @@ def _cokernel(degrees, columns, field, what):
 
 def _induced(fmat, dom, cod, field):
     """Matrix over R of the map between traced atoms that the matrix fmat
-    between the untraced ones induces: a kernel lifts the images of its
-    generators through cod.gb (HH^1 then applies cod.proj), a cokernel
-    takes proj . f . incl."""
-    if dom.generators is None:
-        return mat_mul(mat_mul(cod.proj, fmat, field), dom.incl, field)
-    lifts = lift_columns(cod.gb, fmat, dom.generators, field, TraceError)
-    return lifts if cod.proj is None else mat_mul(cod.proj, lifts, field)
+    between the untraced ones induces."""
+    return mat_restrict(cod.proj, fmat, dom.incl, field)
 
 
 @_once_per_shift_class
 def pi_minus(mod, letter):
     """Kernel of the rho-difference action, as a Traced bimodule."""
-    cols, degrees, gb = _kernel(rho_endomorphism(mod, letter), mod.degrees,
-                                mod.field, "pi_%s^- of %r" % (letter, mod))
-    traced = Traced(None, cols, gb)
-    traced.module = Bimodule(mod.real, degrees, *[_induced(
-        mod.left[x], traced, traced, mod.field) for x in LETTERS], check=False)
-    return traced
+    degrees, incl, proj = _kernel(
+        rho_endomorphism(mod, letter), mod.degrees, mod.field,
+        "pi_%s^- of %r" % (letter, mod))
+    return Traced(summand(mod, degrees, incl, proj), incl, proj)
 
 
 @_once_per_shift_class
@@ -136,10 +122,7 @@ def pi_plus(mod, letter):
     degrees, incl, proj = _cokernel(
         mod.degrees, mat_transpose(rho_endomorphism(mod, letter)), mod.field,
         "pi_%s^+ of %r" % (letter, mod))
-    traced = Traced(None, incl=incl, proj=proj)
-    traced.module = Bimodule(mod.real, degrees, *[_induced(
-        mod.left[x], traced, traced, mod.field) for x in LETTERS], check=False)
-    return traced
+    return Traced(summand(mod, degrees, incl, proj), incl, proj)
 
 
 def pi_on_complex(cplx, letter, sign):
@@ -190,26 +173,23 @@ def _koszul_maps(mod):
 def hochschild(mod, k):
     """HH^k(M) as a Traced free PresentedModule."""
     field = mod.field
-    n = mod.rank
     d0, d1 = _koszul_maps(mod)
     what = "HH^%s of %r" % (k, mod)
     if k == 0:
-        cols, degs, gb = _kernel(d0, mod.degrees, field, what)
-        return Traced(PresentedModule(degs, [], field), cols, gb)
-    if k == 1:
-        cols, degs, gb = _kernel(d1, [d - 2 for d in mod.degrees] * 2, field,
-                                 what)
-        units = [row for j, row in enumerate(mat_identity(field, n))
-                 if any(d0[i][j] for i in range(2 * n))]
-        rels = mat_transpose(lift_columns(gb, d0, units, field, TraceError))
-        degs, incl, proj = _cokernel(degs, rels, field, what)
-        live = [col for col, row in zip(cols, incl) if any(row)]
-        return Traced(PresentedModule(degs, [], field), live, gb, proj=proj)
-    if k == 2:
+        degs, incl, proj = _kernel(d0, mod.degrees, field, what)
+    elif k == 1:  # the relations: d0's columns in the basis of ker d1
+        degs, incl, proj = _kernel(d1, [d - 2 for d in mod.degrees] * 2,
+                                   field, what)
+        degs, incl_c, proj_c = _cokernel(
+            degs, mat_transpose(mat_mul(proj, d0, field)), field, what)
+        incl = mat_mul(incl, incl_c, field)
+        proj = mat_mul(proj_c, proj, field)
+    elif k == 2:
         degs, incl, proj = _cokernel([d - 4 for d in mod.degrees],
                                      mat_transpose(d1), field, what)
-        return Traced(PresentedModule(degs, [], field), incl=incl, proj=proj)
-    raise ValueError("k must be 0, 1 or 2")
+    else:
+        raise ValueError("k must be 0, 1 or 2")
+    return Traced(PresentedModule(degs, [], field), incl, proj)
 
 
 def hochschild_on_complex(cplx, k):

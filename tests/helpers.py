@@ -3,16 +3,39 @@
 import sympy as sp
 
 from dihedralcat import linalg, trace
-from dihedralcat.bimodule import (Bimodule, BimoduleMorphism, _unknowns,
-                                  hom_degree_basis, id_tensor_matrix,
-                                  lift_columns, mat_identity, mat_mul,
+from dihedralcat.bimodule import (Bimodule, BimoduleMorphism, _lift_images,
+                                  _unknowns, hom_degree_basis,
+                                  id_tensor_matrix, mat_identity, mat_mul,
                                   mat_neg, mat_sub, mat_transpose, mat_zero,
                                   split_summand, tensor, tensor_id_matrix)
 from dihedralcat.complexes import parse_braid
 from dihedralcat.hecke import braid_writhe, bs_class, hom_rank, right_mult
-from dihedralcat.modules import ModuleGB, PresentedModule
-from dihedralcat.ring import LETTERS, RingElement
+from dihedralcat.homology import complex_series
+from dihedralcat.modules import (ModuleGB, PresentedModule, column_degree,
+                                 kernel, minimalize_columns)
+from dihedralcat.ring import LETTERS, RingElement, realization
 from dihedralcat.series import QSeries
+
+
+def lift_columns(gb, matrix, columns, field, error):
+    """Apply a matrix over R to each column and lift the images through
+    the ModuleGB gb; the lifts are the columns of the returned matrix.
+
+    gb None stands for the zero module, which only zero images reach.
+    Raises error when an image lies outside the span.
+    """
+    images = mat_mul(matrix, mat_transpose(columns), field) if columns else []
+    return _lift_images(gb, [[row[j] for row in images]
+                             for j in range(len(columns))], error)
+
+
+def homology_series(cplx):
+    """{cohomological degree: Hilbert QSeries of the homology} of a
+    complex of free bimodules, read as a complex of free modules."""
+    degrees = {d: [deg for mod in obs for deg in mod.degrees]
+               for d, obs in cplx.objects.items()}
+    maps = {d: cplx.sum_differential(d).matrix for d in cplx.diffs}
+    return complex_series(degrees, maps, realization(cplx.m).field)
 
 
 def soergel_pairing(m, w_word, u_word):
@@ -114,12 +137,14 @@ def reference_hochschild(mod, k):
     if k == 2:
         return PresentedModule([d - 4 for d in mod.degrees],
                                [c for c in mat_transpose(d1) if any(c)], field)
-    cols, degs, gb = trace._kernel(d1, [d - 2 for d in mod.degrees] * 2,
-                                   field, "HH^1 of %r" % (mod,))
+    degrees = [d - 2 for d in mod.degrees] * 2
+    cols = minimalize_columns(kernel(mat_transpose(d1), n, field), degrees)
     units = [row for j, row in enumerate(mat_identity(field, n))
              if any(d0[i][j] for i in range(2 * n))]
-    return PresentedModule(degs, mat_transpose(lift_columns(
-        gb, d0, units, field, trace.TraceError)), field)
+    return PresentedModule(
+        [column_degree(c, degrees) for c in cols],
+        mat_transpose(lift_columns(ModuleGB(cols, 2 * n, field), d0, units,
+                                   field, ValueError)), field)
 
 
 def reference_hom_basis(dom, cod, degree=0, letters=LETTERS):

@@ -32,8 +32,7 @@ from dihedralcat.hecke import (Laurent, bs_class, class_of_bimodule,
                                group_elements, kl_basis, kl_multiplicities)
 from dihedralcat.homology import hhh
 from dihedralcat.ring import RingElement
-from dihedralcat.serre import homology_series
-from helpers import reference_complement
+from helpers import homology_series, reference_complement
 
 
 def test_rouquier_generator_shapes():

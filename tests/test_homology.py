@@ -1,18 +1,21 @@
 """Tests for strand homology and the triply-graded series assembly."""
 
+import re
 import sys
 from math import comb
 
 import pytest
 
 from dihedralcat import complexes, field, homology, linalg, modules
-from dihedralcat.complexes import rouquier_braid
+from dihedralcat.bimodule import mat_identity, mat_transpose
+from dihedralcat.complexes import minimal_form, rouquier_braid
 from dihedralcat.field import field_for
 from dihedralcat.hecke import euler_check
 from dihedralcat.homology import (complex_homology, hhh, presented_homology,
                                   strand_homology)
 from dihedralcat.modules import ModuleGB, PresentedModule
-from dihedralcat.ring import RingElement
+from dihedralcat.ring import RingElement, realization
+from dihedralcat.trace import hochschild_on_complex, pi_on_complex
 from dihedralcat.series import PoincareSeries, QSeries
 
 WHITEHEAD = "s^-2 t s^-1 t"
@@ -104,13 +107,14 @@ def test_hhh_accepts_precomputed_complex():
 
 
 def test_whitehead_hhh_builds_few_groebner_bases(monkeypatch):
-    # From cold, the Whitehead hhh builds 62 ModuleGBs with 281 basis
-    # vectors: 30 syzygy bases of the strand homology (156 vectors), 12 of
-    # HH kernels (72), 12 bases of the kernels' generators for lifts (37)
-    # and 8 for Hilbert series (16); split complements (closed form), pi_s^+,
-    # which strand 2 goes through, and minimalize_columns build none.
-    # Homology bases track only the syzygy coordinates they read and
-    # Hilbert series bases none.
+    # From cold, the Whitehead hhh builds 50 ModuleGBs with 200 basis
+    # vectors: 12 syzygy bases of HH kernels (72 vectors), 15 of the strand
+    # differentials' kernels (76), 15 bases of those kernels' minimal
+    # generators, which the homology relations are lifted through (36), and
+    # 8 for Hilbert series (16); traced atoms (graded summands in closed
+    # form), split complements, pi_s^+, which strand 2 goes through, and
+    # minimalize_columns build none.  Hilbert series bases track no
+    # coordinates.
     complexes.clear_caches()
     calls, sizes = [], []
     real = modules.ModuleGB.__init__
@@ -127,9 +131,9 @@ def test_whitehead_hhh_builds_few_groebner_bases(monkeypatch):
 
     monkeypatch.setattr(modules.ModuleGB, "__init__", counting)
     hhh(WHITEHEAD, 3)
-    assert 0 < len(calls) <= 62
+    assert 0 < len(calls) <= 50
     assert not any(calls)
-    assert 0 < sum(sizes) <= 281
+    assert 0 < sum(sizes) <= 200
 
 
 def test_whitehead_hh1_strand_is_a_complex_of_free_modules(monkeypatch):
@@ -189,28 +193,75 @@ def test_whitehead_hhh_multiplies_few_field_scalars(monkeypatch):
     assert 0 < len(calls) <= 125638 // 2
 
 
-def _full_syzygy_project(columns, rank, field, first=None):
-    """The reference: every column tracked, syzygies cut to the first
-    `first` coordinates (by default all), zero vectors dropped."""
-    if not columns:
-        return []
-    cut = [vec[:first] for vec in ModuleGB(columns, rank, field).syzygies()]
-    return [vec for vec in cut if any(vec)]
+def _syzygy_route(degrees, maps, field, at):
+    """presented_homology's former route, before minimalizing: the
+    relations are the syzygies of [kgens | lower], every column tracked,
+    cut to the minimal kernel generators kgens."""
+    n_at = len(degrees[at])
+    amat, bmat = maps.get(at), maps.get(at - 1)
+    if amat is not None and len(amat) and n_at:
+        kgens = ModuleGB(mat_transpose(amat), len(amat), field).syzygies()
+    else:
+        kgens = mat_transpose(mat_identity(field, n_at))
+    kgens = modules.minimalize_columns([c for c in kgens if any(c)],
+                                       list(degrees[at]))
+    lower = [] if bmat is None else [c for c in mat_transpose(bmat) if any(c)]
+    rels = [vec[:len(kgens)] for vec in
+            ModuleGB(kgens + lower, n_at, field).syzygies()] if kgens else []
+    return PresentedModule([modules.column_degree(c, list(degrees[at]))
+                            for c in kgens],
+                           [c for c in rels if any(c)], field)
 
 
-@pytest.mark.parametrize("word", [WHITEHEAD, BORROMEAN])
+@pytest.mark.parametrize("word", [WHITEHEAD, BORROMEAN, " ".join(["s t"] * 7)])
 def test_strand_homology_matches_fully_tracked_syzygies(word, monkeypatch):
+    # The relations of presented_homology lift the incoming map's columns to
+    # the kernel generators; the former route took every syzygy of
+    # [kgens | lower] and kept its kgens coordinates.  The generating sets
+    # differ, so the spans are compared, and the minimal presentations by
+    # generator degrees and Hilbert series.
     cplx = rouquier_braid(3, word, split=True)
+    field = realization(3).field
+    unminimal = []
 
-    def presentations():
-        return {(k, d): (mod.degrees, mod.relations)
-                for k in (0, 1, 2)
-                for d, mod in strand_homology(cplx, k).items()}
+    class Recording(PresentedModule):
+        def minimalize(self):
+            unminimal.append(self)
+            return super().minimalize()
 
-    got = presentations()
-    monkeypatch.setattr(homology, "kernel", _full_syzygy_project)
-    assert got == presentations()
-    assert got
+    monkeypatch.setattr(homology, "PresentedModule", Recording)
+    checked = 0
+    for k in (0, 1, 2):
+        strand = minimal_form(pi_on_complex(cplx, "s", 1)) if k == 2 \
+            else cplx
+        degrees, maps = hochschild_on_complex(strand, k)
+        for at in degrees:
+            del unminimal[:]
+            got = presented_homology(degrees, maps, field, at)
+            old = _syzygy_route(degrees, maps, field, at)
+            ref = old.minimalize()
+            assert got.degrees == ref.degrees, (k, at)
+            assert got.hilbert_series() == ref.hilbert_series(), (k, at)
+            if not old.rank:
+                continue
+            new, = unminimal
+            assert new.degrees == old.degrees
+            for one, other in ((new, old), (old, new)):
+                assert all(other.gb().contains(c) for c in one.relations)
+            checked += bool(new.relations)
+    assert checked
+
+
+def test_presented_homology_refuses_a_map_of_the_wrong_shape():
+    # the map into degree 1 has two rows, but degree 1 has one generator
+    F = field_for(3)
+    a = RingElement.gen(F, "s")
+    degrees = {0: [0], 1: [-2], 2: [-4]}
+    maps = {0: [[a], [a]], 1: [[RingElement.zero(F)]]}
+    with pytest.raises(ValueError, match=re.escape(
+            "the map into degree 1 has 2 rows, but degree 1 has 1 "
+            "generators")):
+        presented_homology(degrees, maps, F, 1)
 
 
 def test_borromean_hhh_passes_the_euler_check():

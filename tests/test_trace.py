@@ -14,7 +14,7 @@ from dihedralcat.complexes import (clear_caches, indecomposable_b,
 from dihedralcat.hecke import group_elements
 from dihedralcat.homology import (complex_homology, complex_series,
                                   strand_homology)
-from dihedralcat.ring import LETTERS, realization
+from dihedralcat.ring import LETTERS, RingElement, realization
 from dihedralcat.series import QSeries
 from dihedralcat.serre import ft_over_t, serre_test_objects
 from dihedralcat.trace import (TraceError, hochschild, hochschild_on_complex,
@@ -61,9 +61,45 @@ def test_kernel_generators_are_killed(word):
     mod = bott_samelson(3, word)
     traced = pi_minus(mod, "s")
     t_mat = rho_endomorphism(mod, "s")
-    for col in traced.generators:
+    for col in zip(*traced.incl):
         image = mat_mul(t_mat, [[x] for x in col], mod.field)
         assert not any(row[0] for row in image)
+
+
+def _is_identity(mat):
+    return all(f == (i == j) for i, row in enumerate(mat)
+               for j, f in enumerate(row))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_traced_atoms_are_graded_summands(m):
+    # every traced atom of every B_w is (module, incl, proj) with
+    # proj . incl = id, and a kernel's incl is killed by the untraced map
+    for w in group_elements(m):
+        mod = indecomposable_b(m, w)
+        field = mod.field
+        d0, d1 = trace._koszul_maps(mod)
+        cases = [(pi_minus(mod, x), rho_endomorphism(mod, x))
+                 for x in LETTERS]
+        cases += [(pi_plus(mod, x), None) for x in LETTERS]
+        cases += [(hochschild(mod, 0), d0), (hochschild(mod, 1), d1),
+                  (hochschild(mod, 2), None)]
+        for traced, untraced in cases:
+            assert _is_identity(mat_mul(traced.proj, traced.incl, field)), w
+            assert len(traced.proj) == traced.module.rank, w
+            if untraced is not None:
+                assert not any(any(row) for row in mat_mul(
+                    untraced, traced.incl, field)), w
+
+
+def test_kernel_that_is_free_but_not_a_summand_is_refused():
+    # the kernel of (a_s, a_t) is free on (a_t, -a_s), which vanishes
+    # modulo (a_s, a_t), so it is no direct summand of R^2
+    field = realization(3).field
+    a_s, a_t = (RingElement.gen(field, x) for x in LETTERS)
+    with pytest.raises(TraceError, match=re.escape(
+            "the Koszul kernel is not a direct summand")):
+        trace._kernel([[a_s, a_t]], [0, 0], field, "the Koszul kernel")
 
 
 @pytest.mark.parametrize("word", [("s",), ("t", "s"), ("s", "t", "s")])
@@ -260,6 +296,6 @@ def test_trace_memo_hit_at_a_shift(functor, arg):
     else:
         assert warm.module.degrees == cold.module.degrees
         assert warm.module.relations == cold.module.relations
-    for attr in ("generators", "incl", "proj"):
+    for attr in ("incl", "proj"):
         assert getattr(warm, attr) == getattr(cold, attr)
     assert warm is not base and warm.module is not base.module
