@@ -3,7 +3,9 @@
 Objects live per cohomological degree as lists of Bimodule atoms; the
 differential is a per-degree block matrix of BimoduleMorphism (None for
 zero blocks).  All simplification happens by Gaussian elimination of
-invertible blocks, which is exact in the homotopy category.
+invertible blocks, which is exact in the homotopy category.  A tensor
+product keeps its factors; simplify_product reduces c (x) (a (x) b) one
+factor at a time, as Bar-Natan's local simplification does.
 """
 
 from __future__ import annotations
@@ -29,12 +31,13 @@ MAX_WORD_LENGTH = 24
 
 
 class ChainComplex:
-    """objects: {degree: [Bimodule]}; diffs: {degree: blocks to degree+1}."""
+    """objects: {degree: [Bimodule]}; diffs: {degree: blocks to degree+1};
+    factors: (c1, c2) when tensor_complex built it as c1 (x) c2, else None."""
 
-    __slots__ = ("m", "objects", "diffs")
+    __slots__ = ("m", "objects", "diffs", "factors")
 
-    def __init__(self, m, objects, diffs, check=True):
-        self.m = m
+    def __init__(self, m, objects, diffs, check=True, factors=None):
+        self.m, self.factors = m, factors
         self.objects = {d: list(obs) for d, obs in objects.items() if obs}
         self.diffs = {}
         for d, blocks in diffs.items():
@@ -341,7 +344,7 @@ def tensor_complex(c1, c2):
             blocks[tgt][col] = _TensorBlock(
                 objects[n][col], objects[n + 1][tgt], factor, build,
                 origin if None not in origin[2:5] else None)
-    return ChainComplex(m, objects, diffs, check=False)
+    return ChainComplex(m, objects, diffs, check=False, factors=(c1, c2))
 
 
 def rouquier_braid(m, braid, split=False):
@@ -356,11 +359,10 @@ def rouquier_braid(m, braid, split=False):
         braid = parse_braid(braid)
     out = single_object(m, regular(m, 0))
     for letter, sign in braid:
-        out = tensor_complex(out, rouquier(m, letter, sign))
         # out (raw, or minimal) and F_x have no invertible block, so by
         # simplify's lemma out (x) F_x has none until its atoms are split.
-        if split:
-            out = simplify(out)
+        f_x = rouquier(m, letter, sign)
+        out = simplify_product(out, f_x) if split else tensor_complex(out, f_x)
     return out
 
 
@@ -766,19 +768,35 @@ def simplify(cplx):
     return minimal_form(split_atoms(cplx))
 
 
+def simplify_product(c1, c2):
+    """simplify(c1 (x) c2), one factor at a time when tensor_complex built
+    c2 as a (x) b: then it is simplify(simplify(c1 (x) a) (x) b).
+
+    c1 (x) (a (x) b) is isomorphic to (c1 (x) a) (x) b (the Koszul signs
+    agree), and tensoring preserves homotopy equivalence, so both are
+    homotopy equivalent to c1 (x) c2; minimal complexes are unique up to
+    isomorphism.  Each step splits and eliminates a product with one
+    factor, as rouquier_braid(split=True) does letter by letter, instead
+    of splitting every atom of the whole product first.
+    """
+    if c2.factors is not None:
+        a, b = c2.factors
+        return simplify_product(simplify_product(c1, a), b)
+    return simplify(tensor_complex(c1, c2))
+
+
 def split_atoms(cplx):
     """Replace every atom by its indecomposable summands (KL-tagged).
 
     A block between atoms with pieces becomes the blocks proj . blk . incl
-    between the pieces; a block with an origin (see tensor_complex) takes
-    them from the _SPLIT_BLOCKS memo, unbuilt, any other block computes them.
-    Only a block between two kept atoms is read as it is.
+    between the pieces, and one between two kept atoms is read as it is; a
+    block with an origin (see tensor_complex) takes them from the
+    _SPLIT_BLOCKS memo, unbuilt, any other block computes them.  An atom is
+    kept when it is indecomposable, or is its one summand (incl = proj = id).
     """
     pieces = {}  # degree -> per atom [(piece, incl, proj)], None: id
     for d, obs in cplx.objects.items():
-        pieces[d] = [[(mod, None, None)] if mod.kl is not None or (
-            mod.word is not None and len(mod.word) <= 1)
-            else decompose_bimodule(mod) for mod in obs]
+        pieces[d] = [_atom_pieces(mod) for mod in obs]
     objects = {d: [p[0] for lst in per_atom for p in lst]
                for d, per_atom in pieces.items()}
     offsets = {d: list(accumulate(map(len, per_atom), initial=0))
@@ -799,22 +817,33 @@ def split_atoms(cplx):
     return ChainComplex(cplx.m, objects, diffs, check=False)
 
 
+def _atom_pieces(mod):
+    if mod.kl is not None or (mod.word is not None and len(mod.word) <= 1):
+        return [(mod, None, None)]
+    out = decompose_bimodule(mod)
+    if len(out) == 1 and out[0][0].left_id == mod.left_id and \
+            out[0][0].degrees == mod.degrees:
+        return [(out[0][0], None, None)]
+    return out
+
+
 def _split_block(blk, rps, cps):
     """{(i, j): matrix of proj_i . blk . incl_j} over the row pieces rps and
     column pieces cps of blk's endpoints, nonzero ones only; memoized on
     blk's origin."""
-    if rps[0][2] is None and cps[0][1] is None:  # both endpoints kept
-        return {(0, 0): blk.matrix}
     out = _SPLIT_BLOCKS.get(blk.origin) if blk.origin is not None else None
     if out is not None:
         return out
-    out = {}
-    for i, (_, _, prj) in enumerate(rps):
-        left = blk if prj is None else prj.compose(blk)
-        for j, (_, inc, _) in enumerate(cps):
-            comp = left if inc is None else left.compose(inc)
-            if comp:
-                out[i, j] = comp.matrix
+    if rps[0][2] is None and cps[0][1] is None:  # both endpoints kept
+        out = {(0, 0): blk.matrix}
+    else:
+        out = {}
+        for i, (_, _, prj) in enumerate(rps):
+            left = blk if prj is None else prj.compose(blk)
+            for j, (_, inc, _) in enumerate(cps):
+                comp = left if inc is None else left.compose(inc)
+                if comp:
+                    out[i, j] = comp.matrix
     if blk.origin is not None:
         _SPLIT_BLOCKS[blk.origin] = out
     return out

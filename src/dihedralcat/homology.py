@@ -23,7 +23,7 @@ from .bimodule import _lift_images, mat_transpose
 from .complexes import minimal_form, rouquier_braid
 from .modules import (ModuleGB, PresentedModule, column_degree, kernel,
                       minimalize_columns)
-from .ring import RingElement, realization
+from .ring import realization
 from .series import PoincareSeries
 from .trace import hochschild_on_complex, pi_on_complex
 
@@ -42,22 +42,25 @@ def presented_homology(degrees, maps, field, at):
     if bmat is not None and len(bmat) != n_at:
         raise ValueError("the map into degree %d has %d rows, but degree %d "
                          "has %d generators" % (at, len(bmat), at, n_at))
-    zero = RingElement.zero(field)
-    amat = maps.get(at)
-    if amat is not None and len(amat) and n_at:
-        kgens = [c for c in kernel(mat_transpose(amat), len(amat), field)
-                 if any(c)]
-    else:
-        kgens = [[zero] * n_at for _ in range(n_at)]
-        for i in range(n_at):
-            kgens[i][i] = RingElement.constant(field, 1)
-    kgens = minimalize_columns(kgens, list(deg_at))
-    if not kgens:
+    if not n_at:
         return PresentedModule([], [], field)
     lower = [] if bmat is None else [c for c in mat_transpose(bmat) if any(c)]
-    rels = mat_transpose(_lift_images(ModuleGB(kgens, n_at, field), lower,
-                                      ValueError))
-    kdegs = [column_degree(c, list(deg_at)) for c in kgens]
+    amat = maps.get(at)
+    if amat is not None and len(amat):
+        kgens = minimalize_columns(
+            [c for c in kernel(mat_transpose(amat), len(amat), field)
+             if any(c)], list(deg_at))
+        if not kgens:
+            return PresentedModule([], [], field)
+        kdegs = [column_degree(c, list(deg_at)) for c in kgens]
+        rels = mat_transpose(_lift_images(ModuleGB(kgens, n_at, field),
+                                          lower, ValueError))
+    else:
+        # the kernel is free on the unit columns, by ascending degree as
+        # minimalize_columns keeps them: a lift is a column's entries there
+        order = sorted(range(n_at), key=deg_at.__getitem__)
+        kdegs = [deg_at[i] for i in order]
+        rels = [[c[i] for i in order] for c in lower]
     return PresentedModule(kdegs, rels, field).minimalize()
 
 

@@ -15,8 +15,8 @@ from functools import lru_cache
 from .bimodule import (HomSpace, _lift_images, b_generator, mat_mul, mat_neg,
                        mat_zero, regular)
 from .complexes import (complexes_isomorphic, is_contractible, minimal_form,
-                        parse_braid, rouquier_braid, simplify, single_object,
-                        tensor_complex)
+                        rouquier_braid, simplify, simplify_product,
+                        single_object)
 from .homology import complex_series
 from .modules import ModuleGB
 from .ring import realization
@@ -39,14 +39,11 @@ def full_twist_inverse(m):
     return rouquier_braid(m, " ".join(["t^-1", "s^-1"] * m), split=True)
 
 
-def _ft_over_t_word(m):
-    return " ".join(["s", "t"] * m) + " t^-1 t^-1"
-
-
 @lru_cache(maxsize=None)
 def ft_over_t(m):
     """FT_{{s,t}/t} = F_{(st)^m} F_t^{-2}."""
-    return rouquier_braid(m, _ft_over_t_word(m), split=True)
+    return rouquier_braid(m, " ".join(["s", "t"] * m) + " t^-1 t^-1",
+                          split=True)
 
 
 def _overall(statuses):
@@ -145,7 +142,7 @@ def check_relative_serre(x_complex, m):
     isomorphism of minimal forms that complexes_isomorphic finds, and a
     fail means there is none."""
     lhs = minimal_form(pi_on_complex(simplify(x_complex), "s", -1))
-    prod = simplify(tensor_complex(ft_over_t(m), x_complex))
+    prod = simplify_product(ft_over_t(m), x_complex)
     rhs = minimal_form(pi_on_complex(prod, "s", 1))
     verdict, witness = complexes_isomorphic(lhs, rhs)
     report = {"suite": "relative-serre", "m": m,
@@ -282,7 +279,7 @@ def check_serre(x_complex, y_complex, m, twisted_x=None):
     lhs = HomComplex(x_complex, y_complex).homology_series()
     twisted = twisted_x
     if twisted is None:
-        twisted = simplify(tensor_complex(full_twist_inverse(m), x_complex))
+        twisted = simplify_product(full_twist_inverse(m), x_complex)
     rhs_raw = HomComplex(y_complex, twisted).homology_series()
     rhs = dual_homology_series(rhs_raw)
     report = {"suite": "serre-series", "m": m,
@@ -329,12 +326,12 @@ def check_semiorthogonality(m):
 def check_equivalence_instance(m):
     """ft_over_t (x) X lands in ker pi_s^+ for X in the negative-word
     generators killed by pi_s^- (word length <= m).  The product is the
-    Rouquier complex of the concatenated word, split letter by letter."""
+    shared ft_over_t(m) times F_w^-1, simplified one letter at a time."""
     checks = []
     for length in range(1, m + 1):
         word = [("s", "t")[i % 2] for i in range(length)]
-        prod = rouquier_braid(m, parse_braid(_ft_over_t_word(m)) + [
-            (x, -1) for x in reversed(word)], split=True)
+        prod = simplify_product(ft_over_t(m), rouquier_braid(
+            m, [(x, -1) for x in reversed(word)]))
         status = _is_zero_up_to_homotopy(pi_on_complex(prod, "s", 1))
         checks.append({"name": "pi_s_plus(ft_over_t (x) F_%s^-1) ~ 0"
                        % "".join(word), "status": status})

@@ -12,7 +12,8 @@ import sympy as sp
 
 from dihedralcat.bimodule import (HomSpace, b_generator, bott_samelson,
                                   hom_degree_basis, regular)
-from dihedralcat.complexes import indecomposable_b, rouquier_braid, simplify
+from dihedralcat.complexes import (indecomposable_b, rouquier_braid, simplify,
+                                   tensor_complex)
 from dihedralcat.hecke import (canonical_word, class_of_complex,
                                delta_product, euler_check, group_elements,
                                homfly)
@@ -20,7 +21,7 @@ from dihedralcat.homology import hhh, strand_homology
 from dihedralcat.series import PoincareSeries, QSeries
 from dihedralcat.serre import (check_pift, check_relative_serre, check_serre,
                                check_vanishing, full_twist_inverse,
-                               serre_test_objects, tensor_complex)
+                               serre_test_objects)
 from dihedralcat.trace import pi_minus, pi_plus
 from helpers import (as_sympy, find_isomorphism, homology_series,
                      reference_euler_check, soergel_pairing)

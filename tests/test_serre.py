@@ -1,5 +1,7 @@
 """Fast instances of the duality/vanishing suites (m = 2; a few m = 3)."""
 
+import sys
+
 import pytest
 
 from dihedralcat import complexes, modules
@@ -155,6 +157,28 @@ def test_relative_suite_builds_few_groebner_bases(monkeypatch):
     assert run_suite("relative", 3)["status"] == "pass"
     assert 0 < len(calls) <= 8
 
+
+
+def test_relative_check_of_a_product_forms_few_split_products(monkeypatch):
+    # With ft_over_t(3) built, check_relative_serre of F_sF_t composes 90
+    # morphisms in _split_block (464 when FT (x) F_sF_t was split whole):
+    # each factor's product is simplified before the next is tensored on,
+    # and an atom that is its own one summand is kept as it is.
+    complexes.clear_caches()
+    ft_over_t(3)
+    x = serre_test_objects(3)["F_sF_t"]
+    split = complexes._split_block.__code__
+    calls = []
+    real = BimoduleMorphism.compose
+
+    def counting(self, other):
+        if sys._getframe(1).f_code is split:
+            calls.append(None)
+        return real(self, other)
+
+    monkeypatch.setattr(BimoduleMorphism, "compose", counting)
+    assert check_relative_serre(x, 3)["status"] == "pass"
+    assert 0 < len(calls) <= 90
 
 def test_run_suite_rejects_unknown():
     with pytest.raises(ValueError):
