@@ -160,7 +160,7 @@ class Bimodule:
     word tags a Bott-Samelson bimodule BS(word), kl an indecomposable
     B_kl; either is None when absent.  tensor sets, on an untagged
     product a (x) b, product_class to its Hecke class before the shift,
-    and factors to (a, b) when b has a Bott-Samelson word of >= 2 letters.
+    and factors to (a, b) when b has a Bott-Samelson word of >= 1 letter.
     """
 
     __slots__ = ("real", "rank", "degrees", "left", "word", "shift", "kl",
@@ -450,7 +450,7 @@ def tensor(mod_a, mod_b):
                     Laurent.monomial(-out.shift))
             if None not in key:
                 _PRODUCT_CLASS[key] = out.product_class
-        if mod_b.word is not None and len(mod_b.word) >= 2:
+        if mod_b.word:
             out.factors = (mod_a, mod_b)
     return out
 

@@ -10,6 +10,7 @@ factor at a time, as Bar-Natan's local simplification does.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache, partial
 from itertools import accumulate, product
 
@@ -24,10 +25,14 @@ from .bimodule import (Bimodule, BimoduleMorphism, _integer_terms,
                        tensor_id_matrix)
 from .field import _minimal_poly_2cos, field_for
 from .hecke import (Laurent, bs_class, class_of_bimodule, group_elements,
-                    kl_basis, kl_multiplicities, standard_in_kl)
+                    kl_basis, kl_multiplicities, right_mult,
+                    standard_in_kl)
 from .ring import realization
 
 MAX_WORD_LENGTH = 24
+BRAID_TOKENS = {"s": ("s", 1), "t": ("t", 1), "1": ("s", 1), "+1": ("s", 1),
+                "-1": ("s", -1), "2": ("t", 1), "+2": ("t", 1),
+                "-2": ("t", -1)}
 
 
 class ChainComplex:
@@ -233,36 +238,23 @@ def rouquier(m, letter, sign=1):
 
 def parse_braid(text):
     """Braid grammar: tokens s, t (optionally ^<int>) or signed 1/2; at
-    most MAX_WORD_LENGTH letters once exponents are expanded."""
-    letters = []
+    most MAX_WORD_LENGTH letters, counted over the whole expanded word."""
+    letters, total = [], 0
     for pos, token in enumerate(str(text).split()):
-        base = token
-        exp = 1
-        if "^" in token:
-            base, _, etxt = token.partition("^")
-            etxt = etxt.strip("{}")
-            try:
-                exp = int(etxt)
-            except ValueError:
-                raise ValueError("bad exponent in token %d: %r" % (pos, token))
-        if base in ("s", "t"):
-            letter = base
-        elif base in ("1", "+1"):
-            letter, exp = "s", exp
-        elif base == "-1":
-            letter, exp = "s", -exp
-        elif base in ("2", "+2"):
-            letter = "t"
-        elif base == "-2":
-            letter, exp = "t", -exp
-        else:
+        base, caret, etxt = token.partition("^")
+        try:
+            exp = int(etxt.strip("{}")) if caret else 1
+        except ValueError:
+            raise ValueError("bad exponent in token %d: %r" % (pos, token))
+        if base not in BRAID_TOKENS:
             raise ValueError("bad braid token %d: %r" % (pos, token))
-        sign = 1 if exp >= 0 else -1
-        if len(letters) + abs(exp) > MAX_WORD_LENGTH:
-            raise ValueError("braid word has %d letters, more than the "
-                             "maximum of %d"
-                             % (len(letters) + abs(exp), MAX_WORD_LENGTH))
-        letters.extend([(letter, sign)] * abs(exp))
+        letter, sign = BRAID_TOKENS[base]
+        total += abs(exp)
+        if total <= MAX_WORD_LENGTH:
+            letters += [(letter, sign if exp >= 0 else -sign)] * abs(exp)
+    if total > MAX_WORD_LENGTH:
+        raise ValueError("braid word has %d letters, more than the maximum "
+                         "of %d" % (total, MAX_WORD_LENGTH))
     if not letters:
         raise ValueError("empty braid word")
     return letters
@@ -639,6 +631,10 @@ _SPLITTINGS = {}
 # matrix and, through _SPLITTINGS, the pieces of its endpoints.
 _SPLIT_BLOCKS = {}
 
+# _split calls by the route that answered them; descent_fallback counts the
+# descents whose closed form failed its check and that hom solves split.
+SPLIT_ROUTES = Counter()
+
 
 def clear_caches():
     """Empty every memo and lru_cache of the package.  No answer depends on
@@ -647,7 +643,7 @@ def clear_caches():
     for memo in (bimodule._LEFT_IDS, bimodule._LEFT_ACTION,
                  bimodule._LEFT_POWERS, bimodule._TENSOR_LEFT,
                  bimodule._PRODUCT_CLASS, _SPLITTINGS, _SPLIT_BLOCKS,
-                 serre._HOM_BLOCKS, trace._TRACED):
+                 serre._HOM_BLOCKS, trace._TRACED, SPLIT_ROUTES):
         memo.clear()
     bimodule._LEFT_FLOOR[0] = next(bimodule._LEFT_COUNTER)
     for cached in (indecomposable_b, rouquier, serre.full_twist,
@@ -659,7 +655,9 @@ def clear_caches():
 
 def decompose_bimodule(mod):
     """[(atom, incl, proj)] over the summands B_w(k) that the Hecke class
-    names (Soergel 2007): longest w first, group_elements order, k up."""
+    names (Soergel 2007): longest w first, group_elements order, k up.  A
+    memo miss goes to _split, which splits B_y (x) B_y and each descent
+    B_x(k) (x) B_y in closed form, with no hom solve."""
     low, key = mod.up_to_shift()
     # the class is v^shift times a base that the tag or product class fixes,
     # so a hit with the same base and shift + low has the same class
@@ -682,9 +680,11 @@ def decompose_bimodule(mod):
 
 def _split(mod, cls):
     """[(atom, incl matrix, proj matrix)] in decompose_bimodule's order:
-    the identity when mod has its one summand's matrices, through the
-    factors where mod names them, else by hom solves that split off one
-    summand at a time, each complement classed by the summands left."""
+    the identity when mod has its one summand's matrices, on the pair-basis
+    coordinates for B_y (x) B_y, through the factors where mod names them,
+    in closed form for a descent B_x(k) (x) B_y (_split_descent), else by
+    hom solves that split off one summand at a time, each complement
+    classed by the summands left.  SPLIT_ROUTES counts the routes taken."""
     mults = kl_multiplicities(cls)
     order = sorted(group_elements(mod.m), key=len, reverse=True)
     summands = [indecomposable_b(mod.m, w).shifted(k) for w in order
@@ -694,14 +694,30 @@ def _split(mod, cls):
         raise ValueError("%r does not match its class %r" % (mod, cls))
     if len(summands) == 1 and summands[0].left_id == mod.left_id and \
             summands[0].degrees == mod.degrees:
+        SPLIT_ROUTES["identity"] += 1
         return [(summands[0], mat_identity(mod.field, mod.rank),
                  mat_identity(mod.field, mod.rank))]
+    if mod.word in (("s", "s"), ("t", "t")):
+        # B_y's left entries are y-invariant, hence scalars on the second
+        # factor: its a_y (x) 1 gives B_y(-1), its 1 (x) 1 gives B_y(1)
+        SPLIT_ROUTES["one_color"] += 1
+        unit = mat_identity(mod.field, 4)
+        return [(atom, [[row[j] for j in cols] for row in unit],
+                 [unit[j] for j in cols])
+                for atom, cols in zip(summands, ((1, 3), (0, 2)))]
     pieces = _split_through_factors(mod)
     if pieces is not None:
         pieces.sort(key=lambda p: (order.index(p[0].kl or ()), p[0].shift))
         if [(a.kl, a.shift) for a, _, _ in pieces] == \
                 [(b.kl, b.shift) for b in summands]:
+            SPLIT_ROUTES["factors"] += 1
             return pieces
+    descent = _is_descent(mod, summands)
+    pieces = _split_descent(mod, summands) if descent else None
+    SPLIT_ROUTES["descent" if pieces else "descent_fallback" if descent
+                 else "solve"] += 1
+    if pieces:
+        return pieces
     out = []
     current, remaining = mod, cls
     incl_cur = proj_cur = identity_morphism(mod)
@@ -727,10 +743,10 @@ def _split_through_factors(mod):
     """Pieces of mod = a (x) BS(w y) from those of a (x) BS(w), each piece
     P split as P (x) B_y through the memo (associativity of the pair
     basis); None when mod names no such factorization (a plain BS(w y)
-    with l(w) >= 2, or tensor's factors) or it does not hold exactly."""
+    with l(w) >= 2, or factors (a, BS(w y)), l(w) >= 1) or is not exact."""
     if mod.word is not None and len(mod.word) >= 3:
         head, y = bott_samelson(mod.m, mod.word[:-1]), mod.word[-1]
-    elif mod.factors is not None:
+    elif mod.factors is not None and len(mod.factors[1].word) >= 2:
         a, b = mod.factors
         head, y = tensor(a, bott_samelson(mod.m, b.word[:-1])), b.word[-1]
     else:
@@ -750,6 +766,45 @@ def _split_through_factors(mod):
             pieces.append((sub, mat_mul(outer_incl, sub_incl.matrix, field),
                            mat_mul(sub_proj.matrix, outer_proj, field)))
     return pieces
+
+
+def _is_descent(mod, summands):
+    """Is mod B_x(k) (x) B_y with xy < x, so b_x b_y = (v + v^-1) b_x?"""
+    return mod.factors is not None and len(mod.factors[1].word) == 1 and \
+        len(summands) == 2 and all(b.up_to_shift()[1] == mod.factors[0]
+                                   .up_to_shift()[1] for b in summands)
+
+
+def _split_descent(mod, summands):
+    """The pieces B_x(k -+ 1) of a descent B_x(k) (x) B_y in closed form,
+    or None when they fail the exact check.  For x' = xy, B_x is a summand
+    (e, p) of B_x' (x) B_y (Elias, The two-color Soergel calculus, 2016),
+    and B_y (x) B_y = B_y(-1) + B_y(1) by (iota_i, pi_i) (Elias-Khovanov,
+    Diagrammatics for Soergel categories, 2010); incl_i = (p (x) id)(id (x)
+    iota_i) e and proj_i = p (id (x) pi_i)(e (x) id).  In their Gram matrix
+    proj_i . incl_j, proj_0 . incl_1 is in Hom^-2(B_x, B_x) = 0, and
+    proj_i . incl_i - p e is a degree-0 map through B_x'' (x) B_y, which has
+    no summand B_x(+-1), so 0 (End^0(B_x) = K_m): p e = id.  proj_1 -= X
+    proj_0 for X = proj_1 . incl_0 leaves the identity."""
+    field, n, x, gen = mod.field, mod.rank // 2, summands[0].kl, mod.factors[1]
+    head = indecomposable_b(mod.m, right_mult(x, gen.word[0], mod.m))
+    (e, p), = [(inc, prj) for atom, inc, prj in
+               decompose_bimodule(tensor(head, gen)) if atom.kl == x]
+    up, down = tensor_id_matrix(p, gen), tensor_id_matrix(e, gen)
+    incl, proj = [], []
+    for _, iota, pi in decompose_bimodule(tensor(gen, gen)):
+        incl.append(mat_mul(up, mat_mul(id_tensor_matrix(head, iota),
+                                        e.matrix, field), field))
+        proj.append(mat_mul(mat_mul(p.matrix, id_tensor_matrix(head, pi),
+                                    field), down, field))
+    below = mat_mul(proj[1], incl[0], field)
+    proj = proj[0] + mat_sub(proj[1], mat_mul(below, proj[0], field))
+    incl = [r0 + r1 for r0, r1 in zip(*incl)]
+    one = mat_identity(field, 2 * n)  # proj_i incl_j = delta, sum incl proj
+    if mat_mul(proj, incl, field) != one or mat_mul(incl, proj, field) != one:
+        return None
+    return [(atom, [row[i * n:(i + 1) * n] for row in incl],
+             proj[i * n:(i + 1) * n]) for i, atom in enumerate(summands)]
 
 
 def simplify(cplx):

@@ -14,9 +14,9 @@ from functools import lru_cache
 
 from .bimodule import (HomSpace, _lift_images, b_generator, mat_mul, mat_neg,
                        mat_zero, regular)
-from .complexes import (complexes_isomorphic, is_contractible, minimal_form,
-                        rouquier_braid, simplify, simplify_product,
-                        single_object)
+from .complexes import (MAX_WORD_LENGTH, complexes_isomorphic,
+                        is_contractible, minimal_form, rouquier_braid,
+                        simplify, simplify_product, single_object)
 from .homology import complex_series
 from .modules import ModuleGB
 from .ring import realization
@@ -340,6 +340,11 @@ def check_equivalence_instance(m):
 
 
 def run_suite(name, m):
+    # pift, relative and full read ft_over_t(m), a word of 2m + 2 letters
+    if name in ("pift", "relative", "full") and 2 * m + 2 > MAX_WORD_LENGTH:
+        raise ValueError("suite %s at m = %d needs ft_over_t's %d-letter "
+                         "word, more than the maximum of %d"
+                         % (name, m, 2 * m + 2, MAX_WORD_LENGTH))
     realization(m)  # refuses an m without a dihedral realization
     if name == "vanishing":
         return check_vanishing(m)

@@ -378,6 +378,17 @@ def test_serre_check_refuses_m_below_two(runner, suite):
     assert res.exit_code == 1
 
 
+@pytest.mark.parametrize("suite", ["pift", "relative", "full"])
+def test_serre_check_refuses_a_full_twist_past_the_word_cap(runner, suite):
+    # ft_over_t(12) has 2m + 2 = 26 letters; the suites that read it refuse
+    # m = 12 up front instead of failing (or, for full, first running the
+    # vanishing suite) on a word the user never typed.
+    res = runner.invoke(main, ["serre-check", "--suite", suite, "--m", "12"])
+    assert res.exit_code == 1
+    assert "suite %s at m = 12 needs ft_over_t's 26-letter word, more " \
+        "than the maximum of 24" % suite in res.output
+
+
 def test_cache_round_trip(tmp_path, monkeypatch):
     monkeypatch.setenv("SOERGEL_CACHE", str(tmp_path / "cache"))
     cold = cached_simplified_complex("s t^-1", 3)

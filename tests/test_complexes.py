@@ -6,6 +6,8 @@ import json
 import pkgutil
 import random
 import re
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -71,6 +73,17 @@ def test_parse_braid_bounds_expanded_length():
         parse_braid("t s^-100000")
 
 
+def test_parse_braid_reports_the_whole_words_length():
+    # the expanded length of every token, not the count at the first token
+    # past the cap: ft_over_t(12)'s word has 26 letters
+    with pytest.raises(ValueError, match="26 letters"):
+        parse_braid("s t " * 12 + "t^-1 t^-1")
+    with pytest.raises(ValueError, match="30 letters"):
+        parse_braid("s^20 t^3 s^-7")
+    with pytest.raises(ValueError, match="bad braid token 2"):
+        parse_braid("s^30 t u")
+
+
 @pytest.mark.parametrize("word", ["s t", "s t^-1", "s^2"])
 def test_tensor_complex_d_squared(word):
     raw = rouquier_braid(3, word)
@@ -78,20 +91,29 @@ def test_tensor_complex_d_squared(word):
 
 
 def test_tensor_complex_reuses_its_atoms(monkeypatch):
-    # Cold, the Whitehead complex takes 55 tensor products: the atoms of each
-    # tensor_complex plus the B_w the splits read, none per differential block.
+    # Cold, the Whitehead complex's tensor_complex calls take 48 tensor
+    # products, one per atom and none per differential block, and building
+    # B_sts takes one more.  Products that the splits form on their own
+    # routes are not counted.
     complexes.clear_caches()
-    calls = []
-    real_tensor = bimodule.tensor
+    calls, atoms = Counter(), []
+    real_tensor, real_product = bimodule.tensor, complexes.tensor_complex
 
     def counting(a, b):
-        calls.append((a, b))
+        calls[sys._getframe(1).f_code.co_name] += 1
         return real_tensor(a, b)
+
+    def product(c1, c2):
+        out = real_product(c1, c2)
+        atoms.append(out.atom_count())
+        return out
 
     monkeypatch.setattr(bimodule, "tensor", counting)
     monkeypatch.setattr(complexes, "tensor", counting)
+    monkeypatch.setattr(complexes, "tensor_complex", product)
     rouquier_braid(3, "s^-2 t s^-1 t", split=True)
-    assert len(calls) == 55
+    assert calls["tensor_complex"] == sum(atoms) == 48
+    assert calls["indecomposable_b"] == 1
     monkeypatch.undo()
     cplx = tensor_complex(rouquier_braid(3, "s^-1 t", split=True),
                           rouquier(3, "s", -1))
@@ -479,6 +501,79 @@ def test_decomposition_matches_bott_samelson_class(m, word, monkeypatch):
     _assert_splits_bott_samelson_class(mod, pieces, word)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+def test_every_descent_splits_in_closed_form(m):
+    # Every descent B_x (x) B_y (xy < x) at m = 2-7, w0 by both letters
+    # among them, takes the closed-form route: the atoms of the hom-solve
+    # route, complete orthogonal idempotents, and bimodule maps.  m = 7 is
+    # the first field of degree 3 any split runs over.  _split is called
+    # directly: at m = 2, B_st (x) B_s and B_st (x) B_t have one matrix
+    # pair, and decompose_bimodule would answer the second from its memo.
+    complexes.clear_caches()
+    descents = [(x, y) for x in group_elements(m) if x for y in "st"
+                if len(hecke.right_mult(x, y, m)) < len(x)]
+    assert len(descents) == 2 * m and \
+        sum(len(x) == m for x, _ in descents) == 2
+    routes = complexes.SPLIT_ROUTES
+    for x, y in descents:
+        mod = tensor(indecomposable_b(m, x).shifted(1), b_generator(m, y))
+        done = routes["descent"]
+        pieces = [(atom, BimoduleMorphism(atom, mod, incl),
+                   BimoduleMorphism(mod, atom, proj))  # checked: bimodule maps
+                  for atom, incl, proj in
+                  complexes._split(mod, class_of_bimodule(mod))]
+        assert routes["descent"] == done + 1, (x, y)
+        # the atoms split_summand's route splits off: b_x b_y = (v + v^-1)
+        # b_x names B_x(0) and B_x(2) in B_x(1) (x) B_y
+        name = "B_" + "".join(x)
+        assert [repr(a) for a, _, _ in pieces] == [name, name + "(2)"]
+        _assert_complete_orthogonal_idempotents(mod, pieces)
+    assert routes["descent_fallback"] == 0
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_one_color_split_is_the_hom_solves_own(m):
+    # B_y (x) B_y splits on the pair-basis coordinates, with no hom solve,
+    # into the very matrices the hom solves give, at every m the field
+    # supports.
+    for y in "st":
+        complexes.clear_caches()
+        mod = bott_samelson(m, y + y).shifted(2)
+        pieces = decompose_bimodule(mod)
+        assert complexes.SPLIT_ROUTES == {"one_color": 1}
+        assert [_complement_text(p) for p in pieces] == \
+            [_complement_text(p) for p in _hom_solve_pieces(mod)]
+
+
+def test_descent_route_changes_no_complex(monkeypatch):
+    # ft_over_t(3) and ft_over_t(4) come out byte for byte as they do with
+    # every descent split by hom solves.
+    want = {}
+    for m in (3, 4):
+        complexes.clear_caches()
+        want[m] = _summary(serre.ft_over_t(m))
+        assert complexes.SPLIT_ROUTES["descent"] > 0
+    monkeypatch.setattr(complexes, "_is_descent", lambda mod, summands: False)
+    for m in (3, 4):
+        complexes.clear_caches()
+        assert _summary(serre.ft_over_t(m)) == want[m]
+        assert complexes.SPLIT_ROUTES["descent"] == 0
+
+
+def test_whitehead_build_splits_its_descents_in_closed_form(monkeypatch):
+    # A cold Whitehead build made 13 split_summand calls when every B_y (x)
+    # B_y and every descent was split by hom solves; 5 are left, for the
+    # ascents and the one B_w it builds.
+    calls, real = [], complexes.split_summand
+    monkeypatch.setattr(complexes, "split_summand",
+                        lambda *args: calls.append(args) or real(*args))
+    complexes.clear_caches()
+    rouquier_braid(3, "s^-2 t s^-1 t", split=True)
+    routes = complexes.SPLIT_ROUTES
+    assert routes["descent"] >= 2 and routes["descent_fallback"] == 0
+    assert len(calls) <= 5
+
+
 def test_rank_64_bott_samelson_splits_through_its_factors():
     m, word = 5, "ststst"
     complexes.clear_caches()
@@ -664,8 +759,8 @@ def test_split_rouquier_complexes_are_sound(tokens):
 
 
 def _package_memos():
-    """{name: size} of every lru_cache and every module-level _UPPER dict
-    in the package."""
+    """{name: size} of every lru_cache, every module-level _UPPER dict and
+    every Counter in the package."""
     sizes = {}
     for info in pkgutil.iter_modules(dihedralcat.__path__):
         module = importlib.import_module("dihedralcat." + info.name)
@@ -673,7 +768,8 @@ def _package_memos():
             key = "%s.%s" % (info.name, name)
             if hasattr(value, "cache_info"):
                 sizes[key] = value.cache_info().currsize
-            elif isinstance(value, dict) and re.fullmatch(r"_[A-Z_]+", name):
+            elif isinstance(value, Counter) or isinstance(value, dict) \
+                    and re.fullmatch(r"_[A-Z_]+", name):
                 sizes[key] = len(value)
     return sizes
 
@@ -692,7 +788,8 @@ def test_clear_caches_empties_every_memo():
     assert {"bimodule._LEFT_IDS", "bimodule._LEFT_ACTION",
             "bimodule._LEFT_POWERS", "bimodule._TENSOR_LEFT",
             "bimodule._PRODUCT_CLASS", "complexes._SPLITTINGS",
-            "complexes._SPLIT_BLOCKS", "serre._HOM_BLOCKS", "trace._TRACED",
+            "complexes._SPLIT_BLOCKS", "complexes.SPLIT_ROUTES",
+            "serre._HOM_BLOCKS", "trace._TRACED",
             "complexes.rouquier", "serre.full_twist",
             "serre.ft_over_t", "hecke.standard_in_kl",
             "hecke._hom_rank"} <= set(before)
@@ -1114,9 +1211,9 @@ def test_a_split_step_builds_nothing_it_does_not_read(monkeypatch):
     # braid sweep does.  A block of tensor_complex is built when read: one
     # that split_atoms finds in its memo never is, and a block between two
     # kept atoms is read once per origin.  Every pivot is a scalar c id, so
-    # elimination inverts nothing but c.  The bound is the count since kept
-    # blocks are memoized too (685 when only split ones were, 1,160 when
-    # every block was built).
+    # elimination inverts nothing but c.  The bound is the count of
+    # _TensorBlock builds since kept blocks are memoized too (685 when only
+    # split ones were, 1,160 when every block was built).
     calls = {"build": 0, "invert": 0, "pivots": [], "blocks": []}
 
     def counting(name, real):
@@ -1135,9 +1232,11 @@ def test_a_split_step_builds_nothing_it_does_not_read(monkeypatch):
         calls["blocks"] += _blocks(out)
         return out
 
-    for name in ("tensor_id_matrix", "id_tensor_matrix"):
-        monkeypatch.setattr(complexes, name, counting(
-            "build", getattr(complexes, name)))
+    def build(blk, name, real=complexes._TensorBlock.__getattr__):
+        calls["build"] += name == "matrix"
+        return real(blk, name)
+
+    monkeypatch.setattr(complexes._TensorBlock, "__getattr__", build)
     monkeypatch.setattr(complexes, "invert_morphism", counting(
         "invert", complexes.invert_morphism))
     monkeypatch.setattr(complexes, "gaussian_eliminate", eliminate)

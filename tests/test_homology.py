@@ -321,3 +321,16 @@ def test_hhh_is_a_conjugation_invariant(m, word):
     padded = letters[:1] + [("t", 1), ("t", -1)] + letters[1:]
     for other in rotations + [swapped, padded]:
         assert hhh(_braid_text(other), m) == want, _braid_text(other)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, -1, -2, -3, -4, -5])
+def test_hhh_obeys_markov_stabilization_at_m3(n):
+    # At m = 3 the Artin group is the braid group B_3, and closing beta t^-1
+    # instead of beta t (beta in B_2 = <s>) shifts hhh by one monomial:
+    # hhh(beta t^-1) = A T^-1 Q^-2 hhh(beta t), term by term.  Checked on
+    # beta t and on its conjugate t beta.
+    for pos, neg in (("s^%d t" % n, "s^%d t^-1" % n),
+                     ("t s^%d" % n, "t^-1 s^%d" % n)):
+        want = sorted((a + 1, t - 1, q - 2, e, c)
+                      for a, t, q, e, c in hhh(pos, 3).terms())
+        assert hhh(neg, 3).terms() == want, neg
